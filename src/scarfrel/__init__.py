@@ -14,6 +14,7 @@ from .analysis import (
     bonferroni_bounds,
     brute_force_reliability,
     build_report,
+    depth_bounds,
     inclusion_exclusion,
     reliability_identity,
     tube_bounds,
@@ -55,7 +56,6 @@ from .systems import (
     orthant_prob,
     quantize,
     survival,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -84,6 +84,7 @@ __all__ = [
     "contains",
     "deform",
     "deform_and_scarf",
+    "depth_bounds",
     "divides",
     "hilbert_numerator",
     "inclusion_exclusion",
@@ -101,5 +102,4 @@ __all__ = [
     "survival",
     "taylor_complex",
     "tube_bounds",
-    "validate",
 ]

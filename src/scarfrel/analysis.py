@@ -6,8 +6,13 @@ complex supporting the corresponding monomial ideal turns that union into
 an alternating sum of orthant probabilities, one per face; the Scarf route
 keeps the term count near-minimal.  Truncating the alternating sum at a
 cardinality depth yields two-sided bounds: odd depth from above, even
-depth from below.  All sums use compensated (fsum) accumulation so that
-cross-checks against the enumeration oracle are stable at 1e-12.
+depth from below.
+
+One walk over the faces in canonical order yields every value, evaluating
+each distinct label's orthant once (deformed complexes repeat labels).  The
+identity is the fsum of all signed terms and the depth-k bound the fsum of
+the prefix up to cardinality k, so each equals a fresh fsum over its faces
+bit for bit.  Compensated sums keep oracle cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .complexes import LabeledComplex, SignedTerm
+from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
 from .systems import CoherentSystem, orthant_prob
 
@@ -58,19 +63,57 @@ def _check_dimensions(system: CoherentSystem, complex_: LabeledComplex) -> None:
         )
 
 
+def check_depth(complex_: LabeledComplex, depth: int) -> None:
+    """Raise ValueError unless ``depth`` lies in 1..max face cardinality."""
+    max_card = complex_.max_cardinality()
+    if not 1 <= depth <= max_card:
+        raise ValueError(
+            f"depth must lie in 1..{max_card} for this complex, got {depth}"
+        )
+
+
+def _signed_terms(
+    complex_: LabeledComplex, orthant: Callable[[Exponent], float], depth: int
+) -> tuple[list[float], list[int]]:
+    """Signed terms of faces with cardinality <= depth; ends[k - 1] counts those <= k."""
+    values: dict[Exponent, float] = {}
+    terms: list[float] = []
+    ends = [0] * depth
+    for face in complex_.faces:
+        s = face.cardinality
+        if s > depth:
+            break  # canonical order sorts by cardinality
+        p = values.get(face.label)
+        if p is None:
+            p = values[face.label] = orthant(face.label)
+        terms.append(p if s % 2 else -p)
+        ends[s - 1] = len(terms)
+    return terms, ends
+
+
+def _depth_terms(
+    system: CoherentSystem, complex_: LabeledComplex, depth: int
+) -> tuple[list[float], list[int]]:
+    _check_dimensions(system, complex_)
+    check_depth(complex_, depth)
+    return _signed_terms(complex_, lambda label: orthant_prob(system, label), depth)
+
+
+def _bound(depth: int, terms: list[float]) -> DepthBound:
+    return DepthBound(depth, math.fsum(terms), "upper" if depth % 2 else "lower")
+
+
 def inclusion_exclusion(
     complex_: LabeledComplex, orthant: Callable[[Exponent], float]
 ) -> float:
     """Alternating sum of orthant values over the faces of a complex.
 
     Faces of odd cardinality enter with +, even with -.  ``orthant`` maps a
-    face label to the probability of the orthant above it; passing a
-    continuous evaluator makes the same identity work off-grid.
+    face label to the probability of the orthant above it and is called
+    once per distinct label; passing a continuous evaluator makes the same
+    identity work off-grid.
     """
-    terms = []
-    for face in complex_.faces:
-        p = orthant(face.label)
-        terms.append(p if face.cardinality % 2 else -p)
+    terms, _ = _signed_terms(complex_, orthant, complex_.max_cardinality())
     return math.fsum(terms)
 
 
@@ -80,22 +123,13 @@ def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> fl
     return inclusion_exclusion(complex_, lambda label: orthant_prob(system, label))
 
 
-def _truncated_sum(
-    system: CoherentSystem, complex_: LabeledComplex, depth: int
-) -> DepthBound:
-    max_card = complex_.max_cardinality()
-    if not 1 <= depth <= max_card:
-        raise ValueError(
-            f"depth must lie in 1..{max_card} for this complex, got {depth}"
-        )
-    terms = []
-    for face in complex_.faces:
-        if face.cardinality > depth:
-            break  # canonical order sorts by cardinality
-        p = orthant_prob(system, face.label)
-        terms.append(p if face.cardinality % 2 else -p)
-    kind = "upper" if depth % 2 else "lower"
-    return DepthBound(depth=depth, value=math.fsum(terms), kind=kind)
+def depth_bounds(
+    system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
+) -> tuple[DepthBound, ...]:
+    """Truncation bounds at depths 1..depth (default: every depth) from one walk."""
+    depth = complex_.max_cardinality() if depth is None else depth
+    terms, ends = _depth_terms(system, complex_, depth)
+    return tuple(_bound(k, terms[:end]) for k, end in enumerate(ends, start=1))
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:
@@ -104,8 +138,7 @@ def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) ->
     At depth equal to the maximum face cardinality the bound coincides with
     the exact identity (and still carries its parity kind).
     """
-    _check_dimensions(system, complex_)
-    return _truncated_sum(system, complex_, depth)
+    return _bound(depth, _depth_terms(system, complex_, depth)[0])
 
 
 def bonferroni_bounds(
@@ -116,8 +149,7 @@ def bonferroni_bounds(
         raise ValueError(
             f"Bonferroni bounds need the full subset complex, got kind {taylor.kind!r}"
         )
-    _check_dimensions(system, taylor)
-    return _truncated_sum(system, taylor, depth)
+    return _bound(depth, _depth_terms(system, taylor, depth)[0])
 
 
 def brute_force_reliability(
@@ -157,30 +189,21 @@ def build_report(
     oracle_cap: int = STATE_CAP,
 ) -> ReliabilityReport:
     """Identity value, signed terms, all depth bounds, and the oracle when affordable."""
-    _check_dimensions(system, complex_)
-    identity = reliability_identity(system, complex_)
+    bounds = depth_bounds(system, complex_)
+    identity = bounds[-1].value
     if not -_IDENTITY_TOL <= identity <= 1.0 + _IDENTITY_TOL:
         raise RuntimeError(
             f"identity value {identity!r} is outside [0, 1]; "
             f"complex or system data is inconsistent"
         )
-    terms = tuple(
-        SignedTerm(-1 if f.cardinality % 2 else 1, f.label, f.cardinality)
-        for f in complex_.faces
-    )
-    bounds = tuple(
-        _truncated_sum(system, complex_, depth)
-        for depth in range(1, complex_.max_cardinality() + 1)
-    )
-    r = len(complex_.ideal.generators)
     oracle: Optional[float] = None
     if math.prod(system.level_counts()) <= oracle_cap:
         oracle = brute_force_reliability(system, complex_.ideal, oracle_cap)
     return ReliabilityReport(
         identity_value=identity,
         term_count=len(complex_.faces),
-        terms=terms,
+        terms=hilbert_numerator(complex_)[1:],
         bounds=bounds,
-        baseline_term_count=2**r - 1,
+        baseline_term_count=2 ** len(complex_.ideal.generators) - 1,
         oracle_value=oracle,
     )

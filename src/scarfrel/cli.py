@@ -29,25 +29,25 @@ from typing import Optional, Sequence
 
 from .analysis import (
     STATE_CAP,
-    bonferroni_bounds,
     brute_force_reliability,
     build_report,
+    check_depth,
+    depth_bounds,
     reliability_identity,
-    tube_bounds,
 )
 from .complexes import (
     TAYLOR_GENERATOR_CAP,
     deform_and_scarf,
     taylor_complex,
 )
-from .monomial import MonomialIdeal, is_generic, minimalize
+from .monomial import is_generic, minimalize
 from .specfile import (
     SpecFileError,
     complex_from_spec,
     ideal_from_spec,
     load_spec,
 )
-from .systems import CoherentSystem, Component, CutoffUnreachableError
+from .systems import CutoffUnreachableError, random_points_for, random_system
 
 AGREEMENT_TOL = 1e-9
 
@@ -172,18 +172,17 @@ def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
 
 def cmd_bounds(args) -> int:
     spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
-    system = spec.system
-    r = len(complex_.ideal.generators)
-    taylor = None
-    if r <= TAYLOR_GENERATOR_CAP:
-        taylor = taylor_complex(complex_.ideal)
     depths = _parse_depths(args.depth, complex_.max_cardinality())
+    for depth in depths:
+        check_depth(complex_, depth)
+    scarf = depth_bounds(spec.system, complex_, max(depths))
+    bonferroni = ()  # depths never exceed r, so the Taylor walk stops at max(depths)
+    if len(complex_.ideal.generators) <= TAYLOR_GENERATOR_CAP:
+        bonferroni = depth_bounds(spec.system, taylor_complex(complex_.ideal), max(depths))
     rows = []
     for depth in depths:
-        scarf_bound = tube_bounds(system, complex_, depth)
-        bonf_value: Optional[float] = None
-        if taylor is not None and depth <= r:
-            bonf_value = bonferroni_bounds(system, taylor, depth).value
+        scarf_bound = scarf[depth - 1]
+        bonf_value = bonferroni[depth - 1].value if bonferroni else None
         tighter = "n/a"
         if bonf_value is not None:
             if abs(scarf_bound.value - bonf_value) <= 1e-12:
@@ -231,61 +230,36 @@ def cmd_oracle(args) -> int:
 
 
 def _compare_file(args) -> int:
-    spec = load_spec(args.spec)
+    spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
     system = spec.system
-    ideal = ideal_from_spec(spec)
-    complex_, v_used = complex_from_spec(spec, args.v)
-    scarf_value = reliability_identity(system, complex_)
-    values = {"scarf": scarf_value}
-    taylor_value: Optional[float] = None
+    ideal = complex_.ideal
+    values = {"scarf": reliability_identity(system, complex_)}
     if len(ideal.generators) <= TAYLOR_GENERATOR_CAP:
-        taylor_value = reliability_identity(system, taylor_complex(ideal))
-        values["taylor"] = taylor_value
-    oracle_value: Optional[float] = None
+        values["taylor"] = reliability_identity(system, taylor_complex(ideal))
     if math.prod(system.level_counts()) <= STATE_CAP:
-        oracle_value = brute_force_reliability(system, ideal)
-        values["oracle"] = oracle_value
+        values["oracle"] = brute_force_reliability(system, ideal)
     spread = max(values.values()) - min(values.values())
     ok = spread <= AGREEMENT_TOL
     if args.json:
         _emit_json(
             {
-                "identity_scarf": scarf_value,
-                "identity_taylor": taylor_value,
-                "oracle": oracle_value,
+                "identity_scarf": values["scarf"],
+                "identity_taylor": values.get("taylor"),
+                "oracle": values.get("oracle"),
                 "deformation_v": v_used,
                 "max_discrepancy": spread,
                 "ok": ok,
             }
         )
         return 0 if ok else 1
-    print(f"identity (scarf): {_fmt(scarf_value)}")
-    if taylor_value is not None:
-        print(f"identity (taylor): {_fmt(taylor_value)}")
-    if oracle_value is not None:
-        print(f"oracle: {_fmt(oracle_value)}")
+    print(f"identity (scarf): {_fmt(values['scarf'])}")
+    if "taylor" in values:
+        print(f"identity (taylor): {_fmt(values['taylor'])}")
+    if "oracle" in values:
+        print(f"oracle: {_fmt(values['oracle'])}")
     print(f"max discrepancy: {_fmt(spread)}")
     print(f"agreement (<= {AGREEMENT_TOL:g}): {'yes' if ok else 'no'}")
     return 0 if ok else 1
-
-
-def _random_system(rng: random.Random) -> tuple[CoherentSystem, MonomialIdeal]:
-    d = rng.randint(2, 5)
-    components = []
-    for i in range(d):
-        levels = rng.randint(2, 4)
-        # dyadic probabilities: exact row sums keep the comparison noise-free
-        cuts = sorted(rng.sample(range(1, 64), levels - 1))
-        parts = [b - a for a, b in zip([0] + cuts, cuts + [64])]
-        components.append(
-            Component(f"c{i + 1}", levels, tuple(p / 64 for p in parts))
-        )
-    system = CoherentSystem(components=tuple(components))
-    count = rng.randint(1, 8)
-    points = [
-        tuple(rng.randrange(c.levels) for c in components) for _ in range(count)
-    ]
-    return system, minimalize(points)
 
 
 def _compare_random(args) -> int:
@@ -295,7 +269,8 @@ def _compare_random(args) -> int:
     failures = 0
     worst = 0.0
     for _ in range(count):
-        system, ideal = _random_system(rng)
+        system = random_system(rng)
+        ideal = minimalize(random_points_for(rng, system))
         oracle = brute_force_reliability(system, ideal)
         scarf_value = reliability_identity(system, deform_and_scarf(ideal))
         taylor_value = reliability_identity(system, taylor_complex(ideal))

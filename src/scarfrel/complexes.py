@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .monomial import (
     Exponent,
@@ -33,7 +33,6 @@ from .monomial import (
 TAYLOR_GENERATOR_CAP = 20
 ORACLE_GENERATOR_CAP = 16
 
-ComplexKind = Literal["taylor", "scarf", "scarf_deformed"]
 _KINDS = ("taylor", "scarf", "scarf_deformed")
 
 

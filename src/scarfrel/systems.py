@@ -13,6 +13,7 @@ the 1-based indices appear only in faces and rendered diagnostics.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -75,18 +76,36 @@ class CoherentSystem:
         return tuple(c.levels for c in self.components)
 
 
-def validate(system: CoherentSystem) -> CoherentSystem:
-    """Re-run all construction checks on a system and return it.
+def _dyadic_probs(rng: random.Random, levels: int, denom: int = 64) -> tuple[float, ...]:
+    """A random probability row with exact binary representations.
 
-    Constructing :class:`Component` and :class:`CoherentSystem` already
-    validates, so this is only needed for instances built by other means
-    (e.g. ``dataclasses.replace`` games or deserialization layers).
+    All entries are multiples of 1/denom, so the row sums to exactly 1.0
+    and downstream comparisons see no input rounding noise.
     """
-    return CoherentSystem(
-        components=tuple(
-            Component(c.name, c.levels, c.probs) for c in system.components
-        )
+    cuts = sorted(rng.sample(range(1, denom), levels - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    return tuple(p / denom for p in parts)
+
+
+def random_system(rng: random.Random, max_d: int = 5, max_levels: int = 4) -> CoherentSystem:
+    """A seeded random system: 2..max_d components, 2..max_levels levels each."""
+    d = rng.randint(2, max_d)
+    components = tuple(
+        Component(f"c{i + 1}", levels, _dyadic_probs(rng, levels))
+        for i, levels in ((i, rng.randint(2, max_levels)) for i in range(d))
     )
+    return CoherentSystem(components=components)
+
+
+def random_points_for(
+    rng: random.Random, system: CoherentSystem, max_points: int = 8
+) -> list[Exponent]:
+    """1..max_points random grid states of ``system`` (not minimalized)."""
+    count = rng.randint(1, max_points)
+    return [
+        tuple(rng.randrange(c.levels) for c in system.components)
+        for _ in range(count)
+    ]
 
 
 def survival(system: CoherentSystem, component: int, level: int) -> float:

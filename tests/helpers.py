@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import random
 
-from scarfrel import (
-    CoherentSystem,
-    Component,
-    MonomialIdeal,
-    deform,
-    is_generic,
-    minimalize,
-)
+from scarfrel import MonomialIdeal, deform, is_generic, minimalize
+# Re-exported: tests draw systems from the factory `scarfrel compare` uses.
+from scarfrel.systems import random_points_for, random_system
 
 # Planar ideal with generators x^3, x^2 y^2, y^3: small enough to check
 # every construction by hand.
@@ -121,34 +116,6 @@ NONNETWORK_FIVE_FACES_REVERSED_TIEBREAK = (
     (1, 3), (1, 2), (1, 5), (3, 4), (2, 3), (2, 5), (3, 5), (4, 5),
     (1,), (2,), (3,), (4,), (5,),
 )
-
-
-def dyadic_probs(rng: random.Random, levels: int, denom: int = 64) -> tuple[float, ...]:
-    """A random probability row with exact binary representations.
-
-    All entries are multiples of 1/denom, so the row sums to exactly 1.0
-    and downstream comparisons see no input rounding noise.
-    """
-    cuts = sorted(rng.sample(range(1, denom), levels - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
-    return tuple(p / denom for p in parts)
-
-
-def random_system(rng: random.Random, max_d: int = 5, max_levels: int = 4) -> CoherentSystem:
-    d = rng.randint(2, max_d)
-    components = tuple(
-        Component(f"c{i + 1}", levels, dyadic_probs(rng, levels))
-        for i, levels in ((i, rng.randint(2, max_levels)) for i in range(d))
-    )
-    return CoherentSystem(components=components)
-
-
-def random_points_for(rng: random.Random, system: CoherentSystem, max_points: int = 8):
-    count = rng.randint(1, max_points)
-    return [
-        tuple(rng.randrange(c.levels) for c in system.components)
-        for _ in range(count)
-    ]
 
 
 def random_ideal(

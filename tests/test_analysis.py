@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+
+import scarfrel.analysis as analysis
 
 from scarfrel import (
     CoherentSystem,
@@ -14,7 +17,11 @@ from scarfrel import (
     brute_force_reliability,
     build_report,
     deform_and_scarf,
+    depth_bounds,
+    inclusion_exclusion,
+    is_generic,
     minimalize,
+    orthant_prob,
     reliability_identity,
     scarf_complex,
     survival,
@@ -23,6 +30,7 @@ from scarfrel import (
 )
 
 from helpers import (
+    BINARY_NINE,
     MULTI_EXTRA,
     MULTI_NINE,
     PLANAR_GENS,
@@ -101,6 +109,77 @@ class TestReliabilityIdentity:
         value = reliability_identity(system, cx)
         assert value == 0.353759765625
         assert value == brute_force_reliability(system, ideal)
+
+
+class TestDepthBounds:
+    def test_prefixes_equal_fresh_fsum(self):
+        # Each bound must be the very float a fresh fsum over the signed
+        # terms of its faces gives, and the deepest must be the identity.
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(60):
+            system = random_system(rng)
+            ideal = minimalize(random_points_for(rng, system))
+            scarf = scarf_complex(ideal) if is_generic(ideal) else deform_and_scarf(ideal)
+            for cx in (scarf, taylor_complex(ideal)):
+                kinds.add(cx.kind)
+                bounds = depth_bounds(system, cx)
+                assert [b.depth for b in bounds] == list(range(1, cx.max_cardinality() + 1))
+                for b in bounds:
+                    expected = math.fsum(
+                        orthant_prob(system, f.label) * (1 if f.cardinality % 2 else -1)
+                        for f in cx.faces
+                        if f.cardinality <= b.depth
+                    )
+                    assert b.value == expected
+                    assert b.kind == ("upper" if b.depth % 2 else "lower")
+                    assert depth_bounds(system, cx, b.depth) == bounds[: b.depth]
+                assert bounds[-1].value == reliability_identity(system, cx)
+        assert kinds == {"scarf", "scarf_deformed", "taylor"}
+
+    def test_depth_out_of_range(self):
+        system = planar_system()
+        cx = scarf_complex(PLANAR)
+        for depth in (0, -1, cx.max_cardinality() + 1):
+            with pytest.raises(ValueError, match=f"1..2 for this complex, got {depth}"):
+                depth_bounds(system, cx, depth)
+
+    def test_dimension_mismatch(self):
+        system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
+        with pytest.raises(DimensionMismatchError):
+            depth_bounds(system, scarf_complex(PLANAR))
+
+
+class TestLabelCache:
+    def test_inclusion_exclusion_evaluates_each_label_once(self):
+        cx = taylor_complex(PLANAR)  # {1, 3} and {1, 2, 3} share (3, 3)
+        system = planar_system()
+        calls = []
+
+        def orthant(label):
+            calls.append(label)
+            return orthant_prob(system, label)
+
+        value = inclusion_exclusion(cx, orthant)
+        assert sorted(calls) == sorted({f.label for f in cx.faces})
+        assert len(calls) < len(cx.faces)
+        assert value == reliability_identity(system, cx)
+
+    def test_build_report_evaluates_each_label_once(self, monkeypatch):
+        cx = deform_and_scarf(MonomialIdeal(8, BINARY_NINE), 10)
+        system = CoherentSystem(
+            tuple(Component(f"c{i + 1}", 2, (0.25, 0.75)) for i in range(8))
+        )
+        calls = []
+
+        def counting(sys_, label):
+            calls.append(label)
+            return orthant_prob(sys_, label)
+
+        monkeypatch.setattr(analysis, "orthant_prob", counting)
+        build_report(system, cx)
+        assert sorted(calls) == sorted({f.label for f in cx.faces})
+        assert len(calls) < len(cx.faces)
 
 
 class TestTubeBounds:

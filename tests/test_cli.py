@@ -131,6 +131,14 @@ class TestBoundsCommand:
         assert code == 1
         assert "depth" in err
 
+    def test_nonpositive_depth_is_rejected(self, capsys):
+        # depth 0 must fail, not read the deepest row through index -1
+        for depths in ("0", "2,0,9"):
+            code, out, err = run(capsys, "bounds", POINTS, "--depth", depths)
+            assert code == 1
+            assert out == ""
+            assert "must lie in 1..3 for this complex, got 0" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "bounds", POINTS, "--json")
         payload = json.loads(out)

@@ -22,7 +22,6 @@ from scarfrel import (
     quantize,
     scarf_complex,
     survival,
-    validate,
 )
 
 from helpers import (
@@ -85,10 +84,6 @@ class TestCoherentSystem:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CoherentSystem(())
-
-    def test_validate_roundtrip(self):
-        system = two_component_system()
-        assert validate(system) == system
 
 
 class TestSurvival:
