@@ -19,12 +19,15 @@ parameter v > r yields the same complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, getitem, or_
 from typing import NamedTuple, Optional, Sequence
 
 from .monomial import (
     Exponent,
     MonomialIdeal,
+    _lcm_unchecked,
     divides,
     lcm,
     nongeneric_witness,
@@ -128,8 +131,9 @@ class LabeledComplex:
                             f"present but {sub} missing"
                         )
         if self.kind in ("taylor", "scarf"):
+            gens = self.ideal.generators
             for face in ordered:
-                expected = lcm(self.ideal.generators[i - 1] for i in face.members)
+                expected = _lcm_unchecked([gens[i - 1] for i in face.members])
                 if face.label != expected:
                     raise ValueError(
                         f"face {face.members} labeled {face.label}, "
@@ -153,25 +157,19 @@ class LabeledComplex:
                     )
                 labels[face.label] = face.members
 
-    def member_sets(self) -> frozenset[tuple[int, ...]]:
-        """The face set as bare member tuples, for comparisons."""
-        return frozenset(face.members for face in self.faces)
-
     def facets(self) -> tuple[Face, ...]:
-        """Maximal faces, in canonical order."""
-        present = self.member_sets()
-        r = len(self.ideal.generators)
-        out = []
+        """Maximal faces, in canonical order.
+
+        The complex is closed under subsets, so a face is maximal exactly
+        when it is not one of the one-smaller subfaces of another face.
+        """
+        maximal = {face.members: True for face in self.faces}
         for face in self.faces:
-            ms = set(face.members)
-            grows = any(
-                tuple(sorted(ms | {j})) in present
-                for j in range(1, r + 1)
-                if j not in ms
-            )
-            if not grows:
-                out.append(face)
-        return tuple(out)
+            ms = face.members
+            if len(ms) > 1:
+                for k in range(len(ms)):
+                    maximal[ms[:k] + ms[k + 1:]] = False
+        return tuple(face for face in self.faces if maximal[face.members])
 
     def max_cardinality(self) -> int:
         return max(len(face.members) for face in self.faces)
@@ -193,27 +191,15 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_
     faces = []
     for s in range(1, r + 1):
         for combo in combinations(range(1, r + 1), s):
-            faces.append(Face(combo, lcm(gens[i - 1] for i in combo)))
+            faces.append(Face(combo, _lcm_unchecked([gens[i - 1] for i in combo])))
     return LabeledComplex(ideal=ideal, faces=tuple(faces), kind="taylor")
-
-
-def _all_members_essential(members: Sequence[Exponent], label: Exponent) -> bool:
-    # A member is essential when it alone attains the label's maximum in
-    # some coordinate, i.e. dropping it would strictly shrink the lcm.
-    d = len(label)
-    attainers = [0] * d
-    for mv in members:
-        for k in range(d):
-            if mv[k] == label[k]:
-                attainers[k] += 1
-    for mv in members:
-        if not any(attainers[k] == 1 and mv[k] == label[k] for k in range(d)):
-            return False
-    return True
 
 
 def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
     """Subsets of {1..r} whose lcm label is unique among all subsets.
+
+    ``gens`` must be generic: no two generators share a nonzero exponent in
+    any coordinate (rank-deformed vectors always qualify).
 
     A subset I of size >= 2 qualifies iff (a) dropping any member strictly
     shrinks lcm(I) and (b) no generator outside I divides lcm(I).  The two
@@ -221,39 +207,61 @@ def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
     subset J with the same label either adds an index j whose generator
     divides lcm(I), breaking (b), or sits inside I, forcing some one-element
     deletion to preserve the label and breaking (a).  Singletons are always
-    faces.  Uniqueness passes down to subsets, so candidates of size s only
-    need to extend accepted faces of size s - 1.
+    faces.
+
+    Both tests are a few big-int operations on bit masks (bit i - 1 stands
+    for generator i).  For (b), ``le[k][t]`` holds the generators whose
+    exponent in coordinate k is at most t, so the AND over k of
+    ``le[k][label[k]]`` is the set of generators dividing the label; it
+    must equal I.  For (a), genericity makes a nonzero label entry the
+    exponent of exactly one generator, its owner ``own[k][label[k]]``; a
+    member is essential iff it owns some coordinate (a zero entry is owned
+    by nobody once I has two members), so the owners must cover I.
+
+    Uniqueness passes down to subsets, so a face of size s + 1 is the union
+    of two faces of size s that share their first s - 1 members, and every
+    union that passes (a) and (b) has all its other subsets in the complex
+    already.  Faces of each size come out in lexicographic order, which
+    puts faces with a common prefix next to each other; only the current
+    size keeps its masks and labels.
     """
     r = len(gens)
+    le: list[dict[int, int]] = []
+    own: list[dict[int, int]] = []
+    for k in range(len(gens[0])):
+        holders: dict[int, int] = {}
+        for i, g in enumerate(gens):
+            holders[g[k]] = holders.get(g[k], 0) | 1 << i
+        below = 0
+        table = {}
+        for t in sorted(holders):
+            below |= holders[t]
+            table[t] = below
+        le.append(table)
+        own.append({t: mask if t else 0 for t, mask in holders.items()})
     accepted: list[tuple[int, ...]] = [(i,) for i in range(1, r + 1)]
-    accepted_set: set[tuple[int, ...]] = set(accepted)
-    frontier = list(accepted)
-    while frontier:
+    faces, masks, labels = list(accepted), [1 << i for i in range(r)], list(gens)
+    while faces:
         grown: list[tuple[int, ...]] = []
-        for face in frontier:
-            base = [gens[i - 1] for i in face]
-            for j in range(face[-1] + 1, r + 1):
-                cand = face + (j,)
-                # cand[:-1] == face is already accepted; check the others.
-                if any(
-                    cand[:k] + cand[k + 1:] not in accepted_set
-                    for k in range(len(cand) - 1)
-                ):
+        grown_masks: list[int] = []
+        grown_labels: list[Exponent] = []
+        for a, face in enumerate(faces):
+            prefix, mask, label = face[:-1], masks[a], labels[a]
+            for b in range(a + 1, len(faces)):
+                other = faces[b]
+                if other[:-1] != prefix:
+                    break
+                union = mask | masks[b]
+                joined = tuple(map(max, label, labels[b]))
+                if reduce(and_, map(getitem, le, joined)) != union:
                     continue
-                members = base + [gens[j - 1]]
-                label = tuple(max(col) for col in zip(*members))
-                if not _all_members_essential(members, label):
+                if reduce(or_, map(getitem, own, joined)) != union:
                     continue
-                if any(
-                    divides(gens[g - 1], label)
-                    for g in range(1, r + 1)
-                    if g not in cand
-                ):
-                    continue
-                grown.append(cand)
-                accepted_set.add(cand)
+                grown.append(face + other[-1:])
+                grown_masks.append(union)
+                grown_labels.append(joined)
         accepted.extend(grown)
-        frontier = grown
+        faces, masks, labels = grown, grown_masks, grown_labels
     return accepted
 
 
@@ -270,7 +278,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
         raise NotGenericError(k, (i, j), ideal.generators[i - 1][k - 1])
     gens = ideal.generators
     faces = tuple(
-        Face(members, lcm(gens[i - 1] for i in members))
+        Face(members, _lcm_unchecked([gens[i - 1] for i in members]))
         for members in _scarf_member_tuples(gens)
     )
     return LabeledComplex(ideal=ideal, faces=faces, kind="scarf")
@@ -344,7 +352,9 @@ def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
     if v is None:
         v = r + 1
     if v <= r:
-        raise ValueError(f"deformation parameter v must exceed {r}, got {v}")
+        raise ValueError(
+            f"deformation parameter v must exceed the generator count {r}, got {v}"
+        )
     d = ideal.dimension
     ranks = [[0] * d for _ in range(r)]
     for k in range(d):
@@ -366,7 +376,7 @@ def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledCo
     record = deform(ideal, v)
     gens = ideal.generators
     faces = tuple(
-        Face(members, lcm(gens[i - 1] for i in members))
+        Face(members, _lcm_unchecked([gens[i - 1] for i in members]))
         for members in _scarf_member_tuples(record.deformed)
     )
     return LabeledComplex(ideal=ideal, faces=faces, kind="scarf_deformed")

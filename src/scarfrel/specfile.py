@@ -209,11 +209,9 @@ def complex_from_spec(
     if is_generic(ideal):
         return scarf_complex(ideal), None
     v = v_override if v_override is not None else spec.deformation_v
-    r = len(ideal.generators)
     if v is None:
-        v = r + 1
-    if v <= r:
-        raise SpecFileError(
-            f"deformation_v must exceed the generator count {r}, got {v}"
-        )
-    return deform_and_scarf(ideal, v), v
+        v = len(ideal.generators) + 1
+    try:
+        return deform_and_scarf(ideal, v), v
+    except ValueError as err:  # deform rejects a v that does not exceed r
+        raise SpecFileError(str(err)) from err

@@ -1,7 +1,9 @@
 import itertools
 import random
+from operator import eq, le
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scarfrel import (
     ComplexSizeError,
@@ -129,6 +131,112 @@ class TestScarf:
         for _ in range(40):
             ideal = random_generic_ideal(rng)
             assert scarf_complex(ideal).max_cardinality() <= ideal.dimension
+
+
+@st.composite
+def ideals_with_zeros(draw, max_d=6, max_points=12, max_coord=4):
+    """Small ideals rich in repeated zeros, some with all-zero coordinates."""
+    d = draw(st.integers(1, max_d))
+    silent = draw(st.sets(st.integers(0, d - 1)))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, max_coord), min_size=d, max_size=d),
+            min_size=1,
+            max_size=max_points,
+        )
+    )
+    return minimalize(
+        tuple(0 if k in silent else x for k, x in enumerate(row)) for row in rows
+    )
+
+
+@st.composite
+def generic_ideals_with_zeros(draw, max_d=6, max_points=12):
+    """Generic ideals: nonzero exponents distinct per coordinate, zeros free."""
+    d = draw(st.integers(1, max_d))
+    r = draw(st.integers(1, max_points))
+    columns = []
+    for _ in range(d):
+        exponents = draw(st.permutations(range(1, r + 1)))
+        zeros = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+        columns.append([0 if z else e for z, e in zip(zeros, exponents)])
+    return minimalize(zip(*columns))
+
+
+def _local_scarf_conditions(gens, members):
+    """(a) every member is essential and (b) no outside generator divides the label.
+
+    A member is essential when it alone attains the label in some
+    coordinate, so dropping it would shrink the lcm.
+    """
+    vectors = [gens[i - 1] for i in members]
+    label = tuple(map(max, *vectors))
+    tops = [tuple(map(eq, v, label)) for v in vectors]
+    attainers = tuple(map(sum, zip(*tops)))
+    if not all(any(t and n == 1 for t, n in zip(top, attainers)) for top in tops):
+        return False
+    outside = (g for i, g in enumerate(gens, 1) if i not in members)
+    return not any(all(map(le, g, label)) for g in outside)
+
+
+def _shuffled_layer(d, total, cap, seed):
+    points = [p for p in itertools.product(range(cap + 1), repeat=d) if sum(p) == total]
+    random.Random(seed).shuffle(points)
+    return minimalize(points)
+
+
+class TestBuilder:
+    """The incremental builder against independent checks, also above the oracle cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ideals_with_zeros())
+    def test_deformed_generators_match_oracle(self, ideal):
+        deformed = MonomialIdeal(ideal.dimension, deform(ideal).deformed)
+        oracle = scarf_brute_oracle(deformed)
+        assert scarf_complex(deformed).faces == oracle.faces
+        assert [f.members for f in deform_and_scarf(ideal).faces] == [
+            f.members for f in oracle.faces
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(generic_ideals_with_zeros())
+    def test_generic_matches_oracle(self, ideal):
+        assert scarf_complex(ideal).faces == scarf_brute_oracle(ideal).faces
+
+    @pytest.mark.parametrize(
+        "d, total, cap, r", [(3, 17, 17, 171), (8, 2, 1, 28)], ids=["d3-r171", "d8-r28"]
+    )
+    def test_ladder_layer_local_conditions(self, d, total, cap, r):
+        ideal = _shuffled_layer(d, total, cap, seed=d)
+        assert len(ideal.generators) == r
+        gens = deform(ideal).deformed
+        faces = member_sets(deform_and_scarf(ideal))
+        for members in faces:
+            assert len(members) == 1 or _local_scarf_conditions(gens, members), members
+        # Every Scarf set extends a smaller one, so this finds any that is missing.
+        for members in faces:
+            for j in range(1, r + 1):
+                if j not in members:
+                    grown = tuple(sorted(members + (j,)))
+                    if _local_scarf_conditions(gens, grown):
+                        assert grown in faces, grown
+
+
+class TestFacets:
+    def test_matches_brute_force_maximality(self):
+        rng = random.Random(50)
+        for _ in range(40):
+            ideal = random_ideal(rng, max_points=9)
+            complexes = [deform_and_scarf(ideal), taylor_complex(ideal)]
+            if is_generic(ideal):
+                complexes.append(scarf_complex(ideal))
+            for cx in complexes:
+                maximal = tuple(
+                    f
+                    for f in cx.faces
+                    if not any(set(f.members) < set(g.members) for g in cx.faces)
+                )
+                assert cx.facets() == maximal
 
 
 class TestBruteOracle:

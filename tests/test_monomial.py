@@ -87,6 +87,12 @@ class TestLcm:
         with pytest.raises(DimensionMismatchError):
             lcm([(1, 2), (1, 2, 3)])
 
+    def test_invalid_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lcm([(1, 2), (0, -1)])
+        with pytest.raises(ValueError, match="integers"):
+            lcm([(1.5, 2)])
+
     @given(vector_pairs())
     def test_commutative_and_absorbs(self, pair):
         a, b = pair
