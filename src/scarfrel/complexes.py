@@ -10,18 +10,22 @@ usually far smaller.
 Non-generic ideals are handled by deformation: break exponent ties by
 replacing, in each coordinate, the exponents with their dense ranks under
 (value, generator index) order.  The deformed ideal is generic by
-construction, its Scarf complex is computed, and faces are relabeled with
-the lcms of the original generators.  The resulting face set does not
+construction and its Scarf complex is computed; the member tuples are then
+used as a complex over the original ideal.  The resulting face set does not
 depend on the tie-break magnitude, only on the ordering, so any deformation
 parameter v > r yields the same complex.
+
+Builders hand :class:`LabeledComplex` member tuples only.  The complex
+checks them and derives every face label as the lcm of the member
+generators of its own ideal, so a label can never disagree with its face.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from itertools import combinations
-from operator import and_, getitem, or_
+from operator import and_, getitem, lt, or_
 from typing import NamedTuple, Optional, Sequence
 
 from .monomial import (
@@ -55,24 +59,16 @@ class ComplexSizeError(ValueError):
     """Too many generators for an exponential-size construction."""
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face of a labeled complex.
 
     ``members`` are 1-based generator indices in ascending order; ``label``
     is the coordinatewise maximum of the corresponding exponent vectors.
+    Faces are made by :class:`LabeledComplex`, which checks both.
     """
 
     members: tuple[int, ...]
     label: Exponent
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("faces must be nonempty; the empty face is implicit")
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError(f"face members must be strictly ascending: {self.members}")
-        if self.members[0] < 1:
-            raise ValueError(f"face members are 1-based: {self.members}")
 
     @property
     def cardinality(self) -> int:
@@ -87,69 +83,67 @@ class SignedTerm(NamedTuple):
     cardinality: int
 
 
-def _face_sort_key(face: Face) -> tuple[int, tuple[int, ...]]:
-    return (len(face.members), face.members)
+def _canonical_key(members: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return (len(members), members)
 
 
 @dataclass(frozen=True)
 class LabeledComplex:
     """A simplicial complex on generator indices with lcm labels.
 
-    Faces are stored in canonical order: ascending cardinality, then
-    lexicographic on the member tuple.  Construction checks the structural
-    invariants (closure under subsets, all singletons present, labels
-    consistent with the recorded kind).
+    Built from ``members``, a sequence of 1-based member tuples.  Each must
+    be nonempty, strictly ascending and at most the generator count r; no
+    tuple may repeat, every singleton must be present and the set must be
+    closed under subsets.  ``faces`` is derived: one :class:`Face` per
+    member tuple, labeled with the lcm of its generators, in canonical
+    order (ascending cardinality, then lexicographic on the members).
+    Scarf kinds also need every cardinality at most the dimension, and
+    kind="scarf" needs pairwise distinct labels.
     """
 
     ideal: MonomialIdeal
-    faces: tuple[Face, ...]
+    members: InitVar[Sequence[tuple[int, ...]]]
     kind: str
+    faces: tuple[Face, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, members: Sequence[tuple[int, ...]]) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown complex kind {self.kind!r}")
-        r = len(self.ideal.generators)
-        ordered = tuple(sorted(self.faces, key=_face_sort_key))
-        object.__setattr__(self, "faces", ordered)
+        gens = self.ideal.generators
+        r = len(gens)
+        d = self.ideal.dimension
+        max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
         seen: set[tuple[int, ...]] = set()
-        for face in ordered:
-            if face.members[-1] > r:
-                raise ValueError(f"face {face.members} exceeds generator count {r}")
-            if face.members in seen:
-                raise ValueError(f"duplicate face {face.members}")
-            seen.add(face.members)
+        faces: list[Face] = []
+        for ms in sorted(members, key=_canonical_key):
+            if not ms:
+                raise ValueError("faces must be nonempty; the empty face is implicit")
+            if not all(map(lt, ms, ms[1:])):
+                raise ValueError(f"face members must be strictly ascending: {ms}")
+            if ms[0] < 1:
+                raise ValueError(f"face members are 1-based: {ms}")
+            if ms[-1] > r:
+                raise ValueError(f"face {ms} exceeds generator count {r}")
+            if ms in seen:
+                raise ValueError(f"duplicate face {ms}")
+            if len(ms) > max_size:
+                raise ValueError(
+                    f"Scarf face {ms} has cardinality above the ambient dimension {d}"
+                )
+            if len(ms) > 1 and not seen.issuperset(combinations(ms, len(ms) - 1)):
+                sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
+                raise ValueError(
+                    f"complex is not closed under subsets: {ms} present but {sub} missing"
+                )
+            seen.add(ms)
+            faces.append(Face(ms, _lcm_unchecked([gens[i - 1] for i in ms])))
         for i in range(1, r + 1):
             if (i,) not in seen:
                 raise ValueError(f"singleton {{{i}}} is missing")
-        for face in ordered:
-            if len(face.members) > 1:
-                for k in range(len(face.members)):
-                    sub = face.members[:k] + face.members[k + 1:]
-                    if sub not in seen:
-                        raise ValueError(
-                            f"complex is not closed under subsets: {face.members} "
-                            f"present but {sub} missing"
-                        )
-        if self.kind in ("taylor", "scarf"):
-            gens = self.ideal.generators
-            for face in ordered:
-                expected = _lcm_unchecked([gens[i - 1] for i in face.members])
-                if face.label != expected:
-                    raise ValueError(
-                        f"face {face.members} labeled {face.label}, "
-                        f"lcm of its generators is {expected}"
-                    )
-        if self.kind in ("scarf", "scarf_deformed"):
-            d = self.ideal.dimension
-            for face in ordered:
-                if len(face.members) > d:
-                    raise ValueError(
-                        f"Scarf face {face.members} has cardinality above "
-                        f"the ambient dimension {d}"
-                    )
+        object.__setattr__(self, "faces", tuple(faces))
         if self.kind == "scarf":
             labels: dict[Exponent, tuple[int, ...]] = {}
-            for face in ordered:
+            for face in faces:
                 if face.label in labels:
                     raise ValueError(
                         f"Scarf labels must be distinct: {labels[face.label]} "
@@ -172,7 +166,7 @@ class LabeledComplex:
         return tuple(face for face in self.faces if maximal[face.members])
 
     def max_cardinality(self) -> int:
-        return max(len(face.members) for face in self.faces)
+        return self.faces[-1].cardinality  # canonical order sorts by cardinality
 
 
 def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_CAP) -> LabeledComplex:
@@ -181,18 +175,14 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_
     Raises :class:`ComplexSizeError` when the ideal has more than
     ``max_generators`` generators, since the face count is 2^r - 1.
     """
-    gens = ideal.generators
-    r = len(gens)
+    r = len(ideal.generators)
     if r > max_generators:
         raise ComplexSizeError(
             f"Taylor complex on {r} generators would have 2^{r}-1 faces; "
             f"cap is {max_generators}"
         )
-    faces = []
-    for s in range(1, r + 1):
-        for combo in combinations(range(1, r + 1), s):
-            faces.append(Face(combo, _lcm_unchecked([gens[i - 1] for i in combo])))
-    return LabeledComplex(ideal=ideal, faces=tuple(faces), kind="taylor")
+    members = [c for s in range(1, r + 1) for c in combinations(range(1, r + 1), s)]
+    return LabeledComplex(ideal=ideal, members=members, kind="taylor")
 
 
 def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
@@ -276,12 +266,8 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     if witness is not None:
         k, i, j = witness
         raise NotGenericError(k, (i, j), ideal.generators[i - 1][k - 1])
-    gens = ideal.generators
-    faces = tuple(
-        Face(members, _lcm_unchecked([gens[i - 1] for i in members]))
-        for members in _scarf_member_tuples(gens)
-    )
-    return LabeledComplex(ideal=ideal, faces=faces, kind="scarf")
+    members = _scarf_member_tuples(ideal.generators)
+    return LabeledComplex(ideal=ideal, members=members, kind="scarf")
 
 
 def scarf_brute_oracle(ideal: MonomialIdeal, max_generators: int = ORACLE_GENERATOR_CAP) -> LabeledComplex:
@@ -306,12 +292,10 @@ def scarf_brute_oracle(ideal: MonomialIdeal, max_generators: int = ORACLE_GENERA
             label = lcm(gens[i - 1] for i in combo)
             labels[combo] = label
             counts[label] = counts.get(label, 0) + 1
-    faces = tuple(
-        Face(combo, label)
-        for combo, label in labels.items()
-        if counts[label] == 1 or len(combo) == 1
-    )
-    return LabeledComplex(ideal=ideal, faces=faces, kind="scarf")
+    members = [
+        combo for combo, label in labels.items() if counts[label] == 1 or len(combo) == 1
+    ]
+    return LabeledComplex(ideal=ideal, members=members, kind="scarf")
 
 
 @dataclass(frozen=True)
@@ -365,21 +349,18 @@ def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
 
 
 def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledComplex:
-    """Scarf complex of the deformed ideal, relabeled with original lcms.
+    """Scarf complex of the deformed ideal, as a complex over the original.
 
     The deformed exponent vectors are generic and minimal by construction,
-    so the Scarf route always applies to them.  Relabeling each face with
-    the lcm of the original generators yields a (possibly non-minimal, but
-    still exact) inclusion-exclusion support for the original ideal;
-    repeated labels are allowed here, unlike for kind="scarf".
+    so the Scarf route always applies to them.  Its member tuples form a
+    complex over ``ideal``, and like every :class:`LabeledComplex` it takes
+    its labels as lcms over its own ideal, here the original generators.
+    That is a (possibly non-minimal, but still exact) inclusion-exclusion
+    support for the original ideal; repeated labels are allowed here,
+    unlike for kind="scarf".
     """
-    record = deform(ideal, v)
-    gens = ideal.generators
-    faces = tuple(
-        Face(members, _lcm_unchecked([gens[i - 1] for i in members]))
-        for members in _scarf_member_tuples(record.deformed)
-    )
-    return LabeledComplex(ideal=ideal, faces=faces, kind="scarf_deformed")
+    members = _scarf_member_tuples(deform(ideal, v).deformed)
+    return LabeledComplex(ideal=ideal, members=members, kind="scarf_deformed")
 
 
 def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
@@ -387,23 +368,17 @@ def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
 
     The implicit empty face contributes the constant +1; each face of
     cardinality s contributes (-1)^s x^label.  Terms follow the canonical
-    face order.  For kind="scarf" no two terms may share an exponent (the
-    alternating sum is cancellation-free); a collision means the complex
-    was built incorrectly and raises RuntimeError.  The one exception is
-    the whole-ring ideal generated by the zero vector, whose numerator is
-    legitimately 1 - x^0; both terms are kept so the pointwise identity
-    still holds.
+    face order.  For kind="scarf" no two terms share an exponent (the
+    alternating sum is cancellation-free): the complex rejects repeated
+    labels, and no label is the constant term's zero exponent unless the
+    zero vector is a generator.  That whole-ring ideal is the one exception;
+    its numerator is legitimately 1 - x^0, and both terms are kept so the
+    pointwise identity still holds.
     """
-    d = complex_.ideal.dimension
-    zero = (0,) * d
-    terms = [SignedTerm(1, zero, 0)]
+    terms = [SignedTerm(1, (0,) * complex_.ideal.dimension, 0)]
     for face in complex_.faces:
         s = face.cardinality
         terms.append(SignedTerm(-1 if s % 2 else 1, face.label, s))
-    if complex_.kind == "scarf" and zero not in complex_.ideal.generators:
-        exponents = [t.exponent for t in terms]
-        if len(set(exponents)) != len(exponents):
-            raise RuntimeError("cancellation in a Scarf numerator; complex is corrupt")
     return tuple(terms)
 
 

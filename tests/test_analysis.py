@@ -10,7 +10,6 @@ from scarfrel import (
     Component,
     DepthBound,
     DimensionMismatchError,
-    Face,
     LabeledComplex,
     MonomialIdeal,
     bonferroni_bounds,
@@ -273,17 +272,14 @@ class TestBuildReport:
         )
 
     def test_inconsistent_complex_rejected(self):
-        # hand-built relabeled complex that double counts a full orthant
+        # correctly labeled singletons without their pair are not a support:
+        # the identity double counts the corner, 0.75 + 0.75 = 1.5
         ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
-        faces = (
-            Face((1,), (0, 0)),
-            Face((2,), (0, 0)),
-            Face((1, 2), (5, 5)),
-        )
-        cx = LabeledComplex(ideal=ideal, faces=faces, kind="scarf_deformed")
+        cx = LabeledComplex(ideal=ideal, members=[(1,), (2,)], kind="scarf_deformed")
         system = CoherentSystem(
-            (Component("a", 2, (0.5, 0.5)), Component("b", 2, (0.5, 0.5)))
+            (Component("a", 2, (0.25, 0.75)), Component("b", 2, (0.25, 0.75)))
         )
+        assert reliability_identity(system, cx) == 1.5
         with pytest.raises(RuntimeError, match="outside"):
             build_report(system, cx)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from scarfrel import (
     ComplexSizeError,
-    Face,
     LabeledComplex,
     MonomialIdeal,
     NotGenericError,
@@ -358,30 +357,51 @@ class TestDeformAndScarf:
 class TestComplexValidation:
     def test_missing_singleton_rejected(self):
         ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
-        faces = (Face((1,), (1, 0)),)
         with pytest.raises(ValueError, match="singleton"):
-            LabeledComplex(ideal=ideal, faces=faces, kind="scarf")
+            LabeledComplex(ideal=ideal, members=[(1,)], kind="scarf")
 
     def test_unclosed_rejected(self):
         ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
         # the pair face is present but the singleton {2} is not
-        with pytest.raises(ValueError):
-            LabeledComplex(
-                ideal=ideal,
-                faces=(Face((1,), (1, 0)), Face((1, 2), (1, 1))),
-                kind="scarf",
-            )
+        with pytest.raises(ValueError, match="closed"):
+            LabeledComplex(ideal=ideal, members=[(1,), (1, 2)], kind="scarf")
 
-    def test_wrong_label_rejected(self):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ((), "nonempty"),
+            ((2, 1), "strictly ascending"),
+            ((0,), "1-based"),
+            ((3,), "exceeds generator count 2"),
+            ((1, 2), "duplicate face"),
+        ],
+        ids=["empty", "descending", "zero", "above-r", "duplicate"],
+    )
+    def test_member_rule(self, extra, message):
         ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
-        faces = (Face((1,), (9, 9)), Face((2,), (0, 1)))
-        with pytest.raises(ValueError, match="label"):
-            LabeledComplex(ideal=ideal, faces=faces, kind="scarf")
+        members = [(1,), (2,), (1, 2), extra]
+        with pytest.raises(ValueError, match=message):
+            LabeledComplex(ideal=ideal, members=members, kind="taylor")
 
     def test_unknown_kind_rejected(self):
         ideal = MonomialIdeal(1, ((1,),))
         with pytest.raises(ValueError, match="kind"):
-            LabeledComplex(ideal=ideal, faces=(Face((1,), (1,)),), kind="koszul")
+            LabeledComplex(ideal=ideal, members=[(1,)], kind="koszul")
+
+    @pytest.mark.parametrize("build", [taylor_complex, scarf_complex, deform_and_scarf])
+    def test_labels_are_member_lcms_in_canonical_order(self, build):
+        rng = random.Random(51)
+        for _ in range(40):
+            ideal = random_generic_ideal(rng) if build is scarf_complex else random_ideal(rng)
+            gens = ideal.generators
+            cx = build(ideal)
+            for f in cx.faces:
+                expected = list(gens[f.members[0] - 1])
+                for i in f.members[1:]:
+                    expected = [max(a, b) for a, b in zip(expected, gens[i - 1])]
+                assert f.label == tuple(expected)
+            keys = [(len(f.members), f.members) for f in cx.faces]
+            assert keys == sorted(keys)
 
 
 class TestHilbertNumerator:
