@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import Callable, Optional
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
@@ -155,11 +156,17 @@ def bonferroni_bounds(
 def brute_force_reliability(
     system: CoherentSystem, ideal: MonomialIdeal, max_states: int = STATE_CAP
 ) -> float:
-    """Nonfailure probability by full state enumeration.
+    """Nonfailure probability by enumerating the states of the ideal.
 
-    Sums the probability of every grid state whose vector lies in the
-    ideal.  Completely independent of the complex machinery, so it serves
-    as the correctness oracle.  Refuses grids larger than ``max_states``.
+    The ideal's states above a prefix (a_1..a_{d-1}) are those whose last
+    level reaches the least last coordinate of the generators whose first
+    d-1 coordinates lie below the prefix.  So each prefix contributes
+    P(prefix) * P(X_d = a_d) for every a_d from that threshold on, and one
+    correctly rounded fsum of exactly the products a full state scan forms
+    gives its value bit for bit.  Cost: O(prod_{i<d} L_i * r * d) plain
+    tuple comparisons plus one term per state of the ideal.  Completely
+    independent of the complex machinery, so it serves as the correctness
+    oracle.  Refuses grids larger than ``max_states``.
     """
     if system.dimension != ideal.dimension:
         raise DimensionMismatchError(
@@ -171,16 +178,24 @@ def brute_force_reliability(
         raise ValueError(
             f"state space has {total_states} states, above the cap {max_states}"
         )
-    tables = [c.probs for c in system.components]
+    *tables, last = [c.probs for c in system.components]
     gens = ideal.generators
-    terms = []
-    for state in product(*(range(c.levels) for c in system.components)):
-        if any(all(g <= s for g, s in zip(gen, state)) for gen in gens):
-            p = 1.0
-            for table, level in zip(tables, state):
-                p *= table[level]
-            terms.append(p)
-    return math.fsum(terms)
+    top = len(last)
+
+    def terms():
+        for prefix in product(*map(range, map(len, tables))):
+            # zip stops at the prefix, so only the first d - 1 coordinates count
+            need = min(
+                (g[-1] for g in gens if all(map(le, g, prefix))), default=top
+            )
+            if need < top:
+                p = 1.0
+                for table, level in zip(tables, prefix):
+                    p *= table[level]
+                for q in last[need:]:
+                    yield p * q
+
+    return math.fsum(terms())
 
 
 def build_report(

@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional, Sequence
 from .monomial import (
     Exponent,
     MonomialIdeal,
-    _lcm_unchecked,
     divides,
     lcm,
     nongeneric_witness,
@@ -113,7 +112,7 @@ class LabeledComplex:
         r = len(gens)
         d = self.ideal.dimension
         max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
-        seen: set[tuple[int, ...]] = set()
+        seen: dict[tuple[int, ...], Exponent] = {}  # members -> label
         faces: list[Face] = []
         for ms in sorted(members, key=_canonical_key):
             if not ms:
@@ -130,13 +129,18 @@ class LabeledComplex:
                 raise ValueError(
                     f"Scarf face {ms} has cardinality above the ambient dimension {d}"
                 )
-            if len(ms) > 1 and not seen.issuperset(combinations(ms, len(ms) - 1)):
-                sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
-                raise ValueError(
-                    f"complex is not closed under subsets: {ms} present but {sub} missing"
-                )
-            seen.add(ms)
-            faces.append(Face(ms, _lcm_unchecked([gens[i - 1] for i in ms])))
+            if len(ms) == 1:
+                label = gens[ms[0] - 1]
+            else:
+                if not all(map(seen.__contains__, combinations(ms, len(ms) - 1))):
+                    sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
+                    raise ValueError(
+                        f"complex is not closed under subsets: {ms} present but {sub} missing"
+                    )
+                # closure put the prefix face first: one two-vector max away
+                label = tuple(map(max, seen[ms[:-1]], gens[ms[-1] - 1]))
+            seen[ms] = label
+            faces.append(Face(ms, label))
         for i in range(1, r + 1):
             if (i,) not in seen:
                 raise ValueError(f"singleton {{{i}}} is missing")

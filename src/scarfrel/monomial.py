@@ -52,18 +52,7 @@ def lcm(vectors: Iterable[Sequence[int]]) -> Exponent:
             raise DimensionMismatchError(
                 f"cannot combine vectors of length {d} and {len(v)}"
             )
-    return _lcm_unchecked(vs)
-
-
-def _lcm_unchecked(vectors: Sequence[Exponent]) -> Exponent:
-    """Coordinatewise maximum of one or more vectors that are already valid.
-
-    For generators of a :class:`MonomialIdeal`, whose constructor checked
-    them; :func:`lcm` is the entry point for anything else.
-    """
-    if len(vectors) == 1:
-        return vectors[0]
-    return tuple(map(max, *vectors))
+    return vs[0] if len(vs) == 1 else tuple(map(max, *vs))
 
 
 @dataclass(frozen=True)

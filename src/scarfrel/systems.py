@@ -147,6 +147,25 @@ class CutoffUnreachableError(ValueError):
     """No state of the grid reaches the profit cutoff."""
 
 
+def _exact(x):
+    """``x`` as an exact number: an int, or the Fraction of the decimal written.
+
+    Ints and integral floats become ints; any other number becomes the
+    Fraction of its float's shortest repr, the decimal the user wrote.
+    ``fractions`` is imported only when such a number appears.
+    """
+    if isinstance(x, int):
+        return int(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"profit coefficients and cutoff must be finite, got {x}")
+    if x.is_integer():
+        return int(x)
+    from fractions import Fraction
+
+    return Fraction(repr(x))
+
+
 @dataclass(frozen=True)
 class ProfitSpec:
     """A monotone profit function: sum of linear terms plus pairwise products.
@@ -155,7 +174,9 @@ class ProfitSpec:
     ``(i, j, coeff)`` triples (0-based, i != j) contributing
     coeff * alpha_i * alpha_j.  All coefficients must be nonnegative, which
     makes the profit nondecreasing in every coordinate and the cutoff
-    region an upper set.
+    region an upper set.  Coefficients and the cutoff are kept exact (see
+    :func:`_exact`), so a state whose profit equals the cutoff in decimal
+    arithmetic reaches it.
     """
 
     linear: tuple[float, ...]
@@ -163,13 +184,13 @@ class ProfitSpec:
     cutoff: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "linear", tuple(float(c) for c in self.linear))
+        object.__setattr__(self, "linear", tuple(map(_exact, self.linear)))
         object.__setattr__(
             self,
             "interactions",
-            tuple((int(i), int(j), float(c)) for i, j, c in self.interactions),
+            tuple((int(i), int(j), _exact(c)) for i, j, c in self.interactions),
         )
-        object.__setattr__(self, "cutoff", float(self.cutoff))
+        object.__setattr__(self, "cutoff", _exact(self.cutoff))
         if not self.linear:
             raise ValueError("profit needs at least one linear coefficient")
         d = len(self.linear)
@@ -184,24 +205,30 @@ class ProfitSpec:
             if c < 0:
                 raise ValueError(f"interaction coefficients must be nonnegative, got {c}")
 
-    def value(self, alpha: Sequence[int]) -> float:
+    def value(self, alpha: Sequence[int]):
+        """The exact profit of state ``alpha``."""
         if len(alpha) != len(self.linear):
             raise DimensionMismatchError(
                 f"state {tuple(alpha)} has length {len(alpha)}, "
                 f"expected {len(self.linear)}"
             )
-        total = math.fsum(c * a for c, a in zip(self.linear, alpha))
-        return total + math.fsum(c * alpha[i] * alpha[j] for i, j, c in self.interactions)
+        total = sum(c * a for c, a in zip(self.linear, alpha))
+        return total + sum(c * alpha[i] * alpha[j] for i, j, c in self.interactions)
 
 
 def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> MonomialIdeal:
     """Minimal states reaching the cutoff, as a monomial ideal.
 
-    Scans the full grid prod(range(L_i)).  Because the profit is monotone,
-    a state is minimal iff it reaches the cutoff and every one-step
-    decrement falls below.  Points are emitted sorted by reversed-tuple
-    lexicographic order (last coordinate most significant), which is the
-    natural reading order of the grid scan.
+    The profit is monotone, so above each prefix (a_1..a_{d-1}) the states
+    reaching the cutoff are those with a_d >= t(prefix), where t = L_d
+    means none.  The prefixes are walked in product order, so every
+    one-step prefix decrement comes first, and t(prefix) is at most their
+    least threshold h; binary search finds t below h.  The state
+    (prefix, t) is minimal iff t < h: every one-step prefix decrement then
+    falls below the cutoff at a_d = t.  Cost:
+    O(prod_{i<d} L_i * (d + log L_d)) steps and profit evaluations.  Points
+    are emitted sorted by reversed-tuple lexicographic order (last
+    coordinate most significant).
     """
     d = len(levels)
     if d != len(spec.linear):
@@ -211,22 +238,32 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     for L in levels:
         if L < 1:
             raise ValueError(f"level counts must be >= 1, got {L}")
+    *head, top = levels
+    value, cutoff = spec.value, spec.cutoff
+    threshold: dict[tuple[int, ...], int] = {}
     minimal: list[Exponent] = []
-    for alpha in product(*(range(L) for L in levels)):
-        if spec.value(alpha) < spec.cutoff:
-            continue
-        dominated = False
-        for i in range(d):
-            if alpha[i] > 0:
-                down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                if spec.value(down) >= spec.cutoff:
-                    dominated = True
-                    break
-        if not dominated:
-            minimal.append(alpha)
+    for prefix in product(*map(range, head)):
+        ceiling = min(
+            (
+                threshold[prefix[:i] + (a - 1,) + prefix[i + 1:]]
+                for i, a in enumerate(prefix)
+                if a > 0
+            ),
+            default=top,
+        )
+        lo, hi = 0, ceiling
+        while lo < hi:  # least a_d in lo..hi that reaches the cutoff, hi if none
+            mid = (lo + hi) // 2
+            if value(prefix + (mid,)) >= cutoff:
+                hi = mid
+            else:
+                lo = mid + 1
+        threshold[prefix] = lo
+        if lo < ceiling:
+            minimal.append(prefix + (lo,))
     if not minimal:
         raise CutoffUnreachableError(
-            f"no state of the grid reaches profit cutoff {spec.cutoff}"
+            f"no state of the grid reaches profit cutoff {float(cutoff)}"
         )
     minimal.sort(key=lambda a: a[::-1])
     return MonomialIdeal(dimension=d, generators=tuple(minimal))

@@ -6,7 +6,9 @@ both the unit tests and the acceptance suite, so it lives in one place.
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import product
 
 from scarfrel import MonomialIdeal, deform, is_generic, minimalize
 # Re-exported: tests draw systems from the factory `scarfrel compare` uses.
@@ -140,3 +142,35 @@ def random_generic_ideal(
     # so deforming is a cheap way to manufacture generic test inputs.
     record = deform(ideal)
     return MonomialIdeal(ideal.dimension, record.deformed)
+
+
+def full_scan_reliability(system, ideal) -> float:
+    """Reference oracle: the fsum of P(state) over every grid state in the ideal.
+
+    Each state's probability is the left-to-right product of its levels'
+    probabilities; membership is a plain tuple comparison per generator.
+    """
+    tables = [c.probs for c in system.components]
+    terms = []
+    for state in product(*(range(c.levels) for c in system.components)):
+        if any(all(g <= s for g, s in zip(gen, state)) for gen in ideal.generators):
+            p = 1.0
+            for table, level in zip(tables, state):
+                p *= table[level]
+            terms.append(p)
+    return math.fsum(terms)
+
+
+def full_scan_profit_points(spec, levels) -> tuple:
+    """Reference extraction: every grid state reaching the cutoff whose
+    one-step decrements all fall below it, in reversed-tuple order."""
+    minimal = []
+    for alpha in product(*(range(L) for L in levels)):
+        if spec.value(alpha) < spec.cutoff:
+            continue
+        downs = (
+            alpha[:i] + (a - 1,) + alpha[i + 1:] for i, a in enumerate(alpha) if a > 0
+        )
+        if all(spec.value(down) < spec.cutoff for down in downs):
+            minimal.append(alpha)
+    return tuple(sorted(minimal, key=lambda a: a[::-1]))

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scarfrel.analysis as analysis
 
@@ -33,6 +34,7 @@ from helpers import (
     MULTI_EXTRA,
     MULTI_NINE,
     PLANAR_GENS,
+    full_scan_reliability,
     random_points_for,
     random_system,
 )
@@ -235,7 +237,39 @@ class TestDepthBound:
             DepthBound(depth=1, value=0.5, kind="sideways")
 
 
+@st.composite
+def oracle_cases(draw):
+    """Probability rows (weights over a non-power-of-two total) and raw points.
+
+    Points range over the whole grid, so generators with last coordinate 0,
+    the all-zero generator and generators at the top level all occur.
+    """
+    d = draw(st.integers(1, 5))
+    rows = []
+    for levels in draw(st.lists(st.integers(2, 4), min_size=d, max_size=d)):
+        weights = draw(st.lists(st.integers(1, 97), min_size=levels, max_size=levels))
+        rows.append(tuple(w / sum(weights) for w in weights))
+    point = st.tuples(*(st.integers(0, len(row) - 1) for row in rows))
+    return tuple(rows), tuple(draw(st.lists(point, min_size=1, max_size=8)))
+
+
 class TestBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    @example((((0.3, 0.7), (0.2, 0.5, 0.3)), ((0, 0),)))
+    @example((((0.1, 0.6, 0.3), (0.3, 0.7), (0.4, 0.35, 0.25)), ((2, 1, 0), (0, 1, 1))))
+    @example((((0.1, 0.2, 0.7),), ((2,),)))
+    @example((((0.1, 0.9), (0.3, 0.3, 0.4), (0.6, 0.4)), ((1, 2, 1),)))
+    def test_equals_full_scan_bit_for_bit(self, case):
+        rows, points = case
+        system = CoherentSystem(
+            tuple(Component(f"c{i}", len(row), row) for i, row in enumerate(rows))
+        )
+        ideal = minimalize(points)
+        assert brute_force_reliability(system, ideal) == full_scan_reliability(
+            system, ideal
+        )
+
     def test_state_cap(self):
         system = planar_system()
         with pytest.raises(ValueError, match="cap"):

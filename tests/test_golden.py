@@ -1,0 +1,73 @@
+"""CLI reports compared byte for byte with recorded golden outputs.
+
+Every subcommand runs on every bundled spec, in text and ``--json``, plus
+the seeded random self-test.  Each call's standard output is stored in
+``tests/golden/<name>.out`` and its exit code in
+``tests/golden/exit_codes.json``.  Regenerate them only for a declared
+output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from scarfrel.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+COMMANDS = ("scarf", "reliability", "bounds", "oracle", "compare")
+
+
+def golden_calls() -> list[tuple[str, list[str]]]:
+    calls = []
+    for spec in sorted((ROOT / "specs").glob("*.json")):
+        for command in COMMANDS:
+            calls.append((f"{spec.stem}.{command}", [command, str(spec)]))
+            calls.append((f"{spec.stem}.{command}.json", [command, str(spec), "--json"]))
+    random_self_test = ["compare", "--seed", "3", "--count", "25"]
+    calls.append(("random.compare", random_self_test))
+    calls.append(("random.compare.json", [*random_self_test, "--json"]))
+    return calls
+
+
+def run_cli(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "name, argv", [pytest.param(name, argv, id=name) for name, argv in golden_calls()]
+)
+def test_cli_output_matches_golden(name, argv):
+    code, stdout = run_cli(argv)
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+def test_every_golden_file_is_a_call():
+    names = {name for name, _ in golden_calls()}
+    assert {p.stem for p in GOLDEN.glob("*.out")} == names
+    assert set(json.loads(EXIT_CODES.read_text())) == names
+
+
+def write_goldens() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in golden_calls():
+        codes[name], stdout = run_cli(argv)
+        (GOLDEN / f"{name}.out").write_bytes(stdout)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scarfrel import (
     CoherentSystem,
@@ -30,6 +32,7 @@ from helpers import (
     MULTI_PROFIT_CUTOFF,
     MULTI_PROFIT_INTERACTIONS,
     MULTI_PROFIT_LINEAR,
+    full_scan_profit_points,
     random_system,
 )
 
@@ -169,6 +172,22 @@ class TestProfitSpec:
         with pytest.raises(DimensionMismatchError):
             spec.value((1, 1, 1))
 
+    def test_numbers_kept_exact(self):
+        spec = ProfitSpec((1.0, 0.1, 2), ((0, 2, 0.7),), 0.8)
+        assert spec.linear == (1, Fraction(1, 10), 2)
+        assert [type(c) for c in spec.linear] == [int, Fraction, int]
+        assert spec.interactions == ((0, 2, Fraction(7, 10)),)
+        assert spec.cutoff == Fraction(4, 5)
+        assert spec.value((1, 1, 1)) == Fraction(19, 5)  # 1 + 0.1 + 2 + 0.7
+        assert type(ProfitSpec((1.0,), (), 28.0).cutoff) is int
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProfitSpec((1.0, bad), (), 5.0)
+        with pytest.raises(ValueError, match="finite"):
+            ProfitSpec((1.0, 2.0), (), bad)
+
 
 def random_profit_case(rng):
     d = rng.randint(2, 4)
@@ -183,6 +202,30 @@ def random_profit_case(rng):
     )
     cutoff = rng.uniform(0.0, max(top, 1.0))
     return ProfitSpec(linear, tuple(interactions), cutoff), levels
+
+
+COEFFICIENTS = st.sampled_from([0, 1, 2, 5, 0.1, 0.2, 0.3, 0.7, 1.5, 2.25])
+
+
+@st.composite
+def profit_cases(draw):
+    """Profit specs with zero coefficients (plateaus in a_d), interactions
+    that may involve the last coordinate, d = 1, cutoff 0 and unreachable
+    cutoffs; decimal cutoffs make exact ties likely."""
+    d = draw(st.integers(1, 4))
+    levels = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    linear = tuple(draw(st.lists(COEFFICIENTS, min_size=d, max_size=d)))
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    interactions = tuple(
+        (i, j, draw(COEFFICIENTS))
+        for i, j in (draw(st.lists(pairs, max_size=3)) if d > 1 else ())
+    )
+    cutoff = draw(
+        st.one_of(st.just(0), st.integers(0, 80).map(lambda k: k / 10), st.just(1000))
+    )
+    return ProfitSpec(linear, interactions, cutoff), levels
 
 
 class TestMinimalPointsFromProfit:
@@ -202,8 +245,29 @@ class TestMinimalPointsFromProfit:
 
     def test_unreachable_cutoff(self):
         spec = ProfitSpec((1.0, 1.0), (), 100.0)
-        with pytest.raises(CutoffUnreachableError):
+        with pytest.raises(CutoffUnreachableError, match="cutoff 100.0$"):
             minimal_points_from_profit(spec, (3, 3))
+        with pytest.raises(CutoffUnreachableError, match="cutoff 4.1$"):
+            minimal_points_from_profit(ProfitSpec((1.0, 1.0), (), 4.1), (3, 3))
+
+    def test_exact_cutoff(self):
+        # 0.1 + 0.7 rounds below 0.8 in floats; the decimals reach it exactly
+        ideal = minimal_points_from_profit(ProfitSpec((0.1, 0.7), (), 0.8), (3, 3))
+        assert ideal.generators == ((1, 1), (0, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(profit_cases())
+    @example((ProfitSpec((0.1, 0.7), (), 0.8), (3, 3)))
+    @example((ProfitSpec((1, 0, 0), ((0, 2, 0.5), (1, 2, 0.1)), 2.5), (4, 3, 4)))
+    @example((ProfitSpec((0.3,), (), 0.9), (5,)))
+    def test_equals_full_grid_scan(self, case):
+        spec, levels = case
+        expected = full_scan_profit_points(spec, levels)
+        if not expected:
+            with pytest.raises(CutoffUnreachableError):
+                minimal_points_from_profit(spec, levels)
+            return
+        assert minimal_points_from_profit(spec, levels).generators == expected
 
     def test_level_count_validation(self):
         spec = ProfitSpec((1.0, 1.0), (), 1.0)
