@@ -265,6 +265,8 @@ def _compare_file(args) -> int:
 def _compare_random(args) -> int:
     seed = args.seed if args.seed is not None else 0
     count = args.count
+    if count < 1:
+        raise SpecFileError(f"--count must be at least 1, got {count}")
     rng = random.Random(seed)
     failures = 0
     worst = 0.0

@@ -189,10 +189,10 @@ def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_
     return LabeledComplex(ideal=ideal, members=members, kind="taylor")
 
 
-def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
+def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """Subsets of {1..r} whose lcm label is unique among all subsets.
 
-    ``gens`` must be generic: no two generators share a nonzero exponent in
+    ``ideal`` must be generic: no two generators share a nonzero exponent in
     any coordinate (rank-deformed vectors always qualify).
 
     A subset I of size >= 2 qualifies iff (a) dropping any member strictly
@@ -204,13 +204,12 @@ def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
     faces.
 
     Both tests are a few big-int operations on bit masks (bit i - 1 stands
-    for generator i).  For (b), ``le[k][t]`` holds the generators whose
-    exponent in coordinate k is at most t, so the AND over k of
-    ``le[k][label[k]]`` is the set of generators dividing the label; it
-    must equal I.  For (a), genericity makes a nonzero label entry the
-    exponent of exactly one generator, its owner ``own[k][label[k]]``; a
-    member is essential iff it owns some coordinate (a zero entry is owned
-    by nobody once I has two members), so the owners must cover I.
+    for generator i).  For (b), the AND over k of ``ideal.le[k][label[k]]``
+    is the set of generators dividing the label; it must equal I.  For (a),
+    genericity makes a nonzero label entry the exponent of exactly one
+    generator, its owner ``own[k][label[k]]``; a member is essential iff it
+    owns some coordinate (a zero entry is owned by nobody once I has two
+    members), so the owners must cover I.
 
     Uniqueness passes down to subsets, so a face of size s + 1 is the union
     of two faces of size s that share their first s - 1 members, and every
@@ -219,20 +218,9 @@ def _scarf_member_tuples(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
     puts faces with a common prefix next to each other; only the current
     size keeps its masks and labels.
     """
+    gens, le = ideal.generators, ideal.le
     r = len(gens)
-    le: list[dict[int, int]] = []
-    own: list[dict[int, int]] = []
-    for k in range(len(gens[0])):
-        holders: dict[int, int] = {}
-        for i, g in enumerate(gens):
-            holders[g[k]] = holders.get(g[k], 0) | 1 << i
-        below = 0
-        table = {}
-        for t in sorted(holders):
-            below |= holders[t]
-            table[t] = below
-        le.append(table)
-        own.append({t: mask if t else 0 for t, mask in holders.items()})
+    own = [{g[k]: 1 << i if g[k] else 0 for i, g in enumerate(gens)} for k in range(ideal.dimension)]
     accepted: list[tuple[int, ...]] = [(i,) for i in range(1, r + 1)]
     faces, masks, labels = list(accepted), [1 << i for i in range(r)], list(gens)
     while faces:
@@ -270,7 +258,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     if witness is not None:
         k, i, j = witness
         raise NotGenericError(k, (i, j), ideal.generators[i - 1][k - 1])
-    members = _scarf_member_tuples(ideal.generators)
+    members = _scarf_member_tuples(ideal)
     return LabeledComplex(ideal=ideal, members=members, kind="scarf")
 
 
@@ -363,7 +351,7 @@ def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledCo
     support for the original ideal; repeated labels are allowed here,
     unlike for kind="scarf".
     """
-    members = _scarf_member_tuples(deform(ideal, v).deformed)
+    members = _scarf_member_tuples(MonomialIdeal(ideal.dimension, deform(ideal, v).deformed))
     return LabeledComplex(ideal=ideal, members=members, kind="scarf_deformed")
 
 

@@ -8,11 +8,18 @@ Generator order is significant and is preserved exactly as given: 1-based
 face members, report lines and the deformation tie-break all refer to
 positions in ``MonomialIdeal.generators``, so callers control the labeling
 by controlling the input order.
+
+One divisibility index serves :func:`minimalize`, the antichain check and the
+Scarf builder: ``le[k][t]`` is the bit set (bit i - 1 for vector i) of the
+vectors with exponent <= t in coordinate k, keyed by held exponents only, so
+the divisors of beta, a vector or an lcm of vectors, are AND_k le[k][beta[k]].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -55,6 +62,20 @@ def lcm(vectors: Iterable[Sequence[int]]) -> Exponent:
     return vs[0] if len(vs) == 1 else tuple(map(max, *vs))
 
 
+def _prefix_masks(vectors: Sequence[Exponent]) -> tuple[dict[int, int], ...]:
+    """The divisibility index: ``le[k][t]``, keyed by the exponents held in k."""
+    le = []
+    for k in range(len(vectors[0])):
+        below: dict[int, int] = {}
+        for i, g in enumerate(vectors):
+            below[g[k]] = below.get(g[k], 0) | 1 << i
+        mask = 0
+        for t in sorted(below):
+            mask = below[t] = mask | below[t]
+        le.append(below)
+    return tuple(le)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal in d variables, given by its minimal generators.
@@ -62,11 +83,14 @@ class MonomialIdeal:
     ``generators`` must already form an antichain under divisibility (no
     duplicates, no generator dividing another).  Use :func:`minimalize` to
     build an ideal from an arbitrary generating set; it prunes redundant
-    generators while keeping the survivors in input order.
+    generators while keeping the survivors in input order.  ``le``, derived
+    once, is the generators' divisibility index (see the module docstring):
+    look up only generators and their lcms.  Equality, hash and repr skip it.
     """
 
     dimension: int
     generators: tuple[Exponent, ...]
+    le: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -77,19 +101,16 @@ class MonomialIdeal:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in gens:
             if len(g) != self.dimension:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {self.dimension}"
-                )
+                raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {self.dimension}")
+        le = _prefix_masks(gens)
+        object.__setattr__(self, "le", le)
         for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                if i == j:
-                    continue
-                if g == h:
+            others = reduce(and_, map(getitem, le, g)) & ~(1 << i)
+            if others:
+                h = gens[(others & -others).bit_length() - 1]
+                if h == g:
                     raise ValueError(f"duplicate generator {g}")
-                if divides(h, g):
-                    raise ValueError(
-                        f"generator {g} is redundant: divisible by {h}"
-                    )
+                raise ValueError(f"generator {g} is redundant: divisible by {h}")
 
 
 def minimalize(generators: Iterable[Sequence[int]]) -> MonomialIdeal:
@@ -98,26 +119,15 @@ def minimalize(generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     A vector is dropped when another generator strictly divides it, or when
     it repeats an earlier vector.  Survivors keep their input order.
     """
-    vs = [_vector(g) for g in generators]
+    vs = list(dict.fromkeys(_vector(g) for g in generators))
     if not vs:
         raise ValueError("at least one generator is required")
     d = len(vs[0])
-    keep: list[Exponent] = []
-    for i, g in enumerate(vs):
-        redundant = False
-        for j, h in enumerate(vs):
-            if i == j:
-                continue
-            if h == g:
-                if j < i:
-                    redundant = True
-                    break
-                continue
-            if divides(h, g):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
+    for v in vs:
+        if len(v) != d:
+            raise DimensionMismatchError(f"cannot compare vectors of length {len(v)} and {d}")
+    le = _prefix_masks(vs)
+    keep = (g for i, g in enumerate(vs) if reduce(and_, map(getitem, le, g)) == 1 << i)
     return MonomialIdeal(dimension=d, generators=tuple(keep))
 
 

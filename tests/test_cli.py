@@ -191,6 +191,14 @@ class TestCompareCommand:
         assert payload["count"] == 5
         assert payload["failures"] == 0
 
+    def test_count_must_be_positive(self, capsys):
+        for count in ("0", "-5"):
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, "compare", "--count", count, *extra)
+                assert code == 2
+                assert out == ""
+                assert err == f"error: --count must be at least 1, got {count}\n"
+
     def test_default_seed_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "compare", "--count", "3")
         _, second, _ = run(capsys, "compare", "--count", "3")

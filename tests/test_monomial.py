@@ -39,6 +39,35 @@ def generating_sets(draw, max_d=4, max_coord=5, max_points=7):
     return [tuple(draw(st.lists(coords, min_size=d, max_size=d))) for _ in range(n)]
 
 
+@st.composite
+def sets_with_repeats(draw, max_d=4, max_coord=4, max_points=8):
+    """Generating sets that mix base vectors with repeats and multiples of them."""
+    d = draw(st.integers(1, max_d))
+    vector = st.lists(st.integers(0, max_coord), min_size=d, max_size=d).map(tuple)
+    base = draw(st.lists(vector, min_size=1, max_size=max_points))
+    extras = draw(st.lists(st.tuples(st.sampled_from(base), vector, st.booleans()), max_size=max_points))
+    mixed = base + [g if repeat else tuple(x + y for x, y in zip(g, step)) for g, step, repeat in extras]
+    return draw(st.permutations(mixed))
+
+
+def pairwise_minimal(vs):
+    """Survivors by plain tuple comparisons: first occurrences with no strict divisor."""
+    return tuple(
+        g
+        for i, g in enumerate(vs)
+        if g not in vs[:i] and not any(h != g and all(x <= y for x, y in zip(h, g)) for h in vs)
+    )
+
+
+def pairwise_antichain_error(gens):
+    """The message of the first (i, j) pair a nested scan rejects, or None."""
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            if i != j and all(x <= y for x, y in zip(h, g)):
+                return f"duplicate generator {g}" if g == h else f"generator {g} is redundant: divisible by {h}"
+    return None
+
+
 class TestDivides:
     def test_basic(self):
         assert divides((3, 0), (3, 2))
@@ -136,6 +165,18 @@ class TestMinimalize:
         with pytest.raises(ValueError):
             minimalize([])
 
+    @pytest.mark.parametrize(
+        "gens", [[(1, 2), (1, 2, 3)], [(1, 2, 3), (5, 5)], [(1, 2), (0, 0, 0)]]
+    )
+    def test_mixed_lengths_rejected(self, gens):
+        with pytest.raises(DimensionMismatchError):
+            minimalize(gens)
+
+    @given(sets_with_repeats())
+    def test_equals_pairwise_reference(self, gens):
+        # exact survivors, input order, first duplicate kept
+        assert minimalize(gens).generators == pairwise_minimal(gens)
+
     @given(generating_sets())
     def test_idempotent(self, gens):
         once = minimalize(gens)
@@ -166,6 +207,30 @@ class TestMonomialIdealValidation:
     def test_redundant_rejected(self):
         with pytest.raises(ValueError, match="redundant"):
             MonomialIdeal(2, ((1, 0), (2, 0)))
+
+    def test_exact_messages(self):
+        with pytest.raises(ValueError) as err:
+            MonomialIdeal(2, ((2, 1), (0, 3), (1, 1)))
+        assert str(err.value) == "generator (2, 1) is redundant: divisible by (1, 1)"
+        with pytest.raises(ValueError) as err:
+            MonomialIdeal(2, ((1, 0), (0, 1), (1, 0)))
+        assert str(err.value) == "duplicate generator (1, 0)"
+
+    @given(sets_with_repeats())
+    def test_first_offender_matches_pairwise_scan(self, gens):
+        expected = pairwise_antichain_error(gens)
+        if expected is None:
+            MonomialIdeal(len(gens[0]), tuple(gens))
+        else:
+            with pytest.raises(ValueError) as err:
+                MonomialIdeal(len(gens[0]), tuple(gens))
+            assert str(err.value) == expected
+
+    def test_index_is_not_part_of_equality_hash_or_repr(self):
+        ideal = MonomialIdeal(2, ((1, 0), (0, 2)))
+        assert repr(ideal) == "MonomialIdeal(dimension=2, generators=((1, 0), (0, 2)))"
+        assert ideal == MonomialIdeal(2, ((1, 0), (0, 2)))
+        assert hash(ideal) == hash((2, ((1, 0), (0, 2))))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
