@@ -17,6 +17,7 @@ from .analysis import (
     depth_bounds,
     inclusion_exclusion,
     reliability_identity,
+    subset_bounds,
     tube_bounds,
 )
 from .complexes import (
@@ -99,6 +100,7 @@ __all__ = [
     "reliability_identity",
     "scarf_brute_oracle",
     "scarf_complex",
+    "subset_bounds",
     "survival",
     "taylor_complex",
     "tube_bounds",

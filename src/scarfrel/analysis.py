@@ -8,8 +8,11 @@ keeps the term count near-minimal.  Truncating the alternating sum at a
 cardinality depth yields two-sided bounds: odd depth from above, even
 depth from below.
 
-One walk over the faces in canonical order yields every value, evaluating
-each distinct label's orthant once (deformed complexes repeat labels).  The
+One fold over (cardinality, label) pairs in canonical order yields every
+value, evaluating each distinct label's orthant once (deformed and subset
+complexes repeat labels).  The pairs come from a complex's faces or, for
+the classical Bonferroni baseline, from a level walk over the generator
+subsets of size <= k that builds no complex and costs C(r, <= k) terms.  The
 identity is the fsum of all signed terms and the depth-k bound the fsum of
 the prefix up to cardinality k, so each equals a fresh fsum over its faces
 bit for bit.  Compensated sums keep oracle cross-checks stable at 1e-12.
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import le
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
@@ -56,52 +59,71 @@ class ReliabilityReport:
     oracle_value: Optional[float]
 
 
-def _check_dimensions(system: CoherentSystem, complex_: LabeledComplex) -> None:
-    if system.dimension != complex_.ideal.dimension:
+def _check_dimensions(system: CoherentSystem, ideal: MonomialIdeal) -> None:
+    if system.dimension != ideal.dimension:
         raise DimensionMismatchError(
             f"system has {system.dimension} components but the complex is over "
-            f"{complex_.ideal.dimension} coordinates"
+            f"{ideal.dimension} coordinates"
         )
 
 
-def check_depth(complex_: LabeledComplex, depth: int) -> None:
+def check_depth(depth: int, max_card: int) -> None:
     """Raise ValueError unless ``depth`` lies in 1..max face cardinality."""
-    max_card = complex_.max_cardinality()
     if not 1 <= depth <= max_card:
         raise ValueError(
             f"depth must lie in 1..{max_card} for this complex, got {depth}"
         )
 
 
+def _face_labels(complex_: LabeledComplex) -> Iterator[tuple[int, Exponent]]:
+    return ((len(members), label) for members, label in complex_.faces)
+
+
+def _subset_labels(gens: Sequence[Exponent], depth: int) -> Iterator[tuple[int, Exponent]]:
+    """(cardinality, lcm label) of every subset of size <= depth, in canonical order.
+
+    A size-s subset, kept as (last member, label), grows by each later generator.
+    """
+    level = list(enumerate(gens))
+    for s in range(1, depth + 1):
+        yield from ((s, label) for _, label in level)
+        if s < depth:
+            level = [
+                (j, tuple(map(max, label, gens[j])))
+                for last, label in level
+                for j in range(last + 1, len(gens))
+            ]
+
+
 def _signed_terms(
-    complex_: LabeledComplex, orthant: Callable[[Exponent], float], depth: int
+    faces: Iterable[tuple[int, Exponent]], orthant: Callable[[Exponent], float], depth: int
 ) -> tuple[list[float], list[int]]:
-    """Signed terms of faces with cardinality <= depth; ends[k - 1] counts those <= k."""
+    """Signed terms of canonical (cardinality, label) pairs; ends[k - 1] counts those <= k."""
     values: dict[Exponent, float] = {}
     terms: list[float] = []
     ends = [0] * depth
-    for face in complex_.faces:
-        s = face.cardinality
+    for s, label in faces:
         if s > depth:
             break  # canonical order sorts by cardinality
-        p = values.get(face.label)
+        p = values.get(label)
         if p is None:
-            p = values[face.label] = orthant(face.label)
+            p = values[label] = orthant(label)
         terms.append(p if s % 2 else -p)
         ends[s - 1] = len(terms)
     return terms, ends
 
 
-def _depth_terms(
-    system: CoherentSystem, complex_: LabeledComplex, depth: int
-) -> tuple[list[float], list[int]]:
-    _check_dimensions(system, complex_)
-    check_depth(complex_, depth)
-    return _signed_terms(complex_, lambda label: orthant_prob(system, label), depth)
-
-
-def _bound(depth: int, terms: list[float]) -> DepthBound:
-    return DepthBound(depth, math.fsum(terms), "upper" if depth % 2 else "lower")
+def _fold_bounds(
+    system: CoherentSystem, ideal: MonomialIdeal, faces: Iterable[tuple[int, Exponent]],
+    depth: int, max_card: int,
+) -> tuple[DepthBound, ...]:
+    _check_dimensions(system, ideal)
+    check_depth(depth, max_card)
+    terms, ends = _signed_terms(faces, lambda label: orthant_prob(system, label), depth)
+    return tuple(
+        DepthBound(k, math.fsum(terms[:end]), "upper" if k % 2 else "lower")
+        for k, end in enumerate(ends, start=1)
+    )
 
 
 def inclusion_exclusion(
@@ -114,13 +136,13 @@ def inclusion_exclusion(
     once per distinct label; passing a continuous evaluator makes the same
     identity work off-grid.
     """
-    terms, _ = _signed_terms(complex_, orthant, complex_.max_cardinality())
+    terms, _ = _signed_terms(_face_labels(complex_), orthant, complex_.max_cardinality())
     return math.fsum(terms)
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
     """Exact nonfailure probability via the complex's alternating sum."""
-    _check_dimensions(system, complex_)
+    _check_dimensions(system, complex_.ideal)
     return inclusion_exclusion(complex_, lambda label: orthant_prob(system, label))
 
 
@@ -128,9 +150,22 @@ def depth_bounds(
     system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
     """Truncation bounds at depths 1..depth (default: every depth) from one walk."""
-    depth = complex_.max_cardinality() if depth is None else depth
-    terms, ends = _depth_terms(system, complex_, depth)
-    return tuple(_bound(k, terms[:end]) for k, end in enumerate(ends, start=1))
+    max_card = complex_.max_cardinality()
+    depth = max_card if depth is None else depth
+    return _fold_bounds(system, complex_.ideal, _face_labels(complex_), depth, max_card)
+
+
+def subset_bounds(
+    system: CoherentSystem, ideal: MonomialIdeal, depth: Optional[int] = None
+) -> tuple[DepthBound, ...]:
+    """Bonferroni bounds at depths 1..depth (default r; the last is then the identity).
+
+    Bit for bit ``depth_bounds(system, taylor_complex(ideal), depth)``, from
+    a walk over the C(r, <= depth) subsets it sums, with no complex built.
+    """
+    r = len(ideal.generators)
+    depth = r if depth is None else depth
+    return _fold_bounds(system, ideal, _subset_labels(ideal.generators, depth), depth, r)
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:
@@ -139,7 +174,7 @@ def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) ->
     At depth equal to the maximum face cardinality the bound coincides with
     the exact identity (and still carries its parity kind).
     """
-    return _bound(depth, _depth_terms(system, complex_, depth)[0])
+    return depth_bounds(system, complex_, depth)[-1]
 
 
 def bonferroni_bounds(
@@ -150,7 +185,7 @@ def bonferroni_bounds(
         raise ValueError(
             f"Bonferroni bounds need the full subset complex, got kind {taylor.kind!r}"
         )
-    return _bound(depth, _depth_terms(system, taylor, depth)[0])
+    return depth_bounds(system, taylor, depth)[-1]
 
 
 def brute_force_reliability(

@@ -34,12 +34,9 @@ from .analysis import (
     check_depth,
     depth_bounds,
     reliability_identity,
+    subset_bounds,
 )
-from .complexes import (
-    TAYLOR_GENERATOR_CAP,
-    deform_and_scarf,
-    taylor_complex,
-)
+from .complexes import TAYLOR_GENERATOR_CAP, deform_and_scarf
 from .monomial import is_generic, minimalize
 from .specfile import (
     SpecFileError,
@@ -174,11 +171,11 @@ def cmd_bounds(args) -> int:
     spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
     depths = _parse_depths(args.depth, complex_.max_cardinality())
     for depth in depths:
-        check_depth(complex_, depth)
+        check_depth(depth, complex_.max_cardinality())
     scarf = depth_bounds(spec.system, complex_, max(depths))
-    bonferroni = ()  # depths never exceed r, so the Taylor walk stops at max(depths)
+    bonferroni = ()  # depths never exceed r; the subset walk stops at max(depths)
     if len(complex_.ideal.generators) <= TAYLOR_GENERATOR_CAP:
-        bonferroni = depth_bounds(spec.system, taylor_complex(complex_.ideal), max(depths))
+        bonferroni = subset_bounds(spec.system, complex_.ideal, max(depths))
     rows = []
     for depth in depths:
         scarf_bound = scarf[depth - 1]
@@ -235,7 +232,7 @@ def _compare_file(args) -> int:
     ideal = complex_.ideal
     values = {"scarf": reliability_identity(system, complex_)}
     if len(ideal.generators) <= TAYLOR_GENERATOR_CAP:
-        values["taylor"] = reliability_identity(system, taylor_complex(ideal))
+        values["taylor"] = subset_bounds(system, ideal)[-1].value
     if math.prod(system.level_counts()) <= STATE_CAP:
         values["oracle"] = brute_force_reliability(system, ideal)
     spread = max(values.values()) - min(values.values())
@@ -275,7 +272,7 @@ def _compare_random(args) -> int:
         ideal = minimalize(random_points_for(rng, system))
         oracle = brute_force_reliability(system, ideal)
         scarf_value = reliability_identity(system, deform_and_scarf(ideal))
-        taylor_value = reliability_identity(system, taylor_complex(ideal))
+        taylor_value = subset_bounds(system, ideal)[-1].value
         spread = max(scarf_value, taylor_value, oracle) - min(
             scarf_value, taylor_value, oracle
         )

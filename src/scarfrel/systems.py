@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
@@ -59,6 +60,17 @@ class Component:
             )
 
 
+class _SuffixSums(dict):
+    """Maps level j to P(X >= j) = fsum(probs[j:]), summed once on first use."""
+
+    def __init__(self, probs: tuple[float, ...]):
+        self.probs = probs
+
+    def __missing__(self, level: int) -> float:
+        value = self[level] = math.fsum(self.probs[level:])  # 0.0 at or past the top
+        return value
+
+
 @dataclass(frozen=True)
 class CoherentSystem:
     components: tuple[Component, ...]
@@ -74,6 +86,11 @@ class CoherentSystem:
 
     def level_counts(self) -> tuple[int, ...]:
         return tuple(c.levels for c in self.components)
+
+    @cached_property
+    def survival_table(self) -> tuple[_SuffixSums, ...]:
+        """[i][j] = P(X_i >= j) = fsum(probs_i[j:]) for j >= 0; derived, not a field."""
+        return tuple(_SuffixSums(c.probs) for c in self.components)
 
 
 def _dyadic_probs(rng: random.Random, levels: int, denom: int = 64) -> tuple[float, ...]:
@@ -122,10 +139,7 @@ def survival(system: CoherentSystem, component: int, level: int) -> float:
         )
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    comp = system.components[component]
-    if level >= comp.levels:
-        return 0.0
-    return math.fsum(comp.probs[level:])
+    return system.survival_table[component][level]
 
 
 def orthant_prob(system: CoherentSystem, alpha: Sequence[int]) -> float:
@@ -136,8 +150,10 @@ def orthant_prob(system: CoherentSystem, alpha: Sequence[int]) -> float:
             f"corner {a} has length {len(a)}, expected {system.dimension}"
         )
     result = 1.0
-    for i, level in enumerate(a):
-        result *= survival(system, i, level)
+    for tails, level in zip(system.survival_table, a):
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        result *= tails[level]
         if result == 0.0:
             return 0.0
     return result

@@ -24,6 +24,7 @@ from scarfrel import (
     orthant_prob,
     reliability_identity,
     scarf_complex,
+    subset_bounds,
     survival,
     taylor_complex,
     tube_bounds,
@@ -229,6 +230,65 @@ class TestBonferroniBounds:
         assert bound.value == pytest.approx(
             brute_force_reliability(system, PLANAR), abs=1e-12
         )
+
+
+@st.composite
+def subset_walk_cases(draw):
+    """A system with non-dyadic rows and an ideal of at most 10 generators.
+
+    Generic draws permute distinct exponents in every coordinate; the
+    others draw from a narrow range, so exponent ties are common.  Taylor
+    labels repeat in both (a label shared by a face and its superset).
+    """
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        levels = [r + 1] * d
+        columns = [draw(st.permutations(range(1, r + 1))) for _ in range(d)]
+        points = list(zip(*columns))
+    else:
+        levels = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+        point = st.tuples(*(st.integers(0, n - 1) for n in levels))
+        points = draw(st.lists(point, min_size=1, max_size=r))
+    rows = []
+    for n in levels:
+        weights = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
+        rows.append(tuple(w / sum(weights) for w in weights))
+    system = CoherentSystem(
+        tuple(Component(f"c{i}", len(row), row) for i, row in enumerate(rows))
+    )
+    return system, minimalize(points)
+
+
+class TestSubsetBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(subset_walk_cases())
+    @example((multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)))
+    @example((planar_system(), PLANAR))
+    def test_equals_taylor_route_bit_for_bit(self, case):
+        system, ideal = case
+        taylor = taylor_complex(ideal)
+        r = len(ideal.generators)
+        for k in range(1, r + 1):
+            assert subset_bounds(system, ideal, k) == depth_bounds(system, taylor, k)
+            walked = list(analysis._subset_labels(ideal.generators, k))
+            assert walked == [
+                (f.cardinality, f.label) for f in taylor.faces if f.cardinality <= k
+            ]
+        full = subset_bounds(system, ideal)
+        assert len(full) == r
+        assert full[-1].value == reliability_identity(system, taylor)
+
+    def test_depth_out_of_range(self):
+        system = planar_system()
+        for depth in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"1..3 for this complex, got {depth}"):
+                subset_bounds(system, PLANAR, depth)
+
+    def test_dimension_mismatch(self):
+        system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
+        with pytest.raises(DimensionMismatchError):
+            subset_bounds(system, PLANAR)
 
 
 class TestDepthBound:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from scarfrel import LabeledComplex
 from scarfrel.cli import main
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -144,6 +145,37 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert code == 0
         assert [row["kind"] for row in payload["rows"]] == ["upper", "lower", "upper"]
+
+    def test_shallow_depth_builds_no_taylor_complex(self, capsys, tmp_path, monkeypatch):
+        # r = 20 sits at the Bonferroni cap: the baseline for --depth 1 must
+        # come from the 20 singletons, not from a 2^20 - 1 face complex.
+        taylor_builds = []
+        post_init = LabeledComplex.__post_init__
+
+        def counting(self, members):
+            if self.kind == "taylor":
+                taylor_builds.append(len(self.ideal.generators))
+                raise RuntimeError("Taylor complex built")
+            post_init(self, members)
+
+        monkeypatch.setattr(LabeledComplex, "__post_init__", counting)
+        points = [[a, b, 9 - a - b] for a in range(10) for b in range(10 - a)][:20]
+        spec = {
+            "components": [
+                {"name": f"c{i}", "levels": 10, "probs": [0.0625] * 8 + [0.25, 0.25]}
+                for i in range(3)
+            ],
+            "minimal_nonfailure_points": points,
+        }
+        code, out, err = run(
+            capsys, "bounds", write_spec(tmp_path, spec), "--depth", "1", "--json"
+        )
+        assert taylor_builds == []
+        assert (code, err) == (0, "")
+        [row] = json.loads(out)["rows"]
+        assert row["bonferroni"] is not None
+        assert row["bonferroni"] == row["scarf"]
+        assert row["tighter"] == "equal"
 
 
 class TestOracleCommand:

@@ -1,7 +1,8 @@
 """CLI reports compared byte for byte with recorded golden outputs.
 
 Every subcommand runs on every bundled spec, in text and ``--json``, plus
-the seeded random self-test.  Each call's standard output is stored in
+``bounds --depth 1`` and ``bounds --depth 3,1`` on every spec and the
+seeded random self-test.  Each call's standard output is stored in
 ``tests/golden/<name>.out`` and its exit code in
 ``tests/golden/exit_codes.json``.  Regenerate them only for a declared
 output change:
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 COMMANDS = ("scarf", "reliability", "bounds", "oracle", "compare")
+DEPTHS = {"depth1": "1", "depth3_1": "3,1"}
 
 
 def golden_calls() -> list[tuple[str, list[str]]]:
@@ -32,6 +34,10 @@ def golden_calls() -> list[tuple[str, list[str]]]:
         for command in COMMANDS:
             calls.append((f"{spec.stem}.{command}", [command, str(spec)]))
             calls.append((f"{spec.stem}.{command}.json", [command, str(spec), "--json"]))
+        for tag, depth in DEPTHS.items():
+            argv = ["bounds", str(spec), "--depth", depth]
+            calls.append((f"{spec.stem}.bounds.{tag}", argv))
+            calls.append((f"{spec.stem}.bounds.{tag}.json", [*argv, "--json"]))
     random_self_test = ["compare", "--seed", "3", "--count", "25"]
     calls.append(("random.compare", random_self_test))
     calls.append(("random.compare.json", [*random_self_test, "--json"]))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -140,6 +141,66 @@ class TestOrthantProb:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             orthant_prob(two_component_system(), (0, 0, 0))
+
+
+def _dyadic_and_other_systems(rng):
+    """Seeded dyadic systems plus systems with non-dyadic rows."""
+    systems = [random_system(rng) for _ in range(25)]
+    for _ in range(25):
+        rows = []
+        for levels in (rng.randint(2, 5) for _ in range(rng.randint(1, 4))):
+            weights = [rng.randint(1, 997) for _ in range(levels)]
+            rows.append(tuple(w / sum(weights) for w in weights))
+        systems.append(
+            CoherentSystem(
+                tuple(Component(f"c{i}", len(row), row) for i, row in enumerate(rows))
+            )
+        )
+    return systems
+
+
+def _suffix_fsum_orthant(system, alpha):
+    """The orthant formula without a table: one fresh fsum per coordinate."""
+    result = 1.0
+    for c, level in zip(system.components, alpha):
+        result *= math.fsum(c.probs[level:])
+        if result == 0.0:
+            return 0.0
+    return result
+
+
+class TestSurvivalTable:
+    def test_survival_equals_suffix_fsum_bit_for_bit(self):
+        for system in _dyadic_and_other_systems(random.Random(5)):
+            for i, c in enumerate(system.components):
+                for level in range(c.levels + 3):
+                    expected = math.fsum(c.probs[level:])
+                    assert survival(system, i, level).hex() == expected.hex()
+                assert survival(system, i, c.levels).hex() == (0.0).hex()
+                with pytest.raises(ValueError, match="nonnegative"):
+                    survival(system, i, -1)
+
+    def test_orthant_equals_suffix_fsum_product_bit_for_bit(self):
+        for system in _dyadic_and_other_systems(random.Random(6)):
+            ranges = [range(c.levels + 1) for c in system.components]
+            for alpha in itertools.product(*ranges):
+                expected = _suffix_fsum_orthant(system, alpha)
+                assert orthant_prob(system, alpha).hex() == expected.hex()
+            with pytest.raises(ValueError, match="nonnegative"):
+                orthant_prob(system, (-1,) + (0,) * (system.dimension - 1))
+
+    def test_table_leaves_equality_hash_and_repr_alone(self):
+        fresh = random_system(random.Random(8))
+        system = random_system(random.Random(8))
+        before = (repr(system), hash(system))
+        table = system.survival_table
+        survival(system, 0, 1)
+        assert system.survival_table is table  # derived once
+        assert table[0] == {1: math.fsum(system.components[0].probs[1:])}
+        assert (repr(system), hash(system)) == before
+        assert system == fresh and hash(system) == hash(fresh)
+        assert repr(system) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(system)] == ["components"]
 
 
 class TestProfitSpec:
