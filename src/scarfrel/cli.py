@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Subcommands:
+Every subcommand takes one pipeline: load the spec, extract its minimal
+nonfailure points (explicit list or profit grid scan), check genericity
+once, then build the Scarf complex or, for a non-generic ideal, the Scarf
+complex of its deformation.  Each subcommand only picks the routes it
+evaluates on that result and renders them:
 
 - ``scarf FILE``: generators, genericity, deformation, full face list
   with lcm labels, facets and face count.
@@ -9,9 +13,10 @@ Subcommands:
   small enough.
 - ``bounds FILE``: truncation bounds per depth, Scarf route next to the
   classical full-subset (Bonferroni) route, flagging the tighter side.
-- ``oracle FILE``: enumeration oracle only.
+- ``oracle FILE``: enumeration oracle only (the pipeline stops at the ideal).
 - ``compare [FILE]``: all routes side by side with the maximum
-  discrepancy; without FILE, a seeded randomized self-test corpus.
+  discrepancy; without FILE, a seeded randomized self-test corpus whose
+  random systems take the same generic-or-deform choice as a spec file.
 
 All numbers print with 12 significant digits and every report is
 deterministic byte for byte.  Exit codes: 0 success, 1 runtime failure or
@@ -36,15 +41,15 @@ from .analysis import (
     reliability_identity,
     subset_bounds,
 )
-from .complexes import TAYLOR_GENERATOR_CAP, deform_and_scarf
+from .complexes import TAYLOR_GENERATOR_CAP, deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
-from .specfile import (
-    SpecFileError,
-    complex_from_spec,
-    ideal_from_spec,
-    load_spec,
+from .specfile import SpecFileError, load_spec
+from .systems import (
+    CutoffUnreachableError,
+    minimal_points_from_profit,
+    random_points_for,
+    random_system,
 )
-from .systems import CutoffUnreachableError, random_points_for, random_system
 
 AGREEMENT_TOL = 1e-9
 
@@ -61,28 +66,69 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _spec_and_complex(path: str, v_override: Optional[int]):
+def _faces_json(complex_) -> list[dict]:
+    return [{"members": list(f.members), "label": list(f.label)} for f in complex_.faces]
+
+
+def _scarf_route(ideal, v: Optional[int]):
+    """(complex, v used): Scarf when generic (v None), else deformed with v (default r + 1)."""
+    if is_generic(ideal):
+        return scarf_complex(ideal), None
+    v = len(ideal.generators) + 1 if v is None else v
+    try:
+        return deform_and_scarf(ideal, v), v
+    except ValueError as err:  # deform rejects a v that does not exceed r
+        raise SpecFileError(str(err)) from err
+
+
+def _pipeline(path: str, v: Optional[int] = None, build: bool = True):
+    """(system, ideal, complex, v used) for a spec file; no complex unless ``build``.
+
+    ``v`` from the command line wins over the spec's ``deformation_v``.
+    """
     spec = load_spec(path)
-    complex_, v_used = complex_from_spec(spec, v_override)
-    return spec, complex_, v_used
+    system = spec.system
+    if spec.points is not None:
+        ideal = minimalize(spec.points)
+    else:
+        ideal = minimal_points_from_profit(spec.profit, system.level_counts())
+    if not build:
+        return system, ideal, None, None
+    complex_, v = _scarf_route(ideal, spec.deformation_v if v is None else v)
+    return system, ideal, complex_, v
+
+
+def _bonferroni(system, ideal, depth: Optional[int] = None):
+    """Bonferroni bounds at depths 1..depth, or () above TAYLOR_GENERATOR_CAP generators."""
+    if len(ideal.generators) > TAYLOR_GENERATOR_CAP:
+        return ()
+    return subset_bounds(system, ideal, depth)
+
+
+def _cross_check(system, ideal, complex_) -> dict[str, float]:
+    """Identity on the complex, over every subset and by the oracle, each where its cap allows."""
+    values = {"scarf": reliability_identity(system, complex_)}
+    bonferroni = _bonferroni(system, ideal)
+    if bonferroni:
+        values["taylor"] = bonferroni[-1].value
+    if math.prod(system.level_counts()) <= STATE_CAP:
+        values["oracle"] = brute_force_reliability(system, ideal)
+    return values
 
 
 def cmd_scarf(args) -> int:
-    spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
-    ideal = complex_.ideal
+    _, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+    generic = v_used is None
     facets = complex_.facets()
     if args.json:
         _emit_json(
             {
                 "generators": [list(g) for g in ideal.generators],
-                "generic": is_generic(ideal),
+                "generic": generic,
                 "deformation_v": v_used,
                 "kind": complex_.kind,
                 "face_count": len(complex_.faces),
-                "faces": [
-                    {"members": list(f.members), "label": list(f.label)}
-                    for f in complex_.faces
-                ],
+                "faces": _faces_json(complex_),
                 "facets": [list(f.members) for f in facets],
             }
         )
@@ -90,8 +136,8 @@ def cmd_scarf(args) -> int:
     print(f"generators ({len(ideal.generators)}), 1-based, input order:")
     for i, g in enumerate(ideal.generators, start=1):
         print(f"  {i}: {g}")
-    print(f"generic: {'yes' if is_generic(ideal) else 'no'}")
-    if v_used is None:
+    print(f"generic: {'yes' if generic else 'no'}")
+    if generic:
         print("deformation: not applied")
     else:
         print(f"deformation: applied (v = {v_used})")
@@ -106,8 +152,8 @@ def cmd_scarf(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
-    report = build_report(spec.system, complex_)
+    system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+    report = build_report(system, complex_)
     discrepancy = (
         None
         if report.oracle_value is None
@@ -126,10 +172,7 @@ def cmd_reliability(args) -> int:
                     {"sign": t.sign, "exponent": list(t.exponent), "cardinality": t.cardinality}
                     for t in report.terms
                 ],
-                "faces": [
-                    {"members": list(f.members), "label": list(f.label)}
-                    for f in complex_.faces
-                ],
+                "faces": _faces_json(complex_),
                 "bounds": [
                     {"depth": b.depth, "kind": b.kind, "value": b.value}
                     for b in report.bounds
@@ -137,18 +180,17 @@ def cmd_reliability(args) -> int:
             }
         )
         return 0
-    print(f"system: {spec.system.dimension} components")
-    print(f"generators: {len(complex_.ideal.generators)}")
+    print(f"system: {system.dimension} components")
+    print(f"generators: {len(ideal.generators)}")
     print(f"generic: {'yes' if v_used is None else 'no'}")
     if v_used is not None:
         print(f"deformation: applied (v = {v_used})")
     print(f"identity: {_fmt(report.identity_value)}")
     print(f"terms: {report.term_count} (complete formula: {report.baseline_term_count})")
+    states = math.prod(system.level_counts())
     if report.oracle_value is None:
-        states = math.prod(spec.system.level_counts())
         print(f"oracle: skipped ({states} states exceeds cap {STATE_CAP})")
     else:
-        states = math.prod(spec.system.level_counts())
         print(f"oracle: {_fmt(report.oracle_value)} ({states} states)")
         print(f"discrepancy: {_fmt(discrepancy)}")
     return 0
@@ -168,14 +210,14 @@ def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
 
 
 def cmd_bounds(args) -> int:
-    spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
-    depths = _parse_depths(args.depth, complex_.max_cardinality())
+    system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+    max_card = complex_.max_cardinality()
+    depths = _parse_depths(args.depth, max_card)
     for depth in depths:
-        check_depth(depth, complex_.max_cardinality())
-    scarf = depth_bounds(spec.system, complex_, max(depths))
-    bonferroni = ()  # depths never exceed r; the subset walk stops at max(depths)
-    if len(complex_.ideal.generators) <= TAYLOR_GENERATOR_CAP:
-        bonferroni = subset_bounds(spec.system, complex_.ideal, max(depths))
+        check_depth(depth, max_card)
+    scarf = depth_bounds(system, complex_, max(depths))
+    # depths never exceed r; the subset walk stops at max(depths)
+    bonferroni = _bonferroni(system, ideal, max(depths))
     rows = []
     for depth in depths:
         scarf_bound = scarf[depth - 1]
@@ -214,10 +256,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = load_spec(args.spec)
-    ideal = ideal_from_spec(spec)
-    value = brute_force_reliability(spec.system, ideal)
-    states = math.prod(spec.system.level_counts())
+    system, ideal, _, _ = _pipeline(args.spec, build=False)
+    value = brute_force_reliability(system, ideal)
+    states = math.prod(system.level_counts())
     if args.json:
         _emit_json({"states": states, "reliability": value})
         return 0
@@ -226,81 +267,53 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _compare_file(args) -> int:
-    spec, complex_, v_used = _spec_and_complex(args.spec, args.v)
-    system = spec.system
-    ideal = complex_.ideal
-    values = {"scarf": reliability_identity(system, complex_)}
-    if len(ideal.generators) <= TAYLOR_GENERATOR_CAP:
-        values["taylor"] = subset_bounds(system, ideal)[-1].value
-    if math.prod(system.level_counts()) <= STATE_CAP:
-        values["oracle"] = brute_force_reliability(system, ideal)
-    spread = max(values.values()) - min(values.values())
-    ok = spread <= AGREEMENT_TOL
-    if args.json:
-        _emit_json(
-            {
-                "identity_scarf": values["scarf"],
-                "identity_taylor": values.get("taylor"),
-                "oracle": values.get("oracle"),
-                "deformation_v": v_used,
-                "max_discrepancy": spread,
-                "ok": ok,
-            }
-        )
-        return 0 if ok else 1
-    print(f"identity (scarf): {_fmt(values['scarf'])}")
-    if "taylor" in values:
-        print(f"identity (taylor): {_fmt(values['taylor'])}")
-    if "oracle" in values:
-        print(f"oracle: {_fmt(values['oracle'])}")
-    print(f"max discrepancy: {_fmt(spread)}")
-    print(f"agreement (<= {AGREEMENT_TOL:g}): {'yes' if ok else 'no'}")
-    return 0 if ok else 1
-
-
-def _compare_random(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    count = args.count
-    if count < 1:
-        raise SpecFileError(f"--count must be at least 1, got {count}")
-    rng = random.Random(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(count):
-        system = random_system(rng)
-        ideal = minimalize(random_points_for(rng, system))
-        oracle = brute_force_reliability(system, ideal)
-        scarf_value = reliability_identity(system, deform_and_scarf(ideal))
-        taylor_value = subset_bounds(system, ideal)[-1].value
-        spread = max(scarf_value, taylor_value, oracle) - min(
-            scarf_value, taylor_value, oracle
-        )
-        worst = max(worst, spread)
-        if spread > AGREEMENT_TOL:
-            failures += 1
-    ok = failures == 0
-    if args.json:
-        _emit_json(
-            {
-                "count": count,
-                "seed": seed,
-                "failures": failures,
-                "max_discrepancy": worst,
-                "ok": ok,
-            }
-        )
-        return 0 if ok else 1
-    print(f"random self-test: {count} systems, seed {seed}")
-    print(f"failures: {failures}")
-    print(f"max discrepancy: {_fmt(worst)}")
-    return 0 if ok else 1
-
-
 def cmd_compare(args) -> int:
     if args.spec is None:
-        return _compare_random(args)
-    return _compare_file(args)
+        ignored, needs = {"--v": args.v}, "a FILE"
+    else:
+        ignored = {"--seed": args.seed, "--count": args.count}
+        needs = "the random self-test (no FILE)"
+    for flag, value in ignored.items():
+        if value is not None:
+            raise SpecFileError(f"{flag} applies only to {needs}")
+    if args.spec is not None:
+        system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+        values = _cross_check(system, ideal, complex_)
+        worst = max(values.values()) - min(values.values())
+        ok = worst <= AGREEMENT_TOL
+        payload = {
+            "identity_scarf": values["scarf"],
+            "identity_taylor": values.get("taylor"),
+            "oracle": values.get("oracle"),
+            "deformation_v": v_used,
+        }
+        names = {"scarf": "identity (scarf)", "taylor": "identity (taylor)", "oracle": "oracle"}
+        head = [f"{names[route]}: {_fmt(value)}" for route, value in values.items()]
+        tail = [f"agreement (<= {AGREEMENT_TOL:g}): {'yes' if ok else 'no'}"]
+    else:
+        seed = 0 if args.seed is None else args.seed
+        count = 25 if args.count is None else args.count
+        if count < 1:
+            raise SpecFileError(f"--count must be at least 1, got {count}")
+        rng = random.Random(seed)
+        failures = 0
+        worst = 0.0
+        for _ in range(count):
+            system = random_system(rng)
+            ideal = minimalize(random_points_for(rng, system))
+            values = _cross_check(system, ideal, _scarf_route(ideal, None)[0]).values()
+            spread = max(values) - min(values)
+            worst = max(worst, spread)
+            failures += spread > AGREEMENT_TOL
+        ok = failures == 0
+        payload = {"count": count, "seed": seed, "failures": failures}
+        head = [f"random self-test: {count} systems, seed {seed}", f"failures: {failures}"]
+        tail = []
+    if args.json:
+        _emit_json({**payload, "max_discrepancy": worst, "ok": ok})
+    else:
+        print("\n".join([*head, f"max discrepancy: {_fmt(worst)}", *tail]))
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,42 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("spec", help="JSON system spec file")
+    def add(name, func, help_text, spec_nargs=None, v=True):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec", nargs=spec_nargs, help="JSON system spec file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        if v:
+            p.add_argument("--v", type=int, help="deformation denominator (must exceed r)")
+        p.set_defaults(func=func)
+        return p
 
-    p_scarf = sub.add_parser("scarf", help="faces, labels and facets of the complex")
-    add_common(p_scarf)
-    p_scarf.add_argument("--v", type=int, help="deformation denominator (must exceed r)")
-    p_scarf.set_defaults(func=cmd_scarf)
-
-    p_rel = sub.add_parser("reliability", help="identity value and term counts")
-    add_common(p_rel)
-    p_rel.add_argument("--v", type=int, help="deformation denominator (must exceed r)")
-    p_rel.set_defaults(func=cmd_reliability)
-
-    p_bounds = sub.add_parser("bounds", help="truncation bounds per depth")
-    add_common(p_bounds)
-    p_bounds.add_argument("--v", type=int, help="deformation denominator (must exceed r)")
+    add("scarf", cmd_scarf, "faces, labels and facets of the complex")
+    add("reliability", cmd_reliability, "identity value and term counts")
+    p_bounds = add("bounds", cmd_bounds, "truncation bounds per depth")
     p_bounds.add_argument("--depth", help="comma-separated depths (default: all)")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_oracle = sub.add_parser("oracle", help="state-enumeration reliability")
-    add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_cmp = sub.add_parser(
-        "compare", help="cross-check all routes (no FILE: random self-test)"
-    )
-    p_cmp.add_argument("spec", nargs="?", help="JSON system spec file")
-    p_cmp.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_cmp.add_argument("--v", type=int, help="deformation denominator (must exceed r)")
+    add("oracle", cmd_oracle, "state-enumeration reliability", v=False)
+    p_cmp = add("compare", cmd_compare, "cross-check all routes (no FILE: random self-test)", "?")
     p_cmp.add_argument("--seed", type=int, help="seed for the random self-test")
-    p_cmp.add_argument(
-        "--count", type=int, default=25, help="number of random systems (default 25)"
-    )
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.add_argument("--count", type=int, help="number of random systems (default 25)")
     return parser
 
 

@@ -1,4 +1,7 @@
-"""JSON system descriptions for the command-line interface.
+"""JSON system descriptions for the command-line interface: parsing only.
+
+``load_spec`` turns a file into a validated :class:`SystemSpec`; turning
+that into an ideal and a complex is the command-line pipeline's job.
 
 A spec file is a JSON object with:
 
@@ -22,14 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .complexes import LabeledComplex, deform_and_scarf, scarf_complex
-from .monomial import Exponent, MonomialIdeal, is_generic, minimalize
-from .systems import (
-    CoherentSystem,
-    Component,
-    ProfitSpec,
-    minimal_points_from_profit,
-)
+from .monomial import Exponent
+from .systems import CoherentSystem, Component, ProfitSpec
 
 
 class SpecFileError(ValueError):
@@ -188,30 +185,3 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
         system=system, points=points, profit=profit, deformation_v=deformation_v
     )
 
-
-def ideal_from_spec(spec: SystemSpec) -> MonomialIdeal:
-    """The monomial ideal of minimal nonfailure points described by the spec."""
-    if spec.points is not None:
-        return minimalize(spec.points)
-    assert spec.profit is not None
-    return minimal_points_from_profit(spec.profit, spec.system.level_counts())
-
-
-def complex_from_spec(
-    spec: SystemSpec, v_override: Optional[int] = None
-) -> tuple[LabeledComplex, Optional[int]]:
-    """Build the Scarf-route complex, deforming only when needed.
-
-    Returns the complex and the deformation parameter actually used (None
-    when the ideal was already generic).
-    """
-    ideal = ideal_from_spec(spec)
-    if is_generic(ideal):
-        return scarf_complex(ideal), None
-    v = v_override if v_override is not None else spec.deformation_v
-    if v is None:
-        v = len(ideal.generators) + 1
-    try:
-        return deform_and_scarf(ideal, v), v
-    except ValueError as err:  # deform rejects a v that does not exceed r
-        raise SpecFileError(str(err)) from err

@@ -151,11 +151,9 @@ def orthant_prob(system: CoherentSystem, alpha: Sequence[int]) -> float:
         )
     result = 1.0
     for tails, level in zip(system.survival_table, a):
-        if level < 0:
+        if level < 0:  # no early return at a zero tail, so every level is checked
             raise ValueError(f"level must be nonnegative, got {level}")
         result *= tails[level]
-        if result == 0.0:
-            return 0.0
     return result
 
 

@@ -1,6 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import scarfrel.cli as cli
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
 
@@ -235,6 +239,65 @@ class TestCompareCommand:
         _, first, _ = run(capsys, "compare", "--count", "3")
         _, second, _ = run(capsys, "compare", "--count", "3")
         assert first == second
+
+    def test_default_count_is_25(self, capsys):
+        _, out, _ = run(capsys, "compare")
+        assert out.startswith("random self-test: 25 systems, seed 0\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--v", "12"], "--v"),
+            (["--v", "12", "--seed", "3"], "--v"),
+            ([BINARY, "--seed", "3"], "--seed"),
+            ([BINARY, "--count", "5"], "--count"),
+            ([BINARY, "--seed", "3", "--count", "5", "--json"], "--seed"),
+        ],
+    )
+    def test_flags_the_mode_ignores_are_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, "compare", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} applies only to ")
+
+    def test_file_mode_accepts_v(self, capsys):
+        code, out, _ = run(capsys, "compare", BINARY, "--v", "12", "--json")
+        assert code == 0
+        assert json.loads(out)["deformation_v"] == 12
+
+    def test_self_test_takes_both_routes(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "scarf_complex", "deform_and_scarf")
+        code, _, _ = run(capsys, "compare", "--seed", "3", "--count", "25")
+        assert code == 0
+        assert calls == {"scarf_complex": 17, "deform_and_scarf": 8}
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls to each named function as ``scarfrel.cli`` sees it."""
+    calls = Counter()
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+class TestOnePipelinePerCall:
+    STAGES = ("load_spec", "minimalize", "minimal_points_from_profit", "is_generic")
+
+    @pytest.mark.parametrize("spec", [POINTS, PROFIT], ids=["points", "profit"])
+    @pytest.mark.parametrize("command", ["scarf", "reliability", "bounds", "oracle", "compare"])
+    @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+    def test_each_stage_runs_once(self, capsys, monkeypatch, spec, command, extra):
+        calls = count_calls(monkeypatch, *self.STAGES)
+        code, _, err = run(capsys, command, spec, *extra)
+        assert (code, err) == (0, "")
+        assert calls["load_spec"] == 1
+        assert calls["minimalize"] + calls["minimal_points_from_profit"] == 1
+        assert calls["is_generic"] == (0 if command == "oracle" else 1)
 
 
 class TestSpecErrors:

@@ -1,8 +1,9 @@
 """CLI reports compared byte for byte with recorded golden outputs.
 
 Every subcommand runs on every bundled spec, in text and ``--json``, plus
-``bounds --depth 1`` and ``bounds --depth 3,1`` on every spec and the
-seeded random self-test.  Each call's standard output is stored in
+``bounds --depth 1`` and ``bounds --depth 3,1`` on every spec, the
+seeded random self-test, and a ``--v`` override on a spec that sets its
+own ``deformation_v`` (the command-line value wins).  Each call's standard output is stored in
 ``tests/golden/<name>.out`` and its exit code in
 ``tests/golden/exit_codes.json``.  Regenerate them only for a declared
 output change:
@@ -38,6 +39,11 @@ def golden_calls() -> list[tuple[str, list[str]]]:
             argv = ["bounds", str(spec), "--depth", depth]
             calls.append((f"{spec.stem}.bounds.{tag}", argv))
             calls.append((f"{spec.stem}.bounds.{tag}.json", [*argv, "--json"]))
+    binary = str(ROOT / "specs" / "binary_network.json")  # says deformation_v: 10
+    calls.append(("binary_network.scarf.v12", ["scarf", binary, "--v", "12"]))
+    calls.append(
+        ("binary_network.reliability.v12.json", ["reliability", binary, "--v", "12", "--json"])
+    )
     random_self_test = ["compare", "--seed", "3", "--count", "25"]
     calls.append(("random.compare", random_self_test))
     calls.append(("random.compare.json", [*random_self_test, "--json"]))

@@ -138,6 +138,15 @@ class TestOrthantProb:
         )
         assert orthant_prob(system, (1, 1)) == 0.0
 
+    def test_negative_level_after_a_zero_tail_is_rejected(self):
+        # level 2 is past the top, so its tail is 0 before -1 is reached
+        system = CoherentSystem(
+            (Component("a", 2, (0.5, 0.5)), Component("b", 2, (0.5, 0.5)))
+        )
+        for alpha in ((2, -1), (0, -1), (-1, 2)):
+            with pytest.raises(ValueError, match="nonnegative, got -1"):
+                orthant_prob(system, alpha)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             orthant_prob(two_component_system(), (0, 0, 0))
