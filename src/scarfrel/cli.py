@@ -19,8 +19,11 @@ evaluates on that result and renders them:
   random systems take the same generic-or-deform choice as a spec file.
 
 All numbers print with 12 significant digits and every report is
-deterministic byte for byte.  Exit codes: 0 success, 1 runtime failure or
-detected disagreement, 2 invalid spec file or arguments.
+deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
+indent=2, sort_keys=True)``, but fills face, term and int-row lists into
+cached ``%`` templates instead of running that pure-Python encoder.
+Exit codes: 0 success, 1 runtime failure or detected disagreement, 2
+invalid spec file or arguments.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .analysis import (
     reliability_identity,
     subset_bounds,
 )
-from .complexes import TAYLOR_GENERATOR_CAP, deform_and_scarf, scarf_complex
+from .complexes import TAYLOR_GENERATOR_CAP, check_deformation_v, deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
 from .specfile import SpecFileError, load_spec
 from .systems import (
@@ -62,23 +65,71 @@ def _members(face_members: Sequence[int]) -> str:
     return "{" + ", ".join(str(i) for i in face_members) + "}"
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+# Item forms of the report shapes: the indent of their int lists and their text
+# with one {} per int list.  Faces and terms render as dicts of their fields.
+_FORMS = {
+    "row": ("    ", "{}"),
+    "face": ("      ", '{{\n      "label": {},\n      "members": {}\n    }}'),
+    "term": (
+        "      ",
+        '{{\n      "cardinality": %s,\n      "exponent": {},\n      "sign": %s\n    }}',
+    ),
+}
+_TEMPLATES: dict[tuple, str] = {}  # pure memo: a few entries per dimension and face size
 
 
-def _faces_json(complex_) -> list[dict]:
-    return [{"members": list(f.members), "label": list(f.label)} for f in complex_.faces]
+def _template(kind: str, *lengths: int) -> str:
+    """The ``%s`` template of a ``kind`` item whose int lists have these lengths."""
+    key = (kind, *lengths)
+    if key not in _TEMPLATES:
+        pad, form = _FORMS[kind]
+        sep = ",\n" + pad + "  "  # as json.dumps(indent=2) lays out a list at indent pad
+        slots = [f"[{sep[1:]}{sep.join(['%s'] * n)}\n{pad}]" if n else "[]" for n in lengths]
+        _TEMPLATES[key] = form.format(*slots)
+    return _TEMPLATES[key]
+
+
+def _rows(rows) -> list[str]:
+    return [_template("row", len(row)) % tuple(row) for row in rows]
+
+
+_SHAPES = {
+    "generators": _rows,
+    "facets": _rows,
+    "faces": lambda faces: [_template("face", len(lb), len(ms)) % (*lb, *ms) for ms, lb in faces],
+    "terms": lambda terms: [_template("term", len(e)) % (c, *e, s) for s, e, c in terms],
+}
+
+
+def _emit_json(payload: dict) -> None:
+    """Print ``payload`` byte for byte as ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    Lists under a ``_SHAPES`` key (int rows, Face and SignedTerm tuples) are
+    filled into templates; every other value goes through ``json.dumps`` on
+    its own, indented one level.
+    """
+    items = []
+    for key in sorted(payload):
+        if key in _SHAPES:
+            texts = _SHAPES[key](payload[key])
+            text = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+        else:
+            text = json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    print("{\n" + ",\n".join(items) + "\n}")
 
 
 def _scarf_route(ideal, v: Optional[int]):
     """(complex, v used): Scarf when generic (v None), else deformed with v (default r + 1)."""
+    r = len(ideal.generators)
+    v = r + 1 if v is None else v
+    try:
+        check_deformation_v(v, r)  # also when the ideal is generic and v goes unused
+    except ValueError as err:
+        raise SpecFileError(str(err)) from err
     if is_generic(ideal):
         return scarf_complex(ideal), None
-    v = len(ideal.generators) + 1 if v is None else v
-    try:
-        return deform_and_scarf(ideal, v), v
-    except ValueError as err:  # deform rejects a v that does not exceed r
-        raise SpecFileError(str(err)) from err
+    return deform_and_scarf(ideal, v), v
 
 
 def _pipeline(path: str, v: Optional[int] = None, build: bool = True):
@@ -123,13 +174,13 @@ def cmd_scarf(args) -> int:
     if args.json:
         _emit_json(
             {
-                "generators": [list(g) for g in ideal.generators],
+                "generators": ideal.generators,
                 "generic": generic,
                 "deformation_v": v_used,
                 "kind": complex_.kind,
                 "face_count": len(complex_.faces),
-                "faces": _faces_json(complex_),
-                "facets": [list(f.members) for f in facets],
+                "faces": complex_.faces,
+                "facets": [f.members for f in facets],
             }
         )
         return 0
@@ -168,11 +219,8 @@ def cmd_reliability(args) -> int:
                 "deformation_v": v_used,
                 "oracle_value": report.oracle_value,
                 "discrepancy": discrepancy,
-                "terms": [
-                    {"sign": t.sign, "exponent": list(t.exponent), "cardinality": t.cardinality}
-                    for t in report.terms
-                ],
-                "faces": _faces_json(complex_),
+                "terms": report.terms,
+                "faces": complex_.faces,
                 "bounds": [
                     {"depth": b.depth, "kind": b.kind, "value": b.value}
                     for b in report.bounds
@@ -220,38 +268,25 @@ def cmd_bounds(args) -> int:
     bonferroni = _bonferroni(system, ideal, max(depths))
     rows = []
     for depth in depths:
-        scarf_bound = scarf[depth - 1]
-        bonf_value = bonferroni[depth - 1].value if bonferroni else None
+        b = scarf[depth - 1]
+        bonf = bonferroni[depth - 1].value if bonferroni else None
         tighter = "n/a"
-        if bonf_value is not None:
-            if abs(scarf_bound.value - bonf_value) <= 1e-12:
+        if bonf is not None:
+            if abs(b.value - bonf) <= 1e-12:
                 tighter = "equal"
-            elif scarf_bound.kind == "upper":
-                tighter = "scarf" if scarf_bound.value < bonf_value else "bonferroni"
+            elif b.kind == "upper":
+                tighter = "scarf" if b.value < bonf else "bonferroni"
             else:
-                tighter = "scarf" if scarf_bound.value > bonf_value else "bonferroni"
-        rows.append((scarf_bound, bonf_value, tighter))
+                tighter = "scarf" if b.value > bonf else "bonferroni"
+        rows.append(dict(depth=depth, kind=b.kind, scarf=b.value, bonferroni=bonf, tighter=tighter))
     if args.json:
-        _emit_json(
-            {
-                "deformation_v": v_used,
-                "rows": [
-                    {
-                        "depth": b.depth,
-                        "kind": b.kind,
-                        "scarf": b.value,
-                        "bonferroni": bonf,
-                        "tighter": tighter,
-                    }
-                    for b, bonf, tighter in rows
-                ],
-            }
-        )
+        _emit_json({"deformation_v": v_used, "rows": rows})
         return 0
     print("depth  kind   scarf            bonferroni       tighter")
-    for b, bonf, tighter in rows:
-        bonf_text = "n/a" if bonf is None else _fmt(bonf)
-        print(f"{b.depth:>5}  {b.kind:<5}  {_fmt(b.value):<16} {bonf_text:<16} {tighter}")
+    for row in rows:
+        bonf = "n/a" if row["bonferroni"] is None else _fmt(row["bonferroni"])
+        scarf = _fmt(row["scarf"])
+        print(f"{row['depth']:>5}  {row['kind']:<5}  {scarf:<16} {bonf:<16} {row['tighter']}")
     return 0
 
 

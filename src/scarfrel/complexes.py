@@ -314,6 +314,12 @@ class DeformationRecord:
                 )
 
 
+def check_deformation_v(v: int, r: int) -> None:
+    """Reject a deformation denominator v that does not exceed the generator count r."""
+    if v <= r:
+        raise ValueError(f"deformation parameter v must exceed the generator count {r}, got {v}")
+
+
 def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
     """Replace exponents by per-coordinate dense ranks to force genericity.
 
@@ -327,10 +333,7 @@ def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
     r = len(gens)
     if v is None:
         v = r + 1
-    if v <= r:
-        raise ValueError(
-            f"deformation parameter v must exceed the generator count {r}, got {v}"
-        )
+    check_deformation_v(v, r)
     d = ideal.dimension
     ranks = [[0] * d for _ in range(r)]
     for k in range(d):

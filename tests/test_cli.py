@@ -1,12 +1,18 @@
+import io
 import json
+import random
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scarfrel.cli as cli
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
+from scarfrel.complexes import Face, SignedTerm
+from scarfrel.systems import random_points_for, random_system
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BINARY = str(SPECS / "binary_network.json")
@@ -24,6 +30,15 @@ def write_spec(tmp_path, data, name="spec.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return str(p)
+
+
+def generic_spec():
+    """Two generators on a 3x3 grid, generic, so nothing is deformed."""
+    probs = [0.25, 0.25, 0.5]
+    return {
+        "components": [{"name": n, "levels": 3, "probs": probs} for n in ("a", "b")],
+        "minimal_nonfailure_points": [[1, 2], [2, 1]],
+    }
 
 
 def base_points_spec():
@@ -361,6 +376,28 @@ class TestSpecErrors:
         assert code == 2
         assert "exceed" in err
 
+    @pytest.mark.parametrize("spec_v, argv_v", [(None, "-5"), (1, None), (1, "-5")])
+    def test_v_is_checked_on_a_generic_ideal(self, capsys, tmp_path, spec_v, argv_v):
+        data = generic_spec()
+        if spec_v is not None:
+            data["deformation_v"] = spec_v
+        extra = () if argv_v is None else ("--v", argv_v)
+        for command in ("scarf", "reliability", "bounds", "compare"):
+            code, out, err = run(capsys, command, write_spec(tmp_path, data), *extra)
+            assert (code, out) == (2, "")
+            v = argv_v or spec_v
+            assert err == f"error: deformation parameter v must exceed the generator count 2, got {v}\n"
+
+    def test_valid_v_on_a_generic_ideal_changes_nothing(self, capsys, tmp_path):
+        plain = write_spec(tmp_path, generic_spec(), "plain.json")
+        with_v = write_spec(tmp_path, {**generic_spec(), "deformation_v": 3}, "with_v.json")
+        for command in ("scarf", "reliability", "bounds", "compare"):
+            for extra in ((), ("--json",)):
+                expected = run(capsys, command, plain, *extra)
+                assert expected[0] == 0
+                assert run(capsys, command, plain, "--v", "7", *extra) == expected
+                assert run(capsys, command, with_v, *extra) == expected
+
     def test_interaction_pair_out_of_range(self, capsys, tmp_path):
         data = base_points_spec()
         del data["minimal_nonfailure_points"]
@@ -372,3 +409,122 @@ class TestSpecErrors:
         code, _, err = run(capsys, "scarf", write_spec(tmp_path, data))
         assert code == 2
         assert "outside 1..2" in err
+
+
+def reference_json(payload) -> str:
+    """``json.dumps`` of a payload, its Face and SignedTerm tuples as dicts of their fields."""
+    plain = {
+        key: [x._asdict() for x in value] if key in ("faces", "terms") else value
+        for key, value in payload.items()
+    }
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+def rendered(payload) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_json(payload)
+    return out.getvalue()
+
+
+def check_json_calls(capsys, monkeypatch, calls):
+    """Run each ``--json`` argv; its output must equal json.dumps of the payload it rendered."""
+    payloads = []
+    render = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda p: (payloads.append(p), render(p)))
+    for argv in calls:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert out == reference_json(payloads.pop()), argv
+    assert payloads == []
+
+
+class TestJsonRenderer:
+    def test_bundled_specs(self, capsys, monkeypatch):
+        commands = ("scarf", "reliability", "bounds", "oracle", "compare")
+        calls = [["compare", "--seed", "3", "--count", "25"]]
+        for spec in sorted(SPECS.glob("*.json")):
+            calls += [[command, str(spec)] for command in commands]
+            calls += [["bounds", str(spec), "--depth", depth] for depth in ("1", "3,1")]
+        calls.append(["reliability", BINARY, "--v", "12"])
+        check_json_calls(capsys, monkeypatch, calls)
+
+    def test_random_self_test_systems(self, capsys, monkeypatch, tmp_path):
+        rng = random.Random(3)  # the systems `compare --seed 3 --count 25` draws
+        calls = []
+        for n in range(25):
+            system = random_system(rng)
+            points = random_points_for(rng, system)
+            data = {
+                "components": [
+                    {"name": c.name, "levels": c.levels, "probs": list(c.probs)}
+                    for c in system.components
+                ],
+                "minimal_nonfailure_points": [list(p) for p in points],
+            }
+            path = write_spec(tmp_path, data, f"random{n}.json")
+            calls += [["scarf", path], ["reliability", path]]
+        check_json_calls(capsys, monkeypatch, calls)
+
+    FLOATS = st.sampled_from([-0.0, 1e-300, 1e16, 5e-324]) | st.floats()
+    INTS = st.lists(st.integers(0, 10**4), max_size=3).map(tuple)
+    FACES = st.lists(st.builds(Face, INTS, INTS), max_size=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "generators": st.lists(INTS, max_size=3),
+                "generic": st.booleans(),
+                "deformation_v": st.none() | st.integers(1, 10**6),
+                "kind": st.sampled_from(["scarf", "scarf_deformed"]),
+                "face_count": st.integers(0, 10**6),
+                "faces": FACES,
+                "facets": st.lists(INTS, max_size=3),
+            }
+        )
+    )
+    @example(
+        {
+            "generators": [(12, 0, 3)],
+            "generic": True,
+            "deformation_v": None,
+            "kind": "scarf",
+            "face_count": 1,
+            "faces": [Face((1,), (12, 0, 3))],
+            "facets": [(1,)],
+        }
+    )
+    def test_scarf_shaped_payloads(self, payload):
+        assert rendered(payload) == reference_json(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "identity_value": FLOATS,
+                "term_count": st.integers(0, 10**6),
+                "baseline_term_count": st.integers(0, 10**6),
+                "deformation_v": st.none() | st.integers(1, 10**6),
+                "oracle_value": st.none() | FLOATS,
+                "discrepancy": st.none() | FLOATS,
+                "terms": st.lists(
+                    st.builds(SignedTerm, st.sampled_from([-1, 1]), INTS, st.integers(0, 30)),
+                    max_size=3,
+                ),
+                "faces": FACES,
+                "bounds": st.lists(
+                    st.fixed_dictionaries(
+                        {
+                            "depth": st.integers(1, 30),
+                            "kind": st.sampled_from(["upper", "lower"]),
+                            "value": FLOATS,
+                        }
+                    ),
+                    max_size=3,
+                ),
+            }
+        )
+    )
+    def test_reliability_shaped_payloads(self, payload):
+        assert rendered(payload) == reference_json(payload)
