@@ -8,23 +8,29 @@ keeps the term count near-minimal.  Truncating the alternating sum at a
 cardinality depth yields two-sided bounds: odd depth from above, even
 depth from below.
 
-One fold over (cardinality, label) pairs in canonical order yields every
-value, evaluating each distinct label's orthant once (deformed and subset
-complexes repeat labels).  The pairs come from a complex's faces or, for
-the classical Bonferroni baseline, from a level walk over the generator
-subsets of size <= k that builds no complex and costs C(r, <= k) terms.  The
-identity is the fsum of all signed terms and the depth-k bound the fsum of
-the prefix up to cardinality k, so each equals a fresh fsum over its faces
-bit for bit.  Compensated sums keep oracle cross-checks stable at 1e-12.
+One fold over per-cardinality label counts yields every value, evaluating
+each distinct label's orthant once (deformed and subset complexes repeat
+labels).  The counts come from a complex's faces or, for the classical
+Bonferroni baseline, from a level walk over the generator subsets of size
+<= k that builds no complex.  The walk packs each generator into one int
+(per coordinate, the rank of its value as a run of one-bits, at most
+d * (r - 1) bits in all), so each of its C(r, <= k) lcms is one integer OR,
+each distinct code becomes an orthant through d table lookups, and only
+one level of ints is held at a time.  The identity is the fsum of all
+signed terms and the depth-k bound the fsum of those up to cardinality k.
+fsum is correctly rounded, so term order does not matter and each equals
+a fresh fsum over its faces bit for bit.  Compensated sums keep oracle
+cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import le
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
@@ -32,6 +38,7 @@ from .systems import CoherentSystem, orthant_prob
 
 STATE_CAP = 10_000_000
 _IDENTITY_TOL = 1e-9
+LabelCounts = Iterable[tuple[Any, int]]  # (label, how many faces or subsets carry it)
 
 
 @dataclass(frozen=True)
@@ -75,55 +82,108 @@ def check_depth(depth: int, max_card: int) -> None:
         )
 
 
-def _face_labels(complex_: LabeledComplex) -> Iterator[tuple[int, Exponent]]:
-    return ((len(members), label) for members, label in complex_.faces)
+def _face_label_counts(complex_: LabeledComplex, depth: int) -> list[LabelCounts]:
+    """Per cardinality 1..depth, one (label, 1) pair per face."""
+    levels: list[list[tuple[Exponent, int]]] = [[] for _ in range(depth)]
+    for members, label in complex_.faces:
+        if len(members) > depth:
+            break  # canonical order sorts by cardinality
+        levels[len(members) - 1].append((label, 1))
+    return levels
 
 
-def _subset_labels(gens: Sequence[Exponent], depth: int) -> Iterator[tuple[int, Exponent]]:
-    """(cardinality, lcm label) of every subset of size <= depth, in canonical order.
+def _packed_generators(
+    system: CoherentSystem, gens: Sequence[Exponent]
+) -> tuple[list[int], Callable[[int], float]]:
+    """Each generator as one int whose OR over a subset codes the subset's lcm.
 
-    A size-s subset, kept as (last member, label), grows by each later generator.
+    Per coordinate, the held values are ranked (rank 0 the smallest) and
+    rank i is a run of i one-bits in that coordinate's field, so the OR of
+    runs is the run of the largest rank.  Also returns the orthant of a
+    code: one table lookup per coordinate, multiplied in coordinate order
+    from 1.0, so it equals ``orthant_prob`` of the decoded label bit for bit.
     """
-    level = list(enumerate(gens))
-    for s in range(1, depth + 1):
-        yield from ((s, label) for _, label in level)
-        if s < depth:
-            level = [
-                (j, tuple(map(max, label, gens[j])))
-                for last, label in level
-                for j in range(last + 1, len(gens))
-            ]
+    codes = [0] * len(gens)
+    fields = []  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
+    shift = 0
+    for tails, column in zip(system.survival_table, zip(*gens)):
+        runs = {v: (1 << i) - 1 for i, v in enumerate(sorted(set(column)))}
+        for j, v in enumerate(column):
+            codes[j] |= runs[v] << shift
+        width = len(runs) - 1
+        fields.append((shift, (1 << width) - 1, {run: tails[v] for v, run in runs.items()}))
+        shift += width
+
+    def orthant(code: int) -> float:
+        p = 1.0
+        for shift, mask, table in fields:
+            p *= table[code >> shift & mask]
+        return p
+
+    return codes, orthant
+
+
+def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
+    """Per cardinality 1..depth, how many generator subsets have each lcm code.
+
+    A level is one flat list of codes ordered by last member; ``ends[j]``
+    counts those whose last member is at most j, and level s + 1 for
+    generator j ORs its code into each of the first ``ends[j - 1]``.
+    """
+    level, ends = list(codes), range(1, len(codes) + 1)
+    counts = [Counter(level)]
+    for _ in range(1, depth):
+        grown: list[int] = []
+        grown_ends = []
+        for code, below in zip(codes, (0, *ends)):
+            grown += map(code.__or__, level[:below])
+            grown_ends.append(len(grown))
+        level, ends = grown, grown_ends
+        counts.append(Counter(level))
+    return counts
 
 
 def _signed_terms(
-    faces: Iterable[tuple[int, Exponent]], orthant: Callable[[Exponent], float], depth: int
-) -> tuple[list[float], list[int]]:
-    """Signed terms of canonical (cardinality, label) pairs; ends[k - 1] counts those <= k."""
-    values: dict[Exponent, float] = {}
-    terms: list[float] = []
-    ends = [0] * depth
-    for s, label in faces:
-        if s > depth:
-            break  # canonical order sorts by cardinality
-        p = values.get(label)
-        if p is None:
-            p = values[label] = orthant(label)
-        terms.append(p if s % 2 else -p)
-        ends[s - 1] = len(terms)
-    return terms, ends
+    counts: Iterable[LabelCounts], orthant: Callable[[Any], float]
+) -> Iterator[list[float]]:
+    """Per cardinality s, [±orthant(label)] * n for each (label, n) of ``counts[s - 1]``.
+
+    Each distinct label's orthant is evaluated once.
+    """
+    values: dict = {}
+    for s, level in enumerate(counts, start=1):
+        terms: list[float] = []
+        for label, n in level:
+            p = values.get(label)
+            if p is None:
+                p = values[label] = orthant(label)
+            if n == 1:  # every face: skip building a one-element list
+                terms.append(p if s % 2 else -p)
+            else:
+                terms += [p if s % 2 else -p] * n
+        yield terms
+
+
+def _resolved_depth(
+    system: CoherentSystem, ideal: MonomialIdeal, depth: Optional[int], max_card: int
+) -> int:
+    """``depth`` (default ``max_card``) once the system and depth fit the complex."""
+    _check_dimensions(system, ideal)
+    depth = max_card if depth is None else depth
+    check_depth(depth, max_card)
+    return depth
 
 
 def _fold_bounds(
-    system: CoherentSystem, ideal: MonomialIdeal, faces: Iterable[tuple[int, Exponent]],
-    depth: int, max_card: int,
+    counts: Iterable[LabelCounts], orthant: Callable[[Any], float]
 ) -> tuple[DepthBound, ...]:
-    _check_dimensions(system, ideal)
-    check_depth(depth, max_card)
-    terms, ends = _signed_terms(faces, lambda label: orthant_prob(system, label), depth)
-    return tuple(
-        DepthBound(k, math.fsum(terms[:end]), "upper" if k % 2 else "lower")
-        for k, end in enumerate(ends, start=1)
-    )
+    """The depth-k bound is the fsum of every signed term of cardinality <= k."""
+    prefix: list[float] = []
+    bounds = []
+    for k, terms in enumerate(_signed_terms(counts, orthant), start=1):
+        prefix += terms
+        bounds.append(DepthBound(k, math.fsum(prefix), "upper" if k % 2 else "lower"))
+    return tuple(bounds)
 
 
 def inclusion_exclusion(
@@ -136,8 +196,8 @@ def inclusion_exclusion(
     once per distinct label; passing a continuous evaluator makes the same
     identity work off-grid.
     """
-    terms, _ = _signed_terms(_face_labels(complex_), orthant, complex_.max_cardinality())
-    return math.fsum(terms)
+    counts = _face_label_counts(complex_, complex_.max_cardinality())
+    return math.fsum(chain.from_iterable(_signed_terms(counts, orthant)))
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
@@ -150,9 +210,9 @@ def depth_bounds(
     system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
     """Truncation bounds at depths 1..depth (default: every depth) from one walk."""
-    max_card = complex_.max_cardinality()
-    depth = max_card if depth is None else depth
-    return _fold_bounds(system, complex_.ideal, _face_labels(complex_), depth, max_card)
+    depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
+    counts = _face_label_counts(complex_, depth)
+    return _fold_bounds(counts, lambda label: orthant_prob(system, label))
 
 
 def subset_bounds(
@@ -161,11 +221,15 @@ def subset_bounds(
     """Bonferroni bounds at depths 1..depth (default r; the last is then the identity).
 
     Bit for bit ``depth_bounds(system, taylor_complex(ideal), depth)``, from
-    a walk over the C(r, <= depth) subsets it sums, with no complex built.
+    a walk over the C(r, <= depth) subsets it sums, with no complex built:
+    one integer OR per subset on rank-packed generators, one d-lookup
+    orthant per distinct lcm, and one level of ints in memory.  Every
+    subset is still visited, so the cost doubles with each generator.
     """
-    r = len(ideal.generators)
-    depth = r if depth is None else depth
-    return _fold_bounds(system, ideal, _subset_labels(ideal.generators, depth), depth, r)
+    depth = _resolved_depth(system, ideal, depth, len(ideal.generators))
+    codes, orthant = _packed_generators(system, ideal.generators)
+    counts = _subset_label_counts(codes, depth)
+    return _fold_bounds([level.items() for level in counts], orthant)
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:

@@ -156,8 +156,10 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
         linear = tuple(
             _number_field(c, f"{where}.linear[{k}]") for k, c in enumerate(raw_linear)
         )
+        raw_interactions = raw_profit.get("interactions", [])
+        _require(isinstance(raw_interactions, list), f"{where}.interactions: expected a list")
         interactions = []
-        for idx, triple in enumerate(raw_profit.get("interactions", [])):
+        for idx, triple in enumerate(raw_interactions):
             iw = f"{where}.interactions[{idx}]"
             _require(
                 isinstance(triple, list) and len(triple) == 3,
@@ -167,6 +169,7 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
             j = _int_field(triple[1], f"{iw}[1]")
             c = _number_field(triple[2], f"{iw}[2]")
             _require(1 <= i <= d and 1 <= j <= d, f"{iw}: pair ({i}, {j}) outside 1..{d}")
+            _require(i != j, f"{iw}: pair ({i}, {j}) must name two distinct components")
             interactions.append((i - 1, j - 1, c))
         cutoff = _number_field(raw_profit["cutoff"], f"{where}.cutoff")
         try:

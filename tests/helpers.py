@@ -10,7 +10,7 @@ import math
 import random
 from itertools import product
 
-from scarfrel import MonomialIdeal, deform, is_generic, minimalize
+from scarfrel import DepthBound, MonomialIdeal, deform, is_generic, minimalize, orthant_prob
 # Re-exported: tests draw systems from the factory `scarfrel compare` uses.
 from scarfrel.systems import random_points_for, random_system
 
@@ -174,3 +174,34 @@ def full_scan_profit_points(spec, levels) -> tuple:
         if all(spec.value(down) < spec.cutoff for down in downs):
             minimal.append(alpha)
     return tuple(sorted(minimal, key=lambda a: a[::-1]))
+
+
+def tuple_walk_bounds(system, ideal, depth=None) -> tuple:
+    """Reference Bonferroni bounds at depths 1..depth (default r) from a tuple walk.
+
+    Level s + 1 extends each size-s subset, kept as (last member, lcm
+    tuple), by every later generator with a coordinatewise max.  Each
+    distinct label's orthant is evaluated once, every subset adds one
+    signed term, and the depth-k bound is the fsum of the terms of
+    cardinality <= k.
+    """
+    gens = ideal.generators
+    depth = len(gens) if depth is None else depth
+    values, terms, ends = {}, [], []
+    level = list(enumerate(gens))
+    for s in range(1, depth + 1):
+        for _, label in level:
+            if label not in values:
+                values[label] = orthant_prob(system, label)
+            terms.append(values[label] if s % 2 else -values[label])
+        ends.append(len(terms))
+        if s < depth:
+            level = [
+                (j, tuple(map(max, label, gens[j])))
+                for last, label in level
+                for j in range(last + 1, len(gens))
+            ]
+    return tuple(
+        DepthBound(k, math.fsum(terms[:end]), "upper" if k % 2 else "lower")
+        for k, end in enumerate(ends, start=1)
+    )

@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +31,7 @@ from scarfrel import (
     taylor_complex,
     tube_bounds,
 )
+from scarfrel.specfile import load_spec
 
 from helpers import (
     BINARY_NINE,
@@ -38,9 +41,11 @@ from helpers import (
     full_scan_reliability,
     random_points_for,
     random_system,
+    tuple_walk_bounds,
 )
 
 PLANAR = MonomialIdeal(2, PLANAR_GENS)
+LAYER_R20 = Path(__file__).resolve().parent / "specs" / "layer_r20.json"
 
 MULTI_TABLES = (
     (0.125, 0.25, 0.25, 0.375),
@@ -234,7 +239,7 @@ class TestBonferroniBounds:
 
 @st.composite
 def subset_walk_cases(draw):
-    """A system with non-dyadic rows and an ideal of at most 10 generators.
+    """A system with dyadic or non-dyadic rows and an ideal of at most 10 generators.
 
     Generic draws permute distinct exponents in every coordinate; the
     others draw from a narrow range, so exponent ties are common.  Taylor
@@ -250,14 +255,31 @@ def subset_walk_cases(draw):
         levels = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
         point = st.tuples(*(st.integers(0, n - 1) for n in levels))
         points = draw(st.lists(point, min_size=1, max_size=r))
+    dyadic = draw(st.booleans())
     rows = []
     for n in levels:
-        weights = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
-        rows.append(tuple(w / sum(weights) for w in weights))
+        if dyadic:  # cuts of 0..64 into n parts: every entry exact in binary
+            inner = draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1))
+            cuts = [0, *sorted(inner), 64]
+            rows.append(tuple((b - a) / 64 for a, b in zip(cuts, cuts[1:])))
+        else:
+            weights = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
+            rows.append(tuple(w / sum(weights) for w in weights))
     system = CoherentSystem(
         tuple(Component(f"c{i}", len(row), row) for i, row in enumerate(rows))
     )
     return system, minimalize(points)
+
+
+def packed_label(gens, label) -> int:
+    """The walk's integer code of an lcm label: rank i of coordinate k is a
+    run of i one-bits, placed after the fields of the coordinates before k."""
+    code, shift = 0, 0
+    for column, value in zip(zip(*gens), label):
+        held = sorted(set(column))
+        code |= ((1 << held.index(value)) - 1) << shift
+        shift += len(held) - 1
+    return code
 
 
 class TestSubsetBounds:
@@ -269,15 +291,56 @@ class TestSubsetBounds:
         system, ideal = case
         taylor = taylor_complex(ideal)
         r = len(ideal.generators)
+        codes, _ = analysis._packed_generators(system, ideal.generators)
         for k in range(1, r + 1):
             assert subset_bounds(system, ideal, k) == depth_bounds(system, taylor, k)
-            walked = list(analysis._subset_labels(ideal.generators, k))
+            walked = analysis._subset_label_counts(codes, k)
             assert walked == [
-                (f.cardinality, f.label) for f in taylor.faces if f.cardinality <= k
+                Counter(
+                    packed_label(ideal.generators, f.label)
+                    for f in taylor.faces
+                    if f.cardinality == s
+                )
+                for s in range(1, k + 1)
             ]
         full = subset_bounds(system, ideal)
         assert len(full) == r
         assert full[-1].value == reliability_identity(system, taylor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_walk_cases())
+    def test_equals_tuple_walk(self, case):
+        system, ideal = case
+        for k in range(1, len(ideal.generators) + 1):
+            assert subset_bounds(system, ideal, k) == tuple_walk_bounds(system, ideal, k)
+
+    def test_layer_at_the_cap_equals_tuple_walk(self):
+        # r = 20, d = 3, 10 levels: every one of the 2^20 - 1 subsets at depth 20
+        spec = load_spec(str(LAYER_R20))
+        ideal = minimalize(spec.points)
+        assert len(ideal.generators) == 20
+        assert subset_bounds(spec.system, ideal) == tuple_walk_bounds(spec.system, ideal)
+
+    def test_many_levels_fill_only_the_reference_survival_entries(self):
+        # Ranks, not raw levels, are packed, so a million levels cost a few
+        # bits per coordinate, and only held levels reach the survival table.
+        rng = random.Random(11)
+        levels = 10**6
+        probs = (1 / levels,) * levels
+
+        def system():
+            return CoherentSystem(
+                (Component("a", levels, probs), Component("b", levels, probs))
+            )
+
+        xs = sorted(rng.sample(range(levels), 12))
+        ys = sorted(rng.sample(range(levels), 12), reverse=True)
+        ideal = minimalize(list(zip(xs, ys)))
+        assert len(ideal.generators) == 12
+        walked, reference = system(), system()
+        assert subset_bounds(walked, ideal) == tuple_walk_bounds(reference, ideal)
+        for filled, expected in zip(walked.survival_table, reference.survival_table):
+            assert set(filled) <= set(expected)
 
     def test_depth_out_of_range(self):
         system = planar_system()

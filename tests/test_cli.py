@@ -410,6 +410,28 @@ class TestSpecErrors:
         assert code == 2
         assert "outside 1..2" in err
 
+    @pytest.mark.parametrize("interactions", [5, None, "12", {"i": 1}])
+    def test_interactions_must_be_a_list(self, capsys, tmp_path, interactions):
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = {"linear": [1, 1], "interactions": interactions, "cutoff": 1}
+        path = write_spec(tmp_path, data)
+        code, out, err = run(capsys, "scarf", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: profit.interactions: expected a list\n"
+
+    def test_interaction_pair_must_be_distinct_in_the_indices_written(self, capsys, tmp_path):
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = {"linear": [1, 1], "interactions": [[2, 2, 1]], "cutoff": 1}
+        path = write_spec(tmp_path, data)
+        code, out, err = run(capsys, "scarf", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: profit.interactions[0]: pair (2, 2) must name two "
+            "distinct components\n"
+        )
+
 
 def reference_json(payload) -> str:
     """``json.dumps`` of a payload, its Face and SignedTerm tuples as dicts of their fields."""

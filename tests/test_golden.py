@@ -3,7 +3,11 @@
 Every subcommand runs on every bundled spec, in text and ``--json``, plus
 ``bounds --depth 1`` and ``bounds --depth 3,1`` on every spec, the
 seeded random self-test, and a ``--v`` override on a spec that sets its
-own ``deformation_v`` (the command-line value wins).  Each call's standard output is stored in
+own ``deformation_v`` (the command-line value wins).  Two test-local
+layer specs at the Bonferroni cap (``tests/specs``: r = 20 and r = 21,
+d = 3) run ``bounds``, ``bounds --depth 3,1`` and ``compare``; above the
+cap the baseline cells read ``n/a`` and ``compare`` prints no
+``identity (taylor)`` line.  Each call's standard output is stored in
 ``tests/golden/<name>.out`` and its exit code in
 ``tests/golden/exit_codes.json``.  Regenerate them only for a declared
 output change:
@@ -24,6 +28,7 @@ from scarfrel.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CAP_SPECS = Path(__file__).resolve().parent / "specs"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 COMMANDS = ("scarf", "reliability", "bounds", "oracle", "compare")
 DEPTHS = {"depth1": "1", "depth3_1": "3,1"}
@@ -44,6 +49,14 @@ def golden_calls() -> list[tuple[str, list[str]]]:
     calls.append(
         ("binary_network.reliability.v12.json", ["reliability", binary, "--v", "12", "--json"])
     )
+    for spec in sorted(CAP_SPECS.glob("*.json")):
+        for name, argv in (
+            (f"{spec.stem}.bounds", ["bounds", str(spec)]),
+            (f"{spec.stem}.bounds.depth3_1", ["bounds", str(spec), "--depth", "3,1"]),
+            (f"{spec.stem}.compare", ["compare", str(spec)]),
+        ):
+            calls.append((name, argv))
+            calls.append((f"{name}.json", [*argv, "--json"]))
     random_self_test = ["compare", "--seed", "3", "--count", "25"]
     calls.append(("random.compare", random_self_test))
     calls.append(("random.compare.json", [*random_self_test, "--json"]))
