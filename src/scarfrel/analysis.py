@@ -16,11 +16,13 @@ Bonferroni baseline, from a level walk over the generator subsets of size
 (per coordinate, the rank of its value as a run of one-bits, at most
 d * (r - 1) bits in all), so each of its C(r, <= k) lcms is one integer OR,
 each distinct code becomes an orthant through d table lookups, and only
-one level of ints is held at a time.  The identity is the fsum of all
-signed terms and the depth-k bound the fsum of those up to cardinality k.
-fsum is correctly rounded, so term order does not matter and each equals
-a fresh fsum over its faces bit for bit.  Compensated sums keep oracle
-cross-checks stable at 1e-12.
+one level of ints is held at a time.  The fold keeps each orthant as an
+exact integer count of 2**-1074 (every float is one), so level sums and
+running totals are exact and each depth rounds once, by int / int, which
+is correctly rounded: the depth-k bound is bit for bit a fresh fsum of
+the signed terms of cardinality <= k, and the identity is the deepest
+bound.  The oracle and the survival tables use compensated fsums, which
+keeps oracle cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from operator import le
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
@@ -38,6 +40,7 @@ from .systems import CoherentSystem, orthant_prob
 
 STATE_CAP = 10_000_000
 _IDENTITY_TOL = 1e-9
+_UNIT = 1 << 1074  # 2**-1074, the least subnormal, divides every float
 LabelCounts = Iterable[tuple[Any, int]]  # (label, how many faces or subsets carry it)
 
 
@@ -64,14 +67,6 @@ class ReliabilityReport:
     bounds: tuple[DepthBound, ...]
     baseline_term_count: int
     oracle_value: Optional[float]
-
-
-def _check_dimensions(system: CoherentSystem, ideal: MonomialIdeal) -> None:
-    if system.dimension != ideal.dimension:
-        raise DimensionMismatchError(
-            f"system has {system.dimension} components but the complex is over "
-            f"{ideal.dimension} coordinates"
-        )
 
 
 def check_depth(depth: int, max_card: int) -> None:
@@ -143,46 +138,46 @@ def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
     return counts
 
 
-def _signed_terms(
-    counts: Iterable[LabelCounts], orthant: Callable[[Any], float]
-) -> Iterator[list[float]]:
-    """Per cardinality s, [±orthant(label)] * n for each (label, n) of ``counts[s - 1]``.
-
-    Each distinct label's orthant is evaluated once.
-    """
-    values: dict = {}
-    for s, level in enumerate(counts, start=1):
-        terms: list[float] = []
-        for label, n in level:
-            p = values.get(label)
-            if p is None:
-                p = values[label] = orthant(label)
-            if n == 1:  # every face: skip building a one-element list
-                terms.append(p if s % 2 else -p)
-            else:
-                terms += [p if s % 2 else -p] * n
-        yield terms
-
-
 def _resolved_depth(
     system: CoherentSystem, ideal: MonomialIdeal, depth: Optional[int], max_card: int
 ) -> int:
     """``depth`` (default ``max_card``) once the system and depth fit the complex."""
-    _check_dimensions(system, ideal)
+    if system.dimension != ideal.dimension:
+        raise DimensionMismatchError(
+            f"system has {system.dimension} components but the complex is over "
+            f"{ideal.dimension} coordinates"
+        )
     depth = max_card if depth is None else depth
     check_depth(depth, max_card)
     return depth
 
 
+def _units(label: Any, value: Any) -> int:
+    """``float(value)``, as fsum reads it, in exact units of 2**-1074."""
+    p = float(value)
+    if not math.isfinite(p):
+        raise ValueError(f"orthant of label {label!r} is {p!r}, not a finite number")
+    num, den = p.as_integer_ratio()  # den = 2**e with e <= 1074
+    return num << 1075 - den.bit_length()
+
+
 def _fold_bounds(
-    counts: Iterable[LabelCounts], orthant: Callable[[Any], float]
+    counts: Iterable[LabelCounts], orthant: Callable[[Any], Any]
 ) -> tuple[DepthBound, ...]:
-    """The depth-k bound is the fsum of every signed term of cardinality <= k."""
-    prefix: list[float] = []
+    """Per depth k, the exact signed sum over every (label, count) of cardinality
+    <= k, rounded once; each distinct label's orthant is evaluated once."""
+    units: dict = {}
+    total = 0
     bounds = []
-    for k, terms in enumerate(_signed_terms(counts, orthant), start=1):
-        prefix += terms
-        bounds.append(DepthBound(k, math.fsum(prefix), "upper" if k % 2 else "lower"))
+    for k, level in enumerate(counts, start=1):
+        level_sum = 0
+        for label, n in level:
+            u = units.get(label)
+            if u is None:
+                u = units[label] = _units(label, orthant(label))
+            level_sum += n * u
+        total += level_sum if k % 2 else -level_sum
+        bounds.append(DepthBound(k, total / _UNIT, "upper" if k % 2 else "lower"))
     return tuple(bounds)
 
 
@@ -194,16 +189,16 @@ def inclusion_exclusion(
     Faces of odd cardinality enter with +, even with -.  ``orthant`` maps a
     face label to the probability of the orthant above it and is called
     once per distinct label; passing a continuous evaluator makes the same
-    identity work off-grid.
+    identity work off-grid.  Its values are read through ``float()``, as
+    fsum reads them, and a non-finite one raises ValueError naming its label.
     """
     counts = _face_label_counts(complex_, complex_.max_cardinality())
-    return math.fsum(chain.from_iterable(_signed_terms(counts, orthant)))
+    return _fold_bounds(counts, orthant)[-1].value
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
-    """Exact nonfailure probability via the complex's alternating sum."""
-    _check_dimensions(system, complex_.ideal)
-    return inclusion_exclusion(complex_, lambda label: orthant_prob(system, label))
+    """Exact nonfailure probability via the complex's alternating sum: the deepest bound."""
+    return depth_bounds(system, complex_)[-1].value
 
 
 def depth_bounds(
@@ -223,8 +218,9 @@ def subset_bounds(
     Bit for bit ``depth_bounds(system, taylor_complex(ideal), depth)``, from
     a walk over the C(r, <= depth) subsets it sums, with no complex built:
     one integer OR per subset on rank-packed generators, one d-lookup
-    orthant per distinct lcm, and one level of ints in memory.  Every
-    subset is still visited, so the cost doubles with each generator.
+    orthant and one exact count * value per distinct lcm of a level, and
+    one level of ints in memory.  Every subset is still visited, so the
+    cost doubles with each generator.
     """
     depth = _resolved_depth(system, ideal, depth, len(ideal.generators))
     codes, orthant = _packed_generators(system, ideal.generators)

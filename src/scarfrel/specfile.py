@@ -11,7 +11,8 @@ A spec file is a JSON object with:
   - ``minimal_nonfailure_points``: list of integer vectors (one entry per
     component, each within that component's level range), or
   - ``profit``: ``{"linear": [c1..cd], "interactions": [[i, j, coeff],
-    ...], "cutoff": number}`` with 1-based component pairs;
+    ...], "cutoff": number}`` with 1-based component pairs, finite
+    nonnegative coefficients and a finite cutoff;
 - optional ``deformation_v``: positive integer tie-break denominator.
 
 Unknown keys are rejected so typos surface as parse errors instead of
@@ -21,6 +22,7 @@ being silently ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -70,6 +72,13 @@ def _number_field(value, where: str) -> float:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     _require(ok, f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _profit_number(value, where: str, nonnegative: bool = True) -> float:
+    x = _number_field(value, where)
+    _require(math.isfinite(x), f"{where}: must be finite, got {value!r}")
+    _require(x >= 0 or not nonnegative, f"{where}: must be nonnegative, got {value!r}")
+    return x
 
 
 def parse_spec(data, source: str = "<spec>") -> SystemSpec:
@@ -154,7 +163,7 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
             f"{where}.linear: has {len(raw_linear)} coefficients, expected {d}",
         )
         linear = tuple(
-            _number_field(c, f"{where}.linear[{k}]") for k, c in enumerate(raw_linear)
+            _profit_number(c, f"{where}.linear[{k}]") for k, c in enumerate(raw_linear)
         )
         raw_interactions = raw_profit.get("interactions", [])
         _require(isinstance(raw_interactions, list), f"{where}.interactions: expected a list")
@@ -167,17 +176,12 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
             )
             i = _int_field(triple[0], f"{iw}[0]")
             j = _int_field(triple[1], f"{iw}[1]")
-            c = _number_field(triple[2], f"{iw}[2]")
+            c = _profit_number(triple[2], f"{iw}[2]")
             _require(1 <= i <= d and 1 <= j <= d, f"{iw}: pair ({i}, {j}) outside 1..{d}")
             _require(i != j, f"{iw}: pair ({i}, {j}) must name two distinct components")
             interactions.append((i - 1, j - 1, c))
-        cutoff = _number_field(raw_profit["cutoff"], f"{where}.cutoff")
-        try:
-            profit = ProfitSpec(
-                linear=linear, interactions=tuple(interactions), cutoff=cutoff
-            )
-        except ValueError as err:
-            raise SpecFileError(f"{where}: {err}") from err
+        cutoff = _profit_number(raw_profit["cutoff"], f"{where}.cutoff", nonnegative=False)
+        profit = ProfitSpec(linear=linear, interactions=tuple(interactions), cutoff=cutoff)
 
     deformation_v: Optional[int] = None
     if "deformation_v" in data:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,82 @@ class TestLabelCache:
         build_report(system, cx)
         assert sorted(calls) == sorted({f.label for f in cx.faces})
         assert len(calls) < len(cx.faces)
+
+
+def fresh_fsums(levels, values):
+    """Per depth k, math.fsum of the expanded signed terms of levels 1..k."""
+    terms, sums = [], []
+    for s, level in enumerate(levels, start=1):
+        for label, n in level:
+            terms += [values[label] if s % 2 else -values[label]] * n
+        sums.append(math.fsum(terms))
+    return sums
+
+
+@st.composite
+def fold_cases(draw):
+    """Up to five levels of (label, count) over labels with any finite value."""
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.floats(-1e300, 1e300, allow_nan=False),
+                st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 0.1]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    labels = st.integers(0, len(values) - 1)
+    levels = draw(
+        st.lists(
+            st.lists(st.tuples(labels, st.integers(1, 4)), min_size=1, max_size=5),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return levels, values
+
+
+class TestExactFold:
+    @settings(max_examples=300, deadline=None)
+    @given(fold_cases())
+    @example(([[(0, 1), (1, 3)], [(2, 2)], [(0, 1)]], [0.0, 5e-324, 1e-310]))
+    @example(([[(0, 3)], [(1, 1), (0, 2)]], [0.1, 0.7]))
+    @example(([[(0, 1)], [(0, 1)]], [0.0]))
+    def test_each_depth_equals_a_fresh_fsum(self, case):
+        levels, values = case
+        bounds = analysis._fold_bounds(levels, values.__getitem__)
+        assert [b.value for b in bounds] == fresh_fsums(levels, values)
+        assert [b.kind for b in bounds] == [
+            "upper" if k % 2 else "lower" for k in range(1, len(levels) + 1)
+        ]
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda label: Fraction(1, 3), lambda label: 3 ** (sum(label) + 33)],
+        ids=["fraction", "int"],
+    )
+    def test_evaluator_values_are_read_as_floats(self, evaluate):
+        # 1/3 and 3**36.. are not floats; fsum and the fold both round them once first
+        cx = taylor_complex(PLANAR)
+        expected = math.fsum(
+            evaluate(f.label) * (1 if f.cardinality % 2 else -1) for f in cx.faces
+        )
+        assert inclusion_exclusion(cx, evaluate) == expected
+
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 5e-324])
+    def test_huge_count_folds_without_a_list(self, p):
+        # [p] * 2**62 cannot be built; fsum would round the exact 2**62 * p
+        for n in (2**62, 2**62 + 1):
+            [bound] = analysis._fold_bounds([[("x", n)]], lambda label: p)
+            assert bound.value == float(Fraction(p) * n)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_value_names_its_label(self, bad):
+        cx = taylor_complex(PLANAR)
+        with pytest.raises(ValueError) as err:
+            inclusion_exclusion(cx, lambda label: bad if label == (3, 3) else 0.5)
+        assert str(err.value) == f"orthant of label (3, 3) is {bad!r}, not a finite number"
 
 
 class TestTubeBounds:
@@ -402,6 +479,12 @@ class TestBruteForce:
         system = CoherentSystem((Component("a", 4, (0.125, 0.375, 0.25, 0.25)),))
         ideal = MonomialIdeal(1, ((2,),))
         assert brute_force_reliability(system, ideal) == 0.5
+
+    def test_dimension_mismatch(self):
+        system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
+        with pytest.raises(DimensionMismatchError) as err:
+            brute_force_reliability(system, PLANAR)
+        assert str(err.value) == "system has 1 components but the ideal is over 2 coordinates"
 
 
 class TestBuildReport:

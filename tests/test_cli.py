@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from collections import Counter
 from contextlib import redirect_stdout
@@ -431,6 +432,40 @@ class TestSpecErrors:
             f"error: {path}: profit.interactions[0]: pair (2, 2) must name two "
             "distinct components\n"
         )
+
+    @pytest.mark.parametrize(
+        "profit, message",
+        [
+            (
+                {"linear": [1, 1], "interactions": [[1, 2, 1], [1, 2, -2]], "cutoff": 1},
+                "profit.interactions[1][2]: must be nonnegative, got -2",
+            ),
+            (
+                {"linear": [1, 1], "interactions": [[1, 2, math.inf]], "cutoff": 1},
+                "profit.interactions[0][2]: must be finite, got inf",
+            ),
+            ({"linear": [1, -1], "cutoff": 1}, "profit.linear[1]: must be nonnegative, got -1"),
+            ({"linear": [math.nan, 1], "cutoff": 1}, "profit.linear[0]: must be finite, got nan"),
+            ({"linear": [1, 1], "cutoff": math.nan}, "profit.cutoff: must be finite, got nan"),
+            ({"linear": [1, 1], "cutoff": -math.inf}, "profit.cutoff: must be finite, got -inf"),
+        ],
+    )
+    def test_bad_profit_number_is_named_by_its_path(self, capsys, tmp_path, profit, message):
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = profit
+        path = write_spec(tmp_path, data)  # json.dumps writes NaN and Infinity
+        code, out, err = run(capsys, "scarf", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+    def test_negative_cutoff_is_accepted(self, capsys, tmp_path):
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = {"linear": [1, 1], "cutoff": -1}
+        code, out, _ = run(capsys, "scarf", write_spec(tmp_path, data))
+        assert code == 0
+        assert "  1: (0, 0)\n" in out
 
 
 def reference_json(payload) -> str:

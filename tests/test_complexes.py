@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scarfrel import (
     ComplexSizeError,
+    DeformationRecord,
     LabeledComplex,
     MonomialIdeal,
     NotGenericError,
@@ -270,6 +271,11 @@ class TestDeform:
         with pytest.raises(ValueError):
             deform(MonomialIdeal(4, MULTI_NINE), 9)
 
+    def test_record_column_must_be_a_permutation(self):
+        with pytest.raises(ValueError) as err:
+            DeformationRecord(v=4, deformed=((0, 1), (0, 0), (2, 2)))
+        assert str(err.value) == "deformed coordinate 1 is not a permutation of 0..2"
+
     def test_preserves_strict_orders_when_generic(self):
         rng = random.Random(44)
         for _ in range(30):
@@ -382,6 +388,26 @@ class TestComplexValidation:
         members = [(1,), (2,), (1, 2), extra]
         with pytest.raises(ValueError, match=message):
             LabeledComplex(ideal=ideal, members=members, kind="taylor")
+
+    @pytest.mark.parametrize("kind", ["scarf", "scarf_deformed"])
+    def test_scarf_face_above_the_dimension_rejected(self, kind):
+        members = [ms for s in (1, 2, 3) for ms in itertools.combinations((1, 2, 3), s)]
+        with pytest.raises(ValueError) as err:
+            LabeledComplex(ideal=PLANAR, members=members, kind=kind)
+        assert str(err.value) == (
+            "Scarf face (1, 2, 3) has cardinality above the ambient dimension 2"
+        )
+
+    def test_repeated_scarf_labels_rejected(self):
+        # (1, 1, 0) divides lcm((1, 0, 2), (0, 1, 2)), so {1, 2} and {1, 3} share it
+        ideal = MonomialIdeal(3, ((1, 0, 2), (0, 1, 2), (1, 1, 0)))
+        members = [(1,), (2,), (3,), (1, 2), (1, 3)]
+        with pytest.raises(ValueError) as err:
+            LabeledComplex(ideal=ideal, members=members, kind="scarf")
+        assert str(err.value) == (
+            "Scarf labels must be distinct: (1, 2) and (1, 3) share (1, 1, 2)"
+        )
+        LabeledComplex(ideal=ideal, members=members, kind="scarf_deformed")
 
     def test_unknown_kind_rejected(self):
         ideal = MonomialIdeal(1, ((1,),))

@@ -7,10 +7,12 @@ own ``deformation_v`` (the command-line value wins).  Two test-local
 layer specs at the Bonferroni cap (``tests/specs``: r = 20 and r = 21,
 d = 3) run ``bounds``, ``bounds --depth 3,1`` and ``compare``; above the
 cap the baseline cells read ``n/a`` and ``compare`` prints no
-``identity (taylor)`` line.  Each call's standard output is stored in
-``tests/golden/<name>.out`` and its exit code in
-``tests/golden/exit_codes.json``.  Regenerate them only for a declared
-output change:
+``identity (taylor)`` line.  A third test-local spec whose grid is above
+``STATE_CAP`` (d = 8, 8 levels, 3 points) runs ``reliability``,
+``bounds`` and ``compare``, which pins the oracle-skip line.  Each call's
+standard output is stored in ``tests/golden/<name>.out`` and its exit
+code in ``tests/golden/exit_codes.json``.  Regenerate them only for a
+declared output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -49,7 +51,7 @@ def golden_calls() -> list[tuple[str, list[str]]]:
     calls.append(
         ("binary_network.reliability.v12.json", ["reliability", binary, "--v", "12", "--json"])
     )
-    for spec in sorted(CAP_SPECS.glob("*.json")):
+    for spec in sorted(CAP_SPECS.glob("layer_*.json")):
         for name, argv in (
             (f"{spec.stem}.bounds", ["bounds", str(spec)]),
             (f"{spec.stem}.bounds.depth3_1", ["bounds", str(spec), "--depth", "3,1"]),
@@ -57,6 +59,10 @@ def golden_calls() -> list[tuple[str, list[str]]]:
         ):
             calls.append((name, argv))
             calls.append((f"{name}.json", [*argv, "--json"]))
+    above_cap = str(CAP_SPECS / "grid_above_cap.json")
+    for command in ("reliability", "bounds", "compare"):
+        calls.append((f"grid_above_cap.{command}", [command, above_cap]))
+        calls.append((f"grid_above_cap.{command}.json", [command, above_cap, "--json"]))
     random_self_test = ["compare", "--seed", "3", "--count", "25"]
     calls.append(("random.compare", random_self_test))
     calls.append(("random.compare.json", [*random_self_test, "--json"]))

@@ -236,6 +236,17 @@ class TestMonomialIdealValidation:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1, -1),))
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_rejected(self, dimension):
+        with pytest.raises(ValueError) as err:
+            MonomialIdeal(dimension, ((),))
+        assert str(err.value) == f"dimension must be >= 1, got {dimension}"
+
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError) as err:
+            MonomialIdeal(2, ())
+        assert str(err.value) == "a monomial ideal needs at least one generator"
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatchError):
             MonomialIdeal(3, ((1, 0),))

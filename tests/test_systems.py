@@ -221,6 +221,11 @@ class TestProfitSpec:
         spec = ProfitSpec((1.0, 2.0), (), 5.0)
         assert spec.value((3, 1)) == 5.0
 
+    def test_empty_linear_rejected(self):
+        with pytest.raises(ValueError) as err:
+            ProfitSpec((), (), 5.0)
+        assert str(err.value) == "profit needs at least one linear coefficient"
+
     def test_negative_linear_rejected(self):
         with pytest.raises(ValueError):
             ProfitSpec((1.0, -2.0), (), 5.0)
@@ -401,6 +406,24 @@ PROTO_POINTS = (
 
 def uniform_survival(corner):
     return math.prod(max(0.0, 1.0 - min(1.0, z)) for z in corner)
+
+
+class TestContinuousSpec:
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError) as err:
+            ContinuousSpec((), uniform_survival)
+        assert str(err.value) == "at least one critical point is required"
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            ContinuousSpec(((0.1, 0.2), (0.3,)), uniform_survival)
+        assert str(err.value) == "critical point (0.3,) has length 1, expected 2"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError) as err:
+            ContinuousSpec(((0.1, 0.2), (0.3, bad)), uniform_survival)
+        assert str(err.value) == f"critical point coordinates must be finite: (0.3, {bad!r})"
 
 
 class TestQuantize:
