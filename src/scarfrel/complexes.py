@@ -23,9 +23,8 @@ generators of its own ideal, so a label can never disagree with its face.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import reduce
 from itertools import combinations
-from operator import and_, getitem, lt, or_
+from operator import lt
 from typing import NamedTuple, Optional, Sequence
 
 from .monomial import (
@@ -203,48 +202,88 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     deletion to preserve the label and breaking (a).  Singletons are always
     faces.
 
-    Both tests are a few big-int operations on bit masks (bit i - 1 stands
-    for generator i).  For (b), the AND over k of ``ideal.le[k][label[k]]``
-    is the set of generators dividing the label; it must equal I.  For (a),
-    genericity makes a nonzero label entry the exponent of exactly one
-    generator, its owner ``own[k][label[k]]``; a member is essential iff it
-    owns some coordinate (a zero entry is owned by nobody once I has two
-    members), so the owners must cover I.
+    A face is held as its member mask (bit i - 1 for generator i) and two
+    ints of n = 2**ceil(log2 d) fields of r + 1 bits, field k at bit
+    k * (r + 1).  In ``down``, field k is ``ideal.le[k][label[k]]``, the
+    generators at or below the label in coordinate k, and padding fields
+    are all ones.  These sets are nested in k's exponent order, so the
+    union of two faces has ``down`` the OR of theirs, and field k of one
+    face strictly contains the other's exactly when its label entry is
+    larger.  In ``owner``, field k is the generator holding the label entry,
+    which genericity makes unique when the entry is nonzero; a zero entry is
+    owned by nobody.
+
+    (b) The AND of the ``down`` fields is the set of generators dividing
+    the label; it must equal I.  (a) A member is essential iff it owns some
+    coordinate, so the OR of the ``owner`` fields must equal I.  The union
+    takes face a's owner on the fields of ``down_a & ~down_b`` that are
+    nonzero, found for all fields at once by carrying each into its spare
+    top bit, and face b's owner elsewhere (equal entries have equal owners).
 
     Uniqueness passes down to subsets, so a face of size s + 1 is the union
     of two faces of size s that share their first s - 1 members, and every
     union that passes (a) and (b) has all its other subsets in the complex
-    already.  Faces of each size come out in lexicographic order, which
-    puts faces with a common prefix next to each other; only the current
-    size keeps its masks and labels.
+    already.  A face's children are its accepted unions with its later
+    siblings; the walk goes depth first with an explicit stack, so only the
+    sibling groups along one path are held.  It meets each size's faces in
+    lexicographic order, so they come out in :class:`LabeledComplex`'s
+    canonical order and its sort has nothing to reorder.
     """
     gens, le = ideal.generators, ideal.le
-    r = len(gens)
-    own = [{g[k]: 1 << i if g[k] else 0 for i, g in enumerate(gens)} for k in range(ideal.dimension)]
-    accepted: list[tuple[int, ...]] = [(i,) for i in range(1, r + 1)]
-    faces, masks, labels = list(accepted), [1 << i for i in range(r)], list(gens)
-    while faces:
+    r, d = len(gens), ideal.dimension
+    width = r + 1
+    n = 1 << (d - 1).bit_length()
+    full = (1 << r) - 1
+    lows = sum(1 << (k * width) for k in range(n))
+    highs = lows << r
+    down = [full * (lows >> (d * width) << (d * width))] * r  # padding fields d..n-1 all ones
+    owner = [0] * r
+    for k in range(d):
+        shift = k * width
+        for i, g in enumerate(gens):
+            down[i] |= le[k][g[k]] << shift
+            if g[k]:
+                owner[i] |= 1 << (i + shift)
+    shifts = [width * (n >> s) for s in range(1, n.bit_length())]
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(d)]  # (a) bounds sizes by d
+    # Each group is held in descending order, so pop() takes its first face
+    # and the faces left in the list are that face's later siblings.
+    stack = [
+        ([(i,) for i in range(r, 0, -1)], [1 << i for i in reversed(range(r))], down[::-1], owner[::-1])
+    ]
+    while stack:
+        faces, masks, downs, owners = stack[-1]
+        if not faces:
+            stack.pop()
+            continue
+        face, mask, down_a, owner_a = faces.pop(), masks.pop(), downs.pop(), owners.pop()
+        by_size[len(face) - 1].append(face)
         grown: list[tuple[int, ...]] = []
         grown_masks: list[int] = []
-        grown_labels: list[Exponent] = []
-        for a, face in enumerate(faces):
-            prefix, mask, label = face[:-1], masks[a], labels[a]
-            for b in range(a + 1, len(faces)):
-                other = faces[b]
-                if other[:-1] != prefix:
-                    break
-                union = mask | masks[b]
-                joined = tuple(map(max, label, labels[b]))
-                if reduce(and_, map(getitem, le, joined)) != union:
-                    continue
-                if reduce(or_, map(getitem, own, joined)) != union:
-                    continue
-                grown.append(face + other[-1:])
-                grown_masks.append(union)
-                grown_labels.append(joined)
-        accepted.extend(grown)
-        faces, masks, labels = grown, grown_masks, grown_labels
-    return accepted
+        grown_downs: list[int] = []
+        grown_owners: list[int] = []
+        for other, mask_b, down_b, owner_b in zip(faces, masks, downs, owners):
+            union = mask | mask_b
+            joined = down_a | down_b
+            fold = joined
+            for s in shifts:
+                fold &= fold >> s  # each AND keeps the shorter width: field 0 is left
+            if fold != union:
+                continue
+            larger = ((down_a & ~down_b | highs) - lows) & highs
+            owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
+            fold = owned
+            for s in shifts:
+                fold |= fold >> s
+            if fold & full != union:
+                continue
+            grown.append(face + other[-1:])
+            grown_masks.append(union)
+            grown_downs.append(joined)
+            grown_owners.append(owned)
+        if grown:
+            stack.append((grown, grown_masks, grown_downs, grown_owners))
+    return [face for level in by_size for face in level]
 
 
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:

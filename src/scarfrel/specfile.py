@@ -71,7 +71,11 @@ def _int_field(value, where: str) -> int:
 def _number_field(value, where: str) -> float:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     _require(ok, f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        digits = len(str(abs(value)))
+        raise SpecFileError(f"{where}: must be finite, got an integer of {digits} digits") from None
 
 
 def _profit_number(value, where: str, nonnegative: bool = True) -> float:

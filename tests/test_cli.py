@@ -448,6 +448,22 @@ class TestSpecErrors:
             ({"linear": [math.nan, 1], "cutoff": 1}, "profit.linear[0]: must be finite, got nan"),
             ({"linear": [1, 1], "cutoff": math.nan}, "profit.cutoff: must be finite, got nan"),
             ({"linear": [1, 1], "cutoff": -math.inf}, "profit.cutoff: must be finite, got -inf"),
+            (
+                {"linear": [1, 1], "cutoff": 10**400},
+                "profit.cutoff: must be finite, got an integer of 401 digits",
+            ),
+            (
+                {"linear": [1, 1], "cutoff": -(10**400)},
+                "profit.cutoff: must be finite, got an integer of 401 digits",
+            ),
+            (
+                {"linear": [1, 10**400], "cutoff": 1},
+                "profit.linear[1]: must be finite, got an integer of 401 digits",
+            ),
+            (
+                {"linear": [1, 1], "interactions": [[1, 2, 10**400]], "cutoff": 1},
+                "profit.interactions[0][2]: must be finite, got an integer of 401 digits",
+            ),
         ],
     )
     def test_bad_profit_number_is_named_by_its_path(self, capsys, tmp_path, profit, message):
@@ -458,6 +474,16 @@ class TestSpecErrors:
         code, out, err = run(capsys, "scarf", path)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: {message}\n"
+
+    def test_probability_beyond_float_range_is_named_by_its_path(self, capsys, tmp_path):
+        data = base_points_spec()
+        data["components"][1]["probs"] = [0.25, 10**400, 0.5]
+        path = write_spec(tmp_path, data)
+        code, out, err = run(capsys, "scarf", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: components[1].probs[1]: must be finite, got an integer of 401 digits\n"
+        )
 
     def test_negative_cutoff_is_accepted(self, capsys, tmp_path):
         data = base_points_spec()

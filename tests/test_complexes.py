@@ -134,9 +134,9 @@ class TestScarf:
 
 
 @st.composite
-def ideals_with_zeros(draw, max_d=6, max_points=12, max_coord=4):
+def ideals_with_zeros(draw, min_d=1, max_d=6, max_points=12, max_coord=4):
     """Small ideals rich in repeated zeros, some with all-zero coordinates."""
-    d = draw(st.integers(1, max_d))
+    d = draw(st.integers(min_d, max_d))
     silent = draw(st.sets(st.integers(0, d - 1)))
     rows = draw(
         st.lists(
@@ -151,9 +151,9 @@ def ideals_with_zeros(draw, max_d=6, max_points=12, max_coord=4):
 
 
 @st.composite
-def generic_ideals_with_zeros(draw, max_d=6, max_points=12):
+def generic_ideals_with_zeros(draw, min_d=1, max_d=6, max_points=12):
     """Generic ideals: nonzero exponents distinct per coordinate, zeros free."""
-    d = draw(st.integers(1, max_d))
+    d = draw(st.integers(min_d, max_d))
     r = draw(st.integers(1, max_points))
     columns = []
     for _ in range(d):
@@ -185,6 +185,33 @@ def _shuffled_layer(d, total, cap, seed):
     return minimalize(points)
 
 
+def _generic_keeping_zeros(ideal):
+    """Rank the nonzero exponents of each coordinate from 1 under (value, index); zeros stay.
+
+    Strict orders survive and ties break, so the result is a generic ideal
+    whose zero entries repeat as often as the input's.
+    """
+    rows = [list(g) for g in ideal.generators]
+    for k in range(ideal.dimension):
+        held = sorted((g[k], i) for i, g in enumerate(ideal.generators) if g[k])
+        for rank, (_, i) in enumerate(held, 1):
+            rows[i][k] = rank
+    return MonomialIdeal(ideal.dimension, [tuple(row) for row in rows])
+
+
+def _assert_local_conditions_complete(gens, faces):
+    """Every face meets both local conditions, and so does no one-element extension outside."""
+    for members in faces:
+        assert len(members) == 1 or _local_scarf_conditions(gens, members), members
+    # Every Scarf set extends a smaller one, so this finds any that is missing.
+    for members in faces:
+        for j in range(1, len(gens) + 1):
+            if j not in members:
+                grown = tuple(sorted(members + (j,)))
+                if _local_scarf_conditions(gens, grown):
+                    assert grown in faces, grown
+
+
 class TestBuilder:
     """The incremental builder against independent checks, also above the oracle cap."""
 
@@ -209,17 +236,32 @@ class TestBuilder:
     def test_ladder_layer_local_conditions(self, d, total, cap, r):
         ideal = _shuffled_layer(d, total, cap, seed=d)
         assert len(ideal.generators) == r
-        gens = deform(ideal).deformed
-        faces = member_sets(deform_and_scarf(ideal))
-        for members in faces:
-            assert len(members) == 1 or _local_scarf_conditions(gens, members), members
-        # Every Scarf set extends a smaller one, so this finds any that is missing.
-        for members in faces:
-            for j in range(1, r + 1):
-                if j not in members:
-                    grown = tuple(sorted(members + (j,)))
-                    if _local_scarf_conditions(gens, grown):
-                        assert grown in faces, grown
+        _assert_local_conditions_complete(
+            deform(ideal).deformed, member_sets(deform_and_scarf(ideal))
+        )
+
+    @pytest.mark.parametrize(
+        "d, total, r", [(3, 10, 66), (4, 5, 56)], ids=["d3-r66", "d4-r56"]
+    )
+    def test_generic_layer_with_zeros_local_conditions(self, d, total, r):
+        # Undeformed, so many generators share a zero entry, which no face member owns.
+        ideal = _generic_keeping_zeros(_shuffled_layer(d, total, total, seed=d))
+        assert len(ideal.generators) == r and is_generic(ideal)
+        assert all(column.count(0) > 1 for column in zip(*ideal.generators))
+        _assert_local_conditions_complete(ideal.generators, member_sets(scarf_complex(ideal)))
+
+    # 1, 2, 4, 8, 8 and 16 packed fields: unpadded, padded and above eight.
+    @pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 9])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_field_count_edges_match_oracle(self, d, data):
+        ideal = data.draw(ideals_with_zeros(min_d=d, max_d=d))
+        deformed = MonomialIdeal(d, deform(ideal).deformed)
+        oracle = scarf_brute_oracle(deformed)
+        assert scarf_complex(deformed).faces == oracle.faces
+        assert member_sets(deform_and_scarf(ideal)) == member_sets(oracle)
+        generic = data.draw(generic_ideals_with_zeros(min_d=d, max_d=d))
+        assert scarf_complex(generic).faces == scarf_brute_oracle(generic).faces
 
 
 class TestFacets:
