@@ -10,17 +10,19 @@ depth from below.
 
 One fold over per-cardinality label counts yields every value, evaluating
 each distinct label's orthant once (deformed and subset complexes repeat
-labels).  The counts come from a complex's faces or, for the classical
-Bonferroni baseline, from a level walk over the generator subsets of size
-<= k that builds no complex.  The walk packs each generator into one int
-(per coordinate, the rank of its value as a run of one-bits, at most
-d * (r - 1) bits in all), so each of its C(r, <= k) lcms is one integer OR,
-each distinct code becomes an orthant through d table lookups, and only
-one level of ints is held at a time.  The fold keeps each orthant as an
-exact integer count of 2**-1074 (every float is one), so level sums and
-running totals are exact and each depth rounds once, by int / int, which
-is correctly rounded: the depth-k bound is bit for bit a fresh fsum of
-the signed terms of cardinality <= k, and the identity is the deepest
+labels).  Both routes pack each generator into one int (per coordinate,
+the rank of its value as a run of one-bits, at most d * (r - 1) bits in
+all), so an lcm is one integer OR and each distinct code becomes an
+orthant through d table lookups.  A complex's faces take the code of their
+prefix face ORed with their last member's and never derive their exponent
+labels; the classical Bonferroni baseline is a level walk over the
+generator subsets of size <= k that builds no complex and holds only one
+level of ints at a time.  Only ``inclusion_exclusion``, which takes a
+caller's label evaluator, reads the labels.  The fold keeps each orthant
+as an exact integer count of 2**-1074 (every float is one), so level sums
+and running totals are exact and each depth rounds once, by int / int,
+which is correctly rounded: the depth-k bound is bit for bit a fresh fsum
+of the signed terms of cardinality <= k, and the identity is the deepest
 bound.  The oracle and the survival tables use compensated fsums, which
 keeps oracle cross-checks stable at 1e-12.
 """
@@ -36,7 +38,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
-from .systems import CoherentSystem, orthant_prob
+from .systems import CoherentSystem
 
 STATE_CAP = 10_000_000
 _IDENTITY_TOL = 1e-9
@@ -116,6 +118,22 @@ def _packed_generators(
         return p
 
     return codes, orthant
+
+
+def _face_code_counts(complex_: LabeledComplex, codes: Sequence[int], depth: int) -> list[Counter]:
+    """Per cardinality 1..depth, how many faces have each lcm code.
+
+    A face's code is its prefix face's code OR its last member's code;
+    closure and canonical order put the prefix face first.
+    """
+    levels: list[list[int]] = [[] for _ in range(depth)]
+    code_of = {(): 0}
+    for ms in complex_.member_tuples:
+        if len(ms) > depth:
+            break  # canonical order sorts by cardinality
+        code_of[ms] = code = code_of[ms[:-1]] | codes[ms[-1] - 1]
+        levels[len(ms) - 1].append(code)
+    return [Counter(level) for level in levels]
 
 
 def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
@@ -204,10 +222,12 @@ def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> fl
 def depth_bounds(
     system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
-    """Truncation bounds at depths 1..depth (default: every depth) from one walk."""
+    """Truncation bounds at depths 1..depth (default: every depth) from one walk
+    over the packed lcm codes of the faces; no face label is derived."""
     depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
-    counts = _face_label_counts(complex_, depth)
-    return _fold_bounds(counts, lambda label: orthant_prob(system, label))
+    codes, orthant = _packed_generators(system, complex_.ideal.generators)
+    counts = _face_code_counts(complex_, codes, depth)
+    return _fold_bounds([level.items() for level in counts], orthant)
 
 
 def subset_bounds(

@@ -16,13 +16,16 @@ depend on the tie-break magnitude, only on the ordering, so any deformation
 parameter v > r yields the same complex.
 
 Builders hand :class:`LabeledComplex` member tuples only.  The complex
-checks them and derives every face label as the lcm of the member
-generators of its own ideal, so a label can never disagree with its face.
+checks them at construction and derives every face label, on first access
+to its ``faces``, as the lcm of the member generators of its own ideal, so
+a label can never disagree with its face and evaluators that need no
+exponent tuple never build one.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import lt
 from typing import NamedTuple, Optional, Sequence
@@ -92,28 +95,31 @@ class LabeledComplex:
     Built from ``members``, a sequence of 1-based member tuples.  Each must
     be nonempty, strictly ascending and at most the generator count r; no
     tuple may repeat, every singleton must be present and the set must be
-    closed under subsets.  ``faces`` is derived: one :class:`Face` per
-    member tuple, labeled with the lcm of its generators, in canonical
-    order (ascending cardinality, then lexicographic on the members).
-    Scarf kinds also need every cardinality at most the dimension, and
-    kind="scarf" needs pairwise distinct labels.
+    closed under subsets.  Scarf kinds also need every cardinality at most
+    the dimension, and kind="scarf" needs pairwise distinct labels.  All of
+    this is checked at construction.
+
+    ``member_tuples`` holds the tuples in canonical order (ascending
+    cardinality, then lexicographic), and equality and hashing compare it.
+    ``faces`` is one :class:`Face` per member tuple in that order, labeled
+    with the lcm of its generators; it is derived on first access and kept,
+    so evaluators that need no exponent tuple never build one.
     """
 
     ideal: MonomialIdeal
     members: InitVar[Sequence[tuple[int, ...]]]
     kind: str
-    faces: tuple[Face, ...] = field(init=False)
+    member_tuples: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self, members: Sequence[tuple[int, ...]]) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown complex kind {self.kind!r}")
-        gens = self.ideal.generators
-        r = len(gens)
+        r = len(self.ideal.generators)
         d = self.ideal.dimension
         max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
-        seen: dict[tuple[int, ...], Exponent] = {}  # members -> label
-        faces: list[Face] = []
-        for ms in sorted(members, key=_canonical_key):
+        ordered = sorted(members, key=_canonical_key)
+        seen: set[tuple[int, ...]] = set()
+        for ms in ordered:
             if not ms:
                 raise ValueError("faces must be nonempty; the empty face is implicit")
             if not all(map(lt, ms, ms[1:])):
@@ -128,31 +134,40 @@ class LabeledComplex:
                 raise ValueError(
                     f"Scarf face {ms} has cardinality above the ambient dimension {d}"
                 )
-            if len(ms) == 1:
-                label = gens[ms[0] - 1]
-            else:
-                if not all(map(seen.__contains__, combinations(ms, len(ms) - 1))):
-                    sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
-                    raise ValueError(
-                        f"complex is not closed under subsets: {ms} present but {sub} missing"
-                    )
-                # closure put the prefix face first: one two-vector max away
-                label = tuple(map(max, seen[ms[:-1]], gens[ms[-1] - 1]))
-            seen[ms] = label
-            faces.append(Face(ms, label))
+            if len(ms) > 1 and not seen.issuperset(combinations(ms, len(ms) - 1)):
+                sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
+                raise ValueError(
+                    f"complex is not closed under subsets: {ms} present but {sub} missing"
+                )
+            seen.add(ms)
         for i in range(1, r + 1):
             if (i,) not in seen:
                 raise ValueError(f"singleton {{{i}}} is missing")
-        object.__setattr__(self, "faces", tuple(faces))
+        object.__setattr__(self, "member_tuples", tuple(ordered))
         if self.kind == "scarf":
             labels: dict[Exponent, tuple[int, ...]] = {}
-            for face in faces:
+            for face in self.faces:
                 if face.label in labels:
                     raise ValueError(
                         f"Scarf labels must be distinct: {labels[face.label]} "
                         f"and {face.members} share {face.label}"
                     )
                 labels[face.label] = face.members
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
+
+        Closure puts each face's prefix face ``ms[:-1]`` first, so its label
+        is one two-vector max away.
+        """
+        gens = self.ideal.generators
+        labels: dict[tuple[int, ...], Exponent] = {(): (0,) * self.ideal.dimension}
+        faces = []
+        for ms in self.member_tuples:
+            labels[ms] = label = tuple(map(max, labels[ms[:-1]], gens[ms[-1] - 1]))
+            faces.append(Face(ms, label))
+        return tuple(faces)
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, in canonical order.
@@ -169,7 +184,7 @@ class LabeledComplex:
         return tuple(face for face in self.faces if maximal[face.members])
 
     def max_cardinality(self) -> int:
-        return self.faces[-1].cardinality  # canonical order sorts by cardinality
+        return len(self.member_tuples[-1])  # canonical order sorts by cardinality
 
 
 def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_CAP) -> LabeledComplex:

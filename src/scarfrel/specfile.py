@@ -55,6 +55,8 @@ def load_spec(path: str | Path) -> SystemSpec:
         raise SpecFileError(
             f"{p}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:  # an integer literal beyond Python's digit limit
+        raise SpecFileError(f"{p}: invalid JSON: {err}") from err
     return parse_spec(data, source=str(p))
 
 

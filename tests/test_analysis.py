@@ -23,6 +23,7 @@ from scarfrel import (
     depth_bounds,
     inclusion_exclusion,
     is_generic,
+    lcm,
     minimalize,
     orthant_prob,
     reliability_identity,
@@ -179,14 +180,21 @@ class TestLabelCache:
             tuple(Component(f"c{i + 1}", 2, (0.25, 0.75)) for i in range(8))
         )
         calls = []
+        packed = analysis._packed_generators
 
-        def counting(sys_, label):
-            calls.append(label)
-            return orthant_prob(sys_, label)
+        def counting(sys_, gens):
+            codes, orthant = packed(sys_, gens)
 
-        monkeypatch.setattr(analysis, "orthant_prob", counting)
+            def spy(code):
+                calls.append(code)
+                return orthant(code)
+
+            return codes, spy
+
+        monkeypatch.setattr(analysis, "_packed_generators", counting)
         build_report(system, cx)
-        assert sorted(calls) == sorted({f.label for f in cx.faces})
+        gens = cx.ideal.generators
+        assert sorted(calls) == sorted({packed_label(gens, f.label) for f in cx.faces})
         assert len(calls) < len(cx.faces)
 
 
@@ -357,6 +365,34 @@ def packed_label(gens, label) -> int:
         code |= ((1 << held.index(value)) - 1) << shift
         shift += len(held) - 1
     return code
+
+
+class TestFaceCodeRoute:
+    """``depth_bounds`` folds packed lcm codes; the labels are derived apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_walk_cases())
+    @example((multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)))
+    @example((planar_system(), PLANAR))
+    def test_every_depth_equals_fresh_fsums_of_label_orthants(self, case):
+        system, ideal = case
+        builds = [taylor_complex, deform_and_scarf]
+        if is_generic(ideal):
+            builds.append(scarf_complex)
+        gens = ideal.generators
+        for build in builds:
+            cx = build(ideal)
+            assert [f.members for f in cx.faces] == list(cx.member_tuples)
+            for f in cx.faces:
+                assert f.label == lcm(gens[i - 1] for i in f.members)
+            top = cx.max_cardinality()
+            levels = [
+                [(f.label, 1) for f in cx.faces if f.cardinality == s] for s in range(1, top + 1)
+            ]
+            values = {f.label: orthant_prob(system, f.label) for f in cx.faces}
+            expected = [x.hex() for x in fresh_fsums(levels, values)]
+            for k in range(1, top + 1):
+                assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
 
 
 class TestSubsetBounds:

@@ -316,6 +316,27 @@ class TestOnePipelinePerCall:
         assert calls["is_generic"] == (0 if command == "oracle" else 1)
 
 
+class TestLabelFreeCommands:
+    """``bounds`` and ``compare`` print no face label, so they derive none."""
+
+    DEEP = str(Path(__file__).resolve().parent / "specs" / "deep_d8_r12.json")
+
+    @pytest.mark.parametrize("spec", [POINTS, PROFIT, DEEP], ids=["points", "profit", "deep"])
+    @pytest.mark.parametrize(
+        "argv", [("bounds",), ("bounds", "--depth", "3,1"), ("compare",)],
+        ids=["bounds", "depth3_1", "compare"],
+    )
+    @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+    def test_no_labels_derived(self, capsys, monkeypatch, spec, argv, extra):
+        def no_labels(self):
+            raise AssertionError("labels derived")
+
+        monkeypatch.setattr(LabeledComplex, "faces", property(no_labels))
+        code, out, err = run(capsys, argv[0], spec, *argv[1:], *extra)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestSpecErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "scarf", "/nonexistent/spec.json")
@@ -484,6 +505,17 @@ class TestSpecErrors:
         assert err == (
             f"error: {path}: components[1].probs[1]: must be finite, got an integer of 401 digits\n"
         )
+
+    def test_integer_beyond_the_digit_limit_is_named_by_its_file(self, capsys, tmp_path):
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = {"linear": [1, 1], "cutoff": "CUTOFF"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data).replace('"CUTOFF"', "1" + "0" * 4400))
+        code, out, err = run(capsys, "scarf", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert "4401 digits" in err
 
     def test_negative_cutoff_is_accepted(self, capsys, tmp_path):
         data = base_points_spec()

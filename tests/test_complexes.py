@@ -451,6 +451,40 @@ class TestComplexValidation:
         )
         LabeledComplex(ideal=ideal, members=members, kind="scarf_deformed")
 
+    @pytest.mark.parametrize(
+        "kind, members, message",
+        [
+            ("taylor", [(1,), (2,), (3,), (1, 2), ()], "nonempty"),
+            ("taylor", [(1,), (2,), (3,), (2, 1)], "strictly ascending"),
+            ("taylor", [(1,), (2,), (3,), (0,)], "1-based"),
+            ("taylor", [(1,), (2,), (3,), (4,)], "exceeds generator count 3"),
+            ("taylor", [(1,), (2,), (3,), (1, 2), (1, 2)], "duplicate face"),
+            ("scarf_deformed", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)],
+             "above the ambient dimension 2"),
+            ("taylor", [(1,), (2,), (3,), (1, 2, 3)], "not closed under subsets"),
+            ("taylor", [(1,), (2,)], "singleton"),
+            ("scarf", [(1,), (3,)], "singleton"),
+        ],
+        ids=["empty", "descending", "zero", "above-r", "duplicate", "size-cap", "unclosed",
+             "taylor-singleton", "scarf-singleton"],
+    )
+    def test_member_checks_run_without_labels(self, monkeypatch, kind, members, message):
+        def no_labels(self):
+            raise AssertionError("labels derived")
+
+        monkeypatch.setattr(LabeledComplex, "faces", property(no_labels))
+        with pytest.raises(ValueError, match=message):
+            LabeledComplex(ideal=PLANAR, members=members, kind=kind)
+
+    def test_equality_and_hash_follow_the_canonical_members(self):
+        members = [ms for s in (1, 2, 3) for ms in itertools.combinations((1, 2, 3), s)]
+        a = LabeledComplex(ideal=PLANAR, members=members, kind="taylor")
+        b = LabeledComplex(ideal=PLANAR, members=members[::-1], kind="taylor")
+        assert a.member_tuples == tuple(members)
+        assert a == b and hash(a) == hash(b)
+        assert a != LabeledComplex(ideal=PLANAR, members=members[:-1], kind="taylor")
+        assert a.faces == b.faces
+
     def test_unknown_kind_rejected(self):
         ideal = MonomialIdeal(1, ((1,),))
         with pytest.raises(ValueError, match="kind"):

@@ -9,9 +9,14 @@ d = 3) run ``bounds``, ``bounds --depth 3,1`` and ``compare``; above the
 cap the baseline cells read ``n/a`` and ``compare`` prints no
 ``identity (taylor)`` line.  A third test-local spec whose grid is above
 ``STATE_CAP`` (d = 8, 8 levels, 3 points) runs ``reliability``,
-``bounds`` and ``compare``, which pins the oracle-skip line.  Each call's
-standard output is stored in ``tests/golden/<name>.out`` and its exit
-code in ``tests/golden/exit_codes.json``.  Regenerate them only for a
+``bounds`` and ``compare``, which pins the oracle-skip line.  A fourth,
+shaped like the deep-bounds benchmark workload (``deep_d8_r12.json``:
+d = 8, r = 12, 14 levels, non-generic, so its Scarf route deforms; its
+points are the compositions of 13 cut at the sorted (3i + 5j + i j^2)
+mod 14, j = 0..6, for the first twelve i = 0, 1, ... giving distinct
+points), runs the same calls as the layer specs.  Each call's standard
+output is stored in ``tests/golden/<name>.out`` and its exit code in
+``tests/golden/exit_codes.json``.  Regenerate them only for a
 declared output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -51,7 +56,7 @@ def golden_calls() -> list[tuple[str, list[str]]]:
     calls.append(
         ("binary_network.reliability.v12.json", ["reliability", binary, "--v", "12", "--json"])
     )
-    for spec in sorted(CAP_SPECS.glob("layer_*.json")):
+    for spec in [*sorted(CAP_SPECS.glob("layer_*.json")), CAP_SPECS / "deep_d8_r12.json"]:
         for name, argv in (
             (f"{spec.stem}.bounds", ["bounds", str(spec)]),
             (f"{spec.stem}.bounds.depth3_1", ["bounds", str(spec), "--depth", "3,1"]),
