@@ -56,7 +56,6 @@ from .systems import (
     minimal_points_from_profit,
     orthant_prob,
     quantize,
-    survival,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "scarf_brute_oracle",
     "scarf_complex",
     "subset_bounds",
-    "survival",
     "taylor_complex",
     "tube_bounds",
 ]

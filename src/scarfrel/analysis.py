@@ -52,11 +52,11 @@ class DepthBound:
 
     depth: int
     value: float
-    kind: str  # "upper" when depth is odd, "lower" when even
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("upper", "lower"):
-            raise ValueError(f"bound kind must be 'upper' or 'lower', got {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        """The side, fixed by the depth's parity: odd depths bound from above."""
+        return "upper" if self.depth % 2 else "lower"
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,10 @@ def check_depth(depth: int, max_card: int) -> None:
         )
 
 
-def _face_label_counts(complex_: LabeledComplex, depth: int) -> list[LabelCounts]:
-    """Per cardinality 1..depth, one (label, 1) pair per face."""
-    levels: list[list[tuple[Exponent, int]]] = [[] for _ in range(depth)]
+def _face_label_counts(complex_: LabeledComplex) -> list[LabelCounts]:
+    """Per cardinality, one (label, 1) pair per face."""
+    levels: list[list[tuple[Exponent, int]]] = [[] for _ in range(complex_.max_cardinality())]
     for members, label in complex_.faces:
-        if len(members) > depth:
-            break  # canonical order sorts by cardinality
         levels[len(members) - 1].append((label, 1))
     return levels
 
@@ -195,7 +193,7 @@ def _fold_bounds(
                 u = units[label] = _units(label, orthant(label))
             level_sum += n * u
         total += level_sum if k % 2 else -level_sum
-        bounds.append(DepthBound(k, total / _UNIT, "upper" if k % 2 else "lower"))
+        bounds.append(DepthBound(k, total / _UNIT))
     return tuple(bounds)
 
 
@@ -210,8 +208,7 @@ def inclusion_exclusion(
     identity work off-grid.  Its values are read through ``float()``, as
     fsum reads them, and a non-finite one raises ValueError naming its label.
     """
-    counts = _face_label_counts(complex_, complex_.max_cardinality())
-    return _fold_bounds(counts, orthant)[-1].value
+    return _fold_bounds(_face_label_counts(complex_), orthant)[-1].value
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
@@ -268,9 +265,7 @@ def bonferroni_bounds(
     return depth_bounds(system, taylor, depth)[-1]
 
 
-def brute_force_reliability(
-    system: CoherentSystem, ideal: MonomialIdeal, max_states: int = STATE_CAP
-) -> float:
+def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> float:
     """Nonfailure probability by enumerating the states of the ideal.
 
     The ideal's states above a prefix (a_1..a_{d-1}) are those whose last
@@ -281,7 +276,7 @@ def brute_force_reliability(
     gives its value bit for bit.  Cost: O(prod_{i<d} L_i * r * d) plain
     tuple comparisons plus one term per state of the ideal.  Completely
     independent of the complex machinery, so it serves as the correctness
-    oracle.  Refuses grids larger than ``max_states``.
+    oracle.  Refuses grids larger than ``STATE_CAP``.
     """
     if system.dimension != ideal.dimension:
         raise DimensionMismatchError(
@@ -289,10 +284,8 @@ def brute_force_reliability(
             f"{ideal.dimension} coordinates"
         )
     total_states = math.prod(system.level_counts())
-    if total_states > max_states:
-        raise ValueError(
-            f"state space has {total_states} states, above the cap {max_states}"
-        )
+    if total_states > STATE_CAP:
+        raise ValueError(f"state space has {total_states} states, above the cap {STATE_CAP}")
     *tables, last = [c.probs for c in system.components]
     gens = ideal.generators
     top = len(last)
@@ -313,11 +306,7 @@ def brute_force_reliability(
     return math.fsum(terms())
 
 
-def build_report(
-    system: CoherentSystem,
-    complex_: LabeledComplex,
-    oracle_cap: int = STATE_CAP,
-) -> ReliabilityReport:
+def build_report(system: CoherentSystem, complex_: LabeledComplex) -> ReliabilityReport:
     """Identity value, signed terms, all depth bounds, and the oracle when affordable."""
     bounds = depth_bounds(system, complex_)
     identity = bounds[-1].value
@@ -327,8 +316,8 @@ def build_report(
             f"complex or system data is inconsistent"
         )
     oracle: Optional[float] = None
-    if math.prod(system.level_counts()) <= oracle_cap:
-        oracle = brute_force_reliability(system, complex_.ideal, oracle_cap)
+    if math.prod(system.level_counts()) <= STATE_CAP:
+        oracle = brute_force_reliability(system, complex_.ideal)
     return ReliabilityReport(
         identity_value=identity,
         term_count=len(complex_.faces),

@@ -48,8 +48,6 @@ class NotGenericError(ValueError):
     """The ideal has an exponent tie, so the direct Scarf route is invalid."""
 
     def __init__(self, coordinate: int, pair: tuple[int, int], exponent: int):
-        self.coordinate = coordinate
-        self.pair = pair
         super().__init__(
             f"ideal is not generic: generators {pair[0]} and {pair[1]} share "
             f"exponent {exponent} in coordinate {coordinate}; deform first"
@@ -187,17 +185,17 @@ class LabeledComplex:
         return len(self.member_tuples[-1])  # canonical order sorts by cardinality
 
 
-def taylor_complex(ideal: MonomialIdeal, max_generators: int = TAYLOR_GENERATOR_CAP) -> LabeledComplex:
+def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Every nonempty subset of generators, labeled by its lcm.
 
     Raises :class:`ComplexSizeError` when the ideal has more than
-    ``max_generators`` generators, since the face count is 2^r - 1.
+    ``TAYLOR_GENERATOR_CAP`` generators, since the face count is 2^r - 1.
     """
     r = len(ideal.generators)
-    if r > max_generators:
+    if r > TAYLOR_GENERATOR_CAP:
         raise ComplexSizeError(
             f"Taylor complex on {r} generators would have 2^{r}-1 faces; "
-            f"cap is {max_generators}"
+            f"cap is {TAYLOR_GENERATOR_CAP}"
         )
     members = [c for s in range(1, r + 1) for c in combinations(range(1, r + 1), s)]
     return LabeledComplex(ideal=ideal, members=members, kind="taylor")
@@ -316,20 +314,21 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(ideal=ideal, members=members, kind="scarf")
 
 
-def scarf_brute_oracle(ideal: MonomialIdeal, max_generators: int = ORACLE_GENERATOR_CAP) -> LabeledComplex:
+def scarf_brute_oracle(ideal: MonomialIdeal) -> LabeledComplex:
     """Scarf complex by exhaustive label counting over all 2^r - 1 subsets.
 
     Independent of the incremental construction; intended for
     cross-validation.  Singletons are kept unconditionally (they only fail
     the uniqueness scan for the degenerate ideal generated by the zero
-    vector, and a simplicial complex needs its vertices).
+    vector, and a simplicial complex needs its vertices).  Refuses more
+    than ``ORACLE_GENERATOR_CAP`` generators.
     """
     gens = ideal.generators
     r = len(gens)
-    if r > max_generators:
+    if r > ORACLE_GENERATOR_CAP:
         raise ComplexSizeError(
             f"brute-force Scarf scan on {r} generators needs 2^{r} lcms; "
-            f"cap is {max_generators}"
+            f"cap is {ORACLE_GENERATOR_CAP}"
         )
     labels: dict[tuple[int, ...], Exponent] = {}
     counts: dict[Exponent, int] = {}
@@ -350,12 +349,11 @@ class DeformationRecord:
 
     ``deformed[i]`` is the generic replacement for generator i: in each
     coordinate, the original exponents are replaced by their dense rank
-    (0-based) under (value, generator index) order.  ``v`` records the
-    nominal perturbation denominator; the face set is the same for every
-    admissible v, so v only matters for reporting.
+    (0-based) under (value, generator index) order.  The face set is the
+    same for every admissible perturbation denominator v, so the record
+    does not keep it.
     """
 
-    v: int
     deformed: tuple[Exponent, ...]
 
     def __post_init__(self) -> None:
@@ -385,16 +383,15 @@ def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
     """
     gens = ideal.generators
     r = len(gens)
-    if v is None:
-        v = r + 1
-    check_deformation_v(v, r)
+    if v is not None:
+        check_deformation_v(v, r)
     d = ideal.dimension
     ranks = [[0] * d for _ in range(r)]
     for k in range(d):
         order = sorted(range(r), key=lambda i: (gens[i][k], i))
         for pos, i in enumerate(order):
             ranks[i][k] = pos
-    return DeformationRecord(v=v, deformed=tuple(tuple(row) for row in ranks))
+    return DeformationRecord(deformed=tuple(tuple(row) for row in ranks))
 
 
 def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledComplex:

@@ -46,8 +46,8 @@ class SystemSpec:
 def load_spec(path: str | Path) -> SystemSpec:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as err:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecFileError(f"{p}: cannot read spec file: {err}") from err
     try:
         data = json.loads(text)
@@ -55,7 +55,8 @@ def load_spec(path: str | Path) -> SystemSpec:
         raise SpecFileError(
             f"{p}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
-    except ValueError as err:  # an integer literal beyond Python's digit limit
+    # an integer literal beyond Python's digit limit, or nesting beyond its recursion limit
+    except (ValueError, RecursionError) as err:
         raise SpecFileError(f"{p}: invalid JSON: {err}") from err
     return parse_spec(data, source=str(p))
 

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, minimalize
 
 PROB_TOL = 1e-9
+_DYADIC_DENOM = 64
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ class CoherentSystem:
         return tuple(_SuffixSums(c.probs) for c in self.components)
 
 
-def _dyadic_probs(rng: random.Random, levels: int, denom: int = 64) -> tuple[float, ...]:
+def _dyadic_probs(rng: random.Random, levels: int) -> tuple[float, ...]:
     """A random probability row with exact binary representations.
 
-    All entries are multiples of 1/denom, so the row sums to exactly 1.0
-    and downstream comparisons see no input rounding noise.
+    All entries are multiples of 1/_DYADIC_DENOM, so the row sums to exactly
+    1.0 and downstream comparisons see no input rounding noise.
     """
-    cuts = sorted(rng.sample(range(1, denom), levels - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
-    return tuple(p / denom for p in parts)
+    cuts = sorted(rng.sample(range(1, _DYADIC_DENOM), levels - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [_DYADIC_DENOM])]
+    return tuple(p / _DYADIC_DENOM for p in parts)
 
 
 def random_system(rng: random.Random, max_d: int = 5, max_levels: int = 4) -> CoherentSystem:
@@ -123,23 +124,6 @@ def random_points_for(
         tuple(rng.randrange(c.levels) for c in system.components)
         for _ in range(count)
     ]
-
-
-def survival(system: CoherentSystem, component: int, level: int) -> float:
-    """P(X_i >= level) for the 0-based component i.
-
-    Level 0 returns the full mass (1 up to rounding), and any level at or
-    beyond the top returns exactly 0; that convention makes orthant
-    probabilities of out-of-grid corners vanish instead of erroring.
-    """
-    if not 0 <= component < system.dimension:
-        raise ValueError(
-            f"component index {component} out of range for "
-            f"{system.dimension} components"
-        )
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    return system.survival_table[component][level]
 
 
 def orthant_prob(system: CoherentSystem, alpha: Sequence[int]) -> float:

@@ -202,6 +202,5 @@ def tuple_walk_bounds(system, ideal, depth=None) -> tuple:
                 for j in range(last + 1, len(gens))
             ]
     return tuple(
-        DepthBound(k, math.fsum(terms[:end]), "upper" if k % 2 else "lower")
-        for k, end in enumerate(ends, start=1)
+        DepthBound(k, math.fsum(terms[:end])) for k, end in enumerate(ends, start=1)
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -29,7 +30,6 @@ from scarfrel import (
     reliability_identity,
     scarf_complex,
     subset_bounds,
-    survival,
     taylor_complex,
     tube_bounds,
 )
@@ -78,13 +78,13 @@ class TestReliabilityIdentity:
     def test_planar_hand_sum(self):
         system = planar_system()
         cx = scarf_complex(PLANAR)
-        s = survival
+        s0, s1 = system.survival_table
         expected = (
-            s(system, 0, 3) * s(system, 1, 0)
-            + s(system, 0, 2) * s(system, 1, 2)
-            + s(system, 0, 0) * s(system, 1, 3)
-            - s(system, 0, 3) * s(system, 1, 2)
-            - s(system, 0, 2) * s(system, 1, 3)
+            s0[3] * s1[0]
+            + s0[2] * s1[2]
+            + s0[0] * s1[3]
+            - s0[3] * s1[2]
+            - s0[2] * s1[3]
         )
         assert reliability_identity(system, cx) == expected
 
@@ -298,10 +298,8 @@ class TestTubeBounds:
     def test_depth_one_is_union_bound(self):
         system = planar_system()
         cx = scarf_complex(PLANAR)
-        singles = [
-            survival(system, 0, g[0]) * survival(system, 1, g[1])
-            for g in PLANAR.generators
-        ]
+        s0, s1 = system.survival_table
+        singles = [s0[g[0]] * s1[g[1]] for g in PLANAR.generators]
         assert tube_bounds(system, cx, 1).value == pytest.approx(
             sum(singles), abs=1e-12
         )
@@ -468,9 +466,13 @@ class TestSubsetBounds:
 
 
 class TestDepthBound:
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            DepthBound(depth=1, value=0.5, kind="sideways")
+    def test_constructor_takes_no_side(self):
+        assert [f.name for f in dataclasses.fields(DepthBound)] == ["depth", "value"]
+        with pytest.raises(TypeError):
+            DepthBound(depth=1, value=0.5, kind="upper")
+        assert [DepthBound(k, 0.5).kind for k in (1, 2, 3, 4)] == [
+            "upper", "lower", "upper", "lower"
+        ]
 
 
 @st.composite
@@ -506,10 +508,11 @@ class TestBruteForce:
             system, ideal
         )
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         system = planar_system()
-        with pytest.raises(ValueError, match="cap"):
-            brute_force_reliability(system, PLANAR, max_states=10)
+        monkeypatch.setattr(analysis, "STATE_CAP", 10)
+        with pytest.raises(ValueError, match="^state space has 16 states, above the cap 10$"):
+            brute_force_reliability(system, PLANAR)
 
     def test_single_component(self):
         system = CoherentSystem((Component("a", 4, (0.125, 0.375, 0.25, 0.25)),))
@@ -539,13 +542,13 @@ class TestBuildReport:
         assert report.oracle_value == report.identity_value
         assert len(report.terms) == 31
 
-    def test_oracle_skipped_above_cap(self):
+    def test_oracle_skipped_above_cap(self, monkeypatch):
         system = planar_system()
-        report = build_report(system, scarf_complex(PLANAR), oracle_cap=10)
+        expected = brute_force_reliability(system, PLANAR)
+        monkeypatch.setattr(analysis, "STATE_CAP", 10)
+        report = build_report(system, scarf_complex(PLANAR))
         assert report.oracle_value is None
-        assert report.identity_value == pytest.approx(
-            brute_force_reliability(system, PLANAR), abs=1e-12
-        )
+        assert report.identity_value == pytest.approx(expected, abs=1e-12)
 
     def test_inconsistent_complex_rejected(self):
         # correctly labeled singletons without their pair are not a support:

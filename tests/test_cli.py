@@ -517,6 +517,20 @@ class TestSpecErrors:
         assert err.startswith(f"error: {path}: invalid JSON: ")
         assert "4401 digits" in err
 
+    def test_nesting_beyond_the_recursion_limit_is_named_by_its_file(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"components": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "scarf", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+
+    def test_bytes_that_are_not_utf8_are_named_by_their_file(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "scarf", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: cannot read spec file: 'utf-8' codec can't decode")
+
     def test_negative_cutoff_is_accepted(self, capsys, tmp_path):
         data = base_points_spec()
         del data["minimal_nonfailure_points"]

@@ -9,13 +9,15 @@ d = 3) run ``bounds``, ``bounds --depth 3,1`` and ``compare``; above the
 cap the baseline cells read ``n/a`` and ``compare`` prints no
 ``identity (taylor)`` line.  A third test-local spec whose grid is above
 ``STATE_CAP`` (d = 8, 8 levels, 3 points) runs ``reliability``,
-``bounds`` and ``compare``, which pins the oracle-skip line.  A fourth,
-shaped like the deep-bounds benchmark workload (``deep_d8_r12.json``:
+``bounds`` and ``compare``, which pins the oracle-skip line, and
+``oracle``, which pins its refusal (standard error, exit code 1).  A
+fourth, shaped like the deep-bounds benchmark workload (``deep_d8_r12.json``:
 d = 8, r = 12, 14 levels, non-generic, so its Scarf route deforms; its
 points are the compositions of 13 cut at the sorted (3i + 5j + i j^2)
 mod 14, j = 0..6, for the first twelve i = 0, 1, ... giving distinct
 points), runs the same calls as the layer specs.  Each call's standard
-output is stored in ``tests/golden/<name>.out`` and its exit code in
+output is stored in ``tests/golden/<name>.out``, its standard error in
+``tests/golden/<name>.err`` when it writes any, and its exit code in
 ``tests/golden/exit_codes.json``.  Regenerate them only for a
 declared output change:
 
@@ -65,7 +67,7 @@ def golden_calls() -> list[tuple[str, list[str]]]:
             calls.append((name, argv))
             calls.append((f"{name}.json", [*argv, "--json"]))
     above_cap = str(CAP_SPECS / "grid_above_cap.json")
-    for command in ("reliability", "bounds", "compare"):
+    for command in ("reliability", "bounds", "compare", "oracle"):
         calls.append((f"grid_above_cap.{command}", [command, above_cap]))
         calls.append((f"grid_above_cap.{command}.json", [command, above_cap, "--json"]))
     random_self_test = ["compare", "--seed", "3", "--count", "25"]
@@ -74,25 +76,28 @@ def golden_calls() -> list[tuple[str, list[str]]]:
     return calls
 
 
-def run_cli(argv: list[str]) -> tuple[int, bytes]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+def run_cli(argv: list[str]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode()
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 @pytest.mark.parametrize(
     "name, argv", [pytest.param(name, argv, id=name) for name, argv in golden_calls()]
 )
 def test_cli_output_matches_golden(name, argv):
-    code, stdout = run_cli(argv)
+    code, stdout, stderr = run_cli(argv)
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    err_file = GOLDEN / f"{name}.err"
+    assert stderr == (err_file.read_bytes() if err_file.exists() else b"")
     assert code == json.loads(EXIT_CODES.read_text())[name]
 
 
 def test_every_golden_file_is_a_call():
     names = {name for name, _ in golden_calls()}
     assert {p.stem for p in GOLDEN.glob("*.out")} == names
+    assert {p.stem for p in GOLDEN.glob("*.err")} <= names
     assert set(json.loads(EXIT_CODES.read_text())) == names
 
 
@@ -100,8 +105,11 @@ def write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for name, argv in golden_calls():
-        codes[name], stdout = run_cli(argv)
+        codes[name], stdout, stderr = run_cli(argv)
         (GOLDEN / f"{name}.out").write_bytes(stdout)
+        (GOLDEN / f"{name}.err").unlink(missing_ok=True)
+        if stderr:
+            (GOLDEN / f"{name}.err").write_bytes(stderr)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 

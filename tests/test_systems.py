@@ -24,7 +24,6 @@ from scarfrel import (
     orthant_prob,
     quantize,
     scarf_complex,
-    survival,
 )
 
 from helpers import (
@@ -92,32 +91,33 @@ class TestCoherentSystem:
 
 class TestSurvival:
     def test_tail_sums(self):
-        system = CoherentSystem((QUARTERS,))
-        assert survival(system, 0, 0) == 1.0
-        assert survival(system, 0, 1) == 0.75
-        assert survival(system, 0, 2) == 0.5
+        tails = CoherentSystem((QUARTERS,)).survival_table[0]
+        assert tails[0] == 1.0
+        assert tails[1] == 0.75
+        assert tails[2] == 0.5
 
     def test_beyond_top_level_is_zero(self):
-        system = CoherentSystem((QUARTERS,))
-        assert survival(system, 0, 3) == 0.0
-        assert survival(system, 0, 99) == 0.0
+        tails = CoherentSystem((QUARTERS,)).survival_table[0]
+        assert tails[3] == 0.0
+        assert tails[99] == 0.0
 
     def test_negative_level_rejected(self):
         system = CoherentSystem((QUARTERS,))
         with pytest.raises(ValueError):
-            survival(system, 0, -1)
+            orthant_prob(system, (-1,))
 
     def test_bad_component_index(self):
         system = CoherentSystem((QUARTERS,))
+        assert len(system.survival_table) == 1
         with pytest.raises(ValueError):
-            survival(system, 1, 0)
+            orthant_prob(system, (0, 0))
 
     def test_monotone_in_level(self):
         rng = random.Random(7)
         for _ in range(50):
             system = random_system(rng)
-            for i, c in enumerate(system.components):
-                tails = [survival(system, i, j) for j in range(c.levels + 1)]
+            for c, table in zip(system.components, system.survival_table):
+                tails = [table[j] for j in range(c.levels + 1)]
                 assert tails == sorted(tails, reverse=True)
                 assert tails[0] == pytest.approx(1.0, abs=1e-9)
                 assert tails[-1] == 0.0
@@ -181,13 +181,15 @@ def _suffix_fsum_orthant(system, alpha):
 class TestSurvivalTable:
     def test_survival_equals_suffix_fsum_bit_for_bit(self):
         for system in _dyadic_and_other_systems(random.Random(5)):
-            for i, c in enumerate(system.components):
+            for i, (c, table) in enumerate(zip(system.components, system.survival_table)):
                 for level in range(c.levels + 3):
                     expected = math.fsum(c.probs[level:])
-                    assert survival(system, i, level).hex() == expected.hex()
-                assert survival(system, i, c.levels).hex() == (0.0).hex()
+                    assert table[level].hex() == expected.hex()
+                assert table[c.levels].hex() == (0.0).hex()
+                alpha = [0] * system.dimension
+                alpha[i] = -1
                 with pytest.raises(ValueError, match="nonnegative"):
-                    survival(system, i, -1)
+                    orthant_prob(system, alpha)
 
     def test_orthant_equals_suffix_fsum_product_bit_for_bit(self):
         for system in _dyadic_and_other_systems(random.Random(6)):
@@ -203,7 +205,7 @@ class TestSurvivalTable:
         system = random_system(random.Random(8))
         before = (repr(system), hash(system))
         table = system.survival_table
-        survival(system, 0, 1)
+        orthant_prob(system, (1,) + (0,) * (system.dimension - 1))
         assert system.survival_table is table  # derived once
         assert table[0] == {1: math.fsum(system.components[0].probs[1:])}
         assert (repr(system), hash(system)) == before
