@@ -13,18 +13,20 @@ each distinct label's orthant once (deformed and subset complexes repeat
 labels).  Both routes pack each generator into one int (per coordinate,
 the rank of its value as a run of one-bits, at most d * (r - 1) bits in
 all), so an lcm is one integer OR and each distinct code becomes an
-orthant through d table lookups.  A complex's faces take the code of their
-prefix face ORed with their last member's and never derive their exponent
-labels; the classical Bonferroni baseline is a level walk over the
-generator subsets of size <= k that builds no complex and holds only one
-level of ints at a time.  Only ``inclusion_exclusion``, which takes a
-caller's label evaluator, reads the labels.  The fold keeps each orthant
-as an exact integer count of 2**-1074 (every float is one), so level sums
-and running totals are exact and each depth rounds once, by int / int,
-which is correctly rounded: the depth-k bound is bit for bit a fresh fsum
-of the signed terms of cardinality <= k, and the identity is the deepest
-bound.  The oracle and the survival tables use compensated fsums, which
-keeps oracle cross-checks stable at 1e-12.
+orthant through d table lookups.  The codes and each evaluated orthant are
+held in one slot on the system, keyed by the ideal, so the Scarf route and
+the subset walk of one call pack once and evaluate each code once between
+them.  A complex's faces take the code of their prefix face ORed with
+their last member's and never derive their exponent labels; the classical
+Bonferroni baseline is a level walk over the generator subsets of size
+<= k that builds no complex and holds only one level of ints at a time.
+Only ``inclusion_exclusion``, which takes a caller's label evaluator,
+reads the labels.  The fold keeps each orthant as an exact integer count of 2**-1074
+(every float is one), so level sums and running totals are exact and each
+depth rounds once, by int / int, which is correctly rounded: the depth-k
+bound is bit for bit a fresh fsum of the signed terms of cardinality <= k,
+and the identity is the deepest bound.  The oracle and the survival tables
+use compensated fsums, which keeps oracle cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
@@ -177,21 +179,42 @@ def _units(label: Any, value: Any) -> int:
     return num << 1075 - den.bit_length()
 
 
-def _fold_bounds(
-    counts: Iterable[LabelCounts], orthant: Callable[[Any], Any]
-) -> tuple[DepthBound, ...]:
+class _Units(dict):
+    """label -> ``float(orthant(label))`` in exact units of 2**-1074, evaluated once."""
+
+    def __init__(self, orthant: Callable[[Any], Any]):
+        super().__init__()
+        self.orthant = orthant
+
+    def __missing__(self, label: Any) -> int:
+        u = self[label] = _units(label, self.orthant(label))
+        return u
+
+
+def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> tuple[list[int], _Units]:
+    """``ideal``'s packed codes and the exact units of their lcms' orthants.
+
+    Like ``survival_table`` they live on the system, in one slot that a
+    different ideal replaces and that equality, hash and repr skip, so the
+    Scarf and subset routes of one call share one packing and one orthant
+    table, and nothing outlives the system.
+    """
+    slot = vars(system).get("_packed_units")
+    if slot is None or slot[0] != ideal:
+        codes, orthant = _packed_generators(system, ideal.generators)
+        slot = vars(system)["_packed_units"] = (ideal, codes, _Units(orthant))
+    return slot[1:]
+
+
+def _fold_bounds(counts: Iterable[LabelCounts], units: _Units) -> tuple[DepthBound, ...]:
     """Per depth k, the exact signed sum over every (label, count) of cardinality
-    <= k, rounded once; each distinct label's orthant is evaluated once."""
-    units: dict = {}
+    <= k, rounded once; ``units`` evaluates each distinct label's orthant once."""
     total = 0
     bounds = []
     for k, level in enumerate(counts, start=1):
         level_sum = 0
         for label, n in level:
-            u = units.get(label)
-            if u is None:
-                u = units[label] = _units(label, orthant(label))
-            level_sum += n * u
+            level_sum += n * units[label]
         total += level_sum if k % 2 else -level_sum
         bounds.append(DepthBound(k, total / _UNIT))
     return tuple(bounds)
@@ -208,7 +231,7 @@ def inclusion_exclusion(
     identity work off-grid.  Its values are read through ``float()``, as
     fsum reads them, and a non-finite one raises ValueError naming its label.
     """
-    return _fold_bounds(_face_label_counts(complex_), orthant)[-1].value
+    return _fold_bounds(_face_label_counts(complex_), _Units(orthant))[-1].value
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
@@ -222,9 +245,9 @@ def depth_bounds(
     """Truncation bounds at depths 1..depth (default: every depth) from one walk
     over the packed lcm codes of the faces; no face label is derived."""
     depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
-    codes, orthant = _packed_generators(system, complex_.ideal.generators)
+    codes, units = _packed_units(system, complex_.ideal)
     counts = _face_code_counts(complex_, codes, depth)
-    return _fold_bounds([level.items() for level in counts], orthant)
+    return _fold_bounds([level.items() for level in counts], units)
 
 
 def subset_bounds(
@@ -240,9 +263,9 @@ def subset_bounds(
     cost doubles with each generator.
     """
     depth = _resolved_depth(system, ideal, depth, len(ideal.generators))
-    codes, orthant = _packed_generators(system, ideal.generators)
+    codes, units = _packed_units(system, ideal)
     counts = _subset_label_counts(codes, depth)
-    return _fold_bounds([level.items() for level in counts], orthant)
+    return _fold_bounds([level.items() for level in counts], units)
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:

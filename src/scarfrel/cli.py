@@ -29,6 +29,7 @@ invalid spec file or arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -351,7 +352,12 @@ def cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` returns a fresh namespace on every call, so calls share no state.
+    """
     parser = argparse.ArgumentParser(
         prog="scarfrel",
         description="Reliability of coherent multistate systems via Scarf complexes",
@@ -379,16 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, CutoffUnreachableError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        # an empty message (MemoryError has one) is named by its type
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+        return 2 if isinstance(err, (SpecFileError, CutoffUnreachableError)) else 1
 
 
 if __name__ == "__main__":

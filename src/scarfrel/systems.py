@@ -221,12 +221,14 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     reaching the cutoff are those with a_d >= t(prefix), where t = L_d
     means none.  The prefixes are walked in product order, so every
     one-step prefix decrement comes first, and t(prefix) is at most their
-    least threshold h; binary search finds t below h.  The state
-    (prefix, t) is minimal iff t < h: every one-step prefix decrement then
-    falls below the cutoff at a_d = t.  Cost:
-    O(prod_{i<d} L_i * (d + log L_d)) steps and profit evaluations.  Points
-    are emitted sorted by reversed-tuple lexicographic order (last
-    coordinate most significant).
+    least threshold h.  No interaction pairs a coordinate with itself, so
+    above a prefix the profit is base + slope * a_d with slope >= 0, and t
+    is the least a_d reaching the cutoff in closed form, in the spec's
+    exact numbers, clamped at h.  The state (prefix, t) is minimal iff
+    t < h: every one-step prefix decrement then falls below the cutoff at
+    a_d = t.  Cost: O(prod_{i<d} L_i * (d + |interactions|)) exact
+    operations.  Points are emitted sorted by reversed-tuple lexicographic
+    order (last coordinate most significant).
     """
     d = len(levels)
     if d != len(spec.linear):
@@ -237,7 +239,10 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
         if L < 1:
             raise ValueError(f"level counts must be >= 1, got {L}")
     *head, top = levels
-    value, cutoff = spec.value, spec.cutoff
+    *linear, last = spec.linear
+    cutoff = spec.cutoff
+    last_pairs = [(j if i == d - 1 else i, c) for i, j, c in spec.interactions if d - 1 in (i, j)]
+    head_pairs = [(i, j, c) for i, j, c in spec.interactions if d - 1 not in (i, j)]
     threshold: dict[tuple[int, ...], int] = {}
     minimal: list[Exponent] = []
     for prefix in product(*map(range, head)):
@@ -249,16 +254,18 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
             ),
             default=top,
         )
-        lo, hi = 0, ceiling
-        while lo < hi:  # least a_d in lo..hi that reaches the cutoff, hi if none
-            mid = (lo + hi) // 2
-            if value(prefix + (mid,)) >= cutoff:
-                hi = mid
-            else:
-                lo = mid + 1
-        threshold[prefix] = lo
-        if lo < ceiling:
-            minimal.append(prefix + (lo,))
+        base = sum(c * a for c, a in zip(linear, prefix))
+        base += sum(c * prefix[i] * prefix[j] for i, j, c in head_pairs)
+        slope = last + sum(c * prefix[i] for i, c in last_pairs)
+        if base >= cutoff:
+            t = 0
+        elif slope > 0:
+            t = min(-((base - cutoff) // slope), ceiling)  # ceil((cutoff - base) / slope)
+        else:
+            t = ceiling
+        threshold[prefix] = t
+        if t < ceiling:
+            minimal.append(prefix + (t,))
     if not minimal:
         raise CutoffUnreachableError(
             f"no state of the grid reaches profit cutoff {float(cutoff)}"

@@ -198,6 +198,62 @@ class TestLabelCache:
         assert len(calls) < len(cx.faces)
 
 
+
+class TestSharedOrthantTable:
+    """The packed codes and orthant units live in one slot per system, keyed by the ideal."""
+
+    @staticmethod
+    def complex_of(ideal):
+        return scarf_complex(ideal) if is_generic(ideal) else deform_and_scarf(ideal)
+
+    def test_systems_and_ideals_in_sequence_give_no_stale_values(self):
+        rng = random.Random(16)
+        levels = (3, 4, 3)
+
+        def system(seed):
+            rows = random.Random(seed)
+            components = []
+            for i, n in enumerate(levels):
+                weights = [rows.randint(1, 9) for _ in range(n)]
+                components.append(Component(f"c{i}", n, tuple(w / sum(weights) for w in weights)))
+            return CoherentSystem(tuple(components))
+
+        systems = [system(seed) for seed in range(3)]
+        ideals = [
+            minimalize(tuple(rng.randrange(n) for n in levels) for _ in range(6))
+            for _ in range(3)
+        ]
+        # same ideal under other systems, other ideals under one system, equal
+        # but distinct ideals, and returns to an earlier pair
+        pairs = [(s, i) for s in range(3) for i in range(3)] + [(0, 0), (1, 0), (0, 2), (0, 0)]
+        pairs += [(rng.randrange(3), rng.randrange(3)) for _ in range(20)]
+        for s, i in pairs:
+            used, ideal = systems[s], ideals[i]
+            twin = MonomialIdeal(ideal.dimension, ideal.generators)
+            cx = self.complex_of(twin if rng.random() < 0.5 else ideal)
+            fresh = system(s)
+            assert subset_bounds(used, ideal) == tuple_walk_bounds(fresh, ideal)
+            assert depth_bounds(used, cx) == depth_bounds(system(s), self.complex_of(twin))
+            assert reliability_identity(used, cx) == tuple_walk_bounds(fresh, ideal)[-1].value
+            assert (used, hash(used), repr(used)) == (fresh, hash(fresh), repr(fresh))
+
+    def test_bounds_and_subsets_of_one_call_share_one_packing(self, monkeypatch):
+        system, ideal = multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)
+        cx = deform_and_scarf(ideal)
+        packs = []
+        packed = analysis._packed_generators
+        monkeypatch.setattr(
+            analysis, "_packed_generators", lambda *args: packs.append(args) or packed(*args)
+        )
+        depth_bounds(system, cx)
+        subset_bounds(system, ideal, 3)
+        reliability_identity(system, cx)
+        assert len(packs) == 1
+        depth_bounds(multi_system(), cx)  # another system: its own slot
+        subset_bounds(system, minimalize(MULTI_NINE))  # another ideal: the slot is replaced
+        depth_bounds(system, cx)
+        assert len(packs) == 4
+
 def fresh_fsums(levels, values):
     """Per depth k, math.fsum of the expanded signed terms of levels 1..k."""
     terms, sums = [], []
@@ -240,7 +296,7 @@ class TestExactFold:
     @example(([[(0, 1)], [(0, 1)]], [0.0]))
     def test_each_depth_equals_a_fresh_fsum(self, case):
         levels, values = case
-        bounds = analysis._fold_bounds(levels, values.__getitem__)
+        bounds = analysis._fold_bounds(levels, analysis._Units(values.__getitem__))
         assert [b.value for b in bounds] == fresh_fsums(levels, values)
         assert [b.kind for b in bounds] == [
             "upper" if k % 2 else "lower" for k in range(1, len(levels) + 1)
@@ -263,7 +319,7 @@ class TestExactFold:
     def test_huge_count_folds_without_a_list(self, p):
         # [p] * 2**62 cannot be built; fsum would round the exact 2**62 * p
         for n in (2**62, 2**62 + 1):
-            [bound] = analysis._fold_bounds([[("x", n)]], lambda label: p)
+            [bound] = analysis._fold_bounds([[("x", n)]], analysis._Units(lambda label: p))
             assert bound.value == float(Fraction(p) * n)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

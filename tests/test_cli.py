@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import scarfrel.analysis as analysis
 import scarfrel.cli as cli
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
@@ -335,6 +339,93 @@ class TestLabelFreeCommands:
         code, out, err = run(capsys, argv[0], spec, *argv[1:], *extra)
         assert (code, err) == (0, "")
         assert out
+
+
+class TestOneOrthantTablePerCall:
+    """The Scarf route and the subset walk of one call share one packing and
+    evaluate each distinct lcm code's orthant once between them."""
+
+    @pytest.mark.parametrize(
+        "argv", [("bounds",), ("bounds", "--depth", "3,1"), ("compare",)],
+        ids=["bounds", "depth3_1", "compare"],
+    )
+    def test_each_code_evaluated_once(self, capsys, monkeypatch, argv):
+        spec = TestLabelFreeCommands.DEEP
+        system, ideal, complex_, v_used = cli._pipeline(spec)
+        assert v_used is not None  # deformed: its faces repeat labels
+        codes, _ = analysis._packed_generators(system, ideal.generators)
+        scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
+        subset_depth = len(ideal.generators) if argv == ("compare",) else scarf_depth
+        expected = set()
+        for level in analysis._face_code_counts(complex_, codes, scarf_depth):
+            expected |= set(level)
+        for level in analysis._subset_label_counts(codes, subset_depth):
+            expected |= set(level)
+
+        packs, calls = [], []
+        packed = analysis._packed_generators
+
+        def counting(system, gens):
+            codes, orthant = packed(system, gens)
+            packs.append(codes)
+
+            def spy(code):
+                calls.append(code)
+                return orthant(code)
+
+            return codes, spy
+
+        monkeypatch.setattr(analysis, "_packed_generators", counting)
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert (code, err) == (0, "")
+        assert packs == [codes]
+        assert sorted(calls) == sorted(expected)
+
+
+class TestCachedParser:
+    """``main`` builds its parser once; consecutive calls share no state."""
+
+    def alone(self, capsys, argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("bounds", POINTS, "--depth", "1"), ("bounds", POINTS)),
+            (("scarf", POINTS, "--v", "12", "--json"), ("scarf", POINTS)),
+            (("compare", "--seed", "3", "--count", "2"), ("compare", POINTS)),
+        ],
+        ids=["depth", "v_json", "seed"],
+    )
+    def test_consecutive_calls_give_their_own_bytes(self, capsys, first, second):
+        expected = [self.alone(capsys, first), self.alone(capsys, second)]
+        cli.build_parser.cache_clear()
+        got = [run(capsys, *first), run(capsys, *second)]
+        assert got == expected
+        assert [code for code, _, _ in got] == [0, 0]
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_parser_is_built_on_first_call_not_at_import(self):
+        code = "import scarfrel.cli as c; print(c.build_parser.cache_info().misses)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            check=True,
+        )
+        assert result.stdout == "0\n"
+
+
+class TestUnexpectedErrors:
+    def test_empty_message_is_named_by_its_type(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_pipeline", out_of_memory)
+        for command in ("scarf", "reliability", "bounds", "oracle", "compare"):
+            assert run(capsys, command, POINTS) == (1, "", "error: MemoryError\n")
 
 
 class TestSpecErrors:

@@ -337,6 +337,12 @@ class TestMinimalPointsFromProfit:
     @example((ProfitSpec((0.1, 0.7), (), 0.8), (3, 3)))
     @example((ProfitSpec((1, 0, 0), ((0, 2, 0.5), (1, 2, 0.1)), 2.5), (4, 3, 4)))
     @example((ProfitSpec((0.3,), (), 0.9), (5,)))
+    # zero slope: no linear term or interaction on the last coordinate
+    @example((ProfitSpec((1, 2, 0), ((0, 1, 0.5),), 3), (3, 3, 4)))
+    # slope only from an interaction with the last coordinate, 0 at the origin prefix
+    @example((ProfitSpec((1, 0), ((0, 1, 0.5),), 2), (3, 5)))
+    # decimal sum hits the cutoff exactly on the last coordinate
+    @example((ProfitSpec((0.7, 0.1), (), 0.8), (3, 3)))
     def test_equals_full_grid_scan(self, case):
         spec, levels = case
         expected = full_scan_profit_points(spec, levels)
