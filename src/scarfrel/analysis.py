@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from operator import le
+from itertools import chain, product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
@@ -292,12 +291,18 @@ def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> flo
     """Nonfailure probability by enumerating the states of the ideal.
 
     The ideal's states above a prefix (a_1..a_{d-1}) are those whose last
-    level reaches the least last coordinate of the generators whose first
-    d-1 coordinates lie below the prefix.  So each prefix contributes
-    P(prefix) * P(X_d = a_d) for every a_d from that threshold on, and one
-    correctly rounded fsum of exactly the products a full state scan forms
-    gives its value bit for bit.  Cost: O(prod_{i<d} L_i * r * d) plain
-    tuple comparisons plus one term per state of the ideal.  Completely
+    level reaches the prefix's threshold: the least last coordinate of the
+    generators whose first d-1 coordinates lie below the prefix.  That is a
+    minimum over the prefix's lower orthant, taken one axis at a time: each
+    generator's last coordinate is seeded at its own prefix, then one
+    running-minimum pass per axis runs as slice assignments over one flat
+    list of thresholds in product order.  Each prefix then contributes
+    P(prefix) * P(X_d = a_d) for every a_d from its threshold on, the
+    prefix product formed in coordinate order from 1.0, and one correctly
+    rounded fsum of exactly the products a full state scan forms gives its
+    value bit for bit.  The products stream into the fsum; no term list is
+    built.  Cost: O(prod_{i<d} L_i * d) for the passes plus one product
+    per state of the ideal; memory: one int per prefix.  Completely
     independent of the complex machinery, so it serves as the correctness
     oracle.  Refuses grids larger than ``STATE_CAP``.
     """
@@ -309,24 +314,41 @@ def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> flo
     total_states = math.prod(system.level_counts())
     if total_states > STATE_CAP:
         raise ValueError(f"state space has {total_states} states, above the cap {STATE_CAP}")
+    # d = 1 has one prefix; a coordinate of one level with probability 1.0 stands for it
     *tables, last = [c.probs for c in system.components]
-    gens = ideal.generators
+    tables = tables or [(1.0,)]
+    sizes = [len(table) for table in tables]
     top = len(last)
+    n = math.prod(sizes)
+    need = [top] * n  # per prefix, the least last level in the ideal; top means none
+    for g in ideal.generators:  # an antichain holds at most one generator per prefix
+        i = 0
+        for size, level in zip(sizes, g[:-1]):
+            i = i * size + level
+        need[i] = g[-1]
+    stride = n
+    for size in sizes:
+        block, stride = stride, stride // size
+        # one slice per step along the axis, in contiguous runs or stepped, whichever is fewer
+        if n // block <= stride:
+            for lo in range(stride, n, stride):
+                if lo % block:
+                    need[lo:lo + stride] = map(min, need[lo:lo + stride], need[lo - stride:lo])
+        else:
+            for c in range(stride, block):
+                need[c::block] = map(min, need[c::block], need[c - stride::block])
+    *outer, inner = tables
+    width = len(inner)
 
-    def terms():
-        for prefix in product(*map(range, map(len, tables))):
-            # zip stops at the prefix, so only the first d - 1 coordinates count
-            need = min(
-                (g[-1] for g in gens if all(map(le, g, prefix))), default=top
-            )
-            if need < top:
-                p = 1.0
-                for table, level in zip(tables, prefix):
-                    p *= table[level]
-                for q in last[need:]:
-                    yield p * q
+    def rows():
+        for r, probs in enumerate(product(*outer)):
+            row = need[r * width:(r + 1) * width]
+            if row[-1] < top:  # thresholds fall along the row, so its last is its least
+                p = math.prod(probs, start=1.0)  # in coordinate order from 1.0
+                for t, level in zip(inner, row):
+                    yield map((p * t).__mul__, last[level:])
 
-    return math.fsum(terms())
+    return math.fsum(chain.from_iterable(rows()))
 
 
 def build_report(system: CoherentSystem, complex_: LabeledComplex) -> ReliabilityReport:

@@ -81,11 +81,12 @@ def _number_field(value, where: str) -> float:
         raise SpecFileError(f"{where}: must be finite, got an integer of {digits} digits") from None
 
 
-def _profit_number(value, where: str, nonnegative: bool = True) -> float:
+def _profit_number(value, where: str, nonnegative: bool = True) -> int | float:
+    """A finite profit number; JSON ints stay ints, so no digit of them is rounded away."""
     x = _number_field(value, where)
     _require(math.isfinite(x), f"{where}: must be finite, got {value!r}")
     _require(x >= 0 or not nonnegative, f"{where}: must be nonnegative, got {value!r}")
-    return x
+    return value if isinstance(value, int) else x
 
 
 def parse_spec(data, source: str = "<spec>") -> SystemSpec:

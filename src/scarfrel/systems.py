@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import Callable, Sequence
 
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, minimalize
@@ -219,16 +220,22 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
 
     The profit is monotone, so above each prefix (a_1..a_{d-1}) the states
     reaching the cutoff are those with a_d >= t(prefix), where t = L_d
-    means none.  The prefixes are walked in product order, so every
-    one-step prefix decrement comes first, and t(prefix) is at most their
-    least threshold h.  No interaction pairs a coordinate with itself, so
-    above a prefix the profit is base + slope * a_d with slope >= 0, and t
-    is the least a_d reaching the cutoff in closed form, in the spec's
-    exact numbers, clamped at h.  The state (prefix, t) is minimal iff
-    t < h: every one-step prefix decrement then falls below the cutoff at
-    a_d = t.  Cost: O(prod_{i<d} L_i * (d + |interactions|)) exact
-    operations.  Points are emitted sorted by reversed-tuple lexicographic
-    order (last coordinate most significant).
+    means none.  The prefixes are walked in rows along a_{d-1}, the rows in
+    product order, so every one-step prefix decrement comes first, and t is
+    at most their least threshold, the ceiling h.  No interaction pairs a
+    coordinate with itself, so above a prefix the profit is
+    base + slope * a_d, and along a row base = b0 + b1 * a_{d-1} and
+    slope = s0 + s1 * a_{d-1}, in the spec's exact numbers.  Each prefix's
+    closed form gives the least a_d reaching the cutoff, and t is that
+    clamped at h.  A row's ceilings are an element-wise minimum against the
+    rows one step down in each outer coordinate, then a running minimum
+    along the row.  The state (prefix, t) is minimal iff the closed form
+    lies below h: every one-step prefix decrement then falls below the
+    cutoff at a_d = t.  Cost: O(prod_{i<d} L_i * d) for the passes plus one
+    closed form per prefix and O(d + |interactions|) exact operations per
+    row; memory: one int per prefix, in one flat list.  Points are emitted
+    sorted by reversed-tuple lexicographic order (last coordinate most
+    significant).
     """
     d = len(levels)
     if d != len(spec.linear):
@@ -238,38 +245,60 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     for L in levels:
         if L < 1:
             raise ValueError(f"level counts must be >= 1, got {L}")
+    # d = 1 has one prefix; a coordinate of one level with coefficient 0 stands for it
     *head, top = levels
     *linear, last = spec.linear
+    *outer, width = head or [1]
+    *outer_linear, row_linear = linear or [0]
+    k = len(outer)  # the row coordinate; the last coordinate is k + 1
     cutoff = spec.cutoff
-    last_pairs = [(j if i == d - 1 else i, c) for i, j, c in spec.interactions if d - 1 in (i, j)]
-    head_pairs = [(i, j, c) for i, j, c in spec.interactions if d - 1 not in (i, j)]
-    threshold: dict[tuple[int, ...], int] = {}
-    minimal: list[Exponent] = []
-    for prefix in product(*map(range, head)):
-        ceiling = min(
-            (
-                threshold[prefix[:i] + (a - 1,) + prefix[i + 1:]]
-                for i, a in enumerate(prefix)
-                if a > 0
-            ),
-            default=top,
-        )
-        base = sum(c * a for c, a in zip(linear, prefix))
-        base += sum(c * prefix[i] * prefix[j] for i, j, c in head_pairs)
-        slope = last + sum(c * prefix[i] for i, c in last_pairs)
-        if base >= cutoff:
-            t = 0
-        elif slope > 0:
-            t = min(-((base - cutoff) // slope), ceiling)  # ceil((cutoff - base) / slope)
+    outer_pairs, row_pairs, last_pairs, s1 = [], [], [], 0
+    for i, j, c in spec.interactions:
+        i, j = sorted((i, j))
+        if j < k:
+            outer_pairs.append((i, j, c))
+        elif i == k:  # the row coordinate with the last
+            s1 += c
+        elif j == k:
+            row_pairs.append((i, c))
         else:
-            t = ceiling
-        threshold[prefix] = t
-        if t < ceiling:
-            minimal.append(prefix + (t,))
+            last_pairs.append((i, c))
+    # the row one step down in outer coordinate i lies this many rows back
+    row_strides = [math.prod(outer[i + 1:]) for i in range(k)]
+    threshold = [top] * (math.prod(outer) * width)
+    minimal: list[Exponent] = []
+    for r, prefix in enumerate(product(*map(range, outer))):
+        down = [top] * width
+        for back, a in zip(row_strides, prefix):
+            if a:
+                lo = (r - back) * width
+                down[:] = map(min, down, threshold[lo:lo + width])
+        b0 = sum(map(mul, outer_linear, prefix))
+        b0 += sum(c * prefix[i] * prefix[j] for i, j, c in outer_pairs)
+        b1 = row_linear + sum(c * prefix[i] for i, c in row_pairs)
+        s0 = last + sum(c * prefix[i] for i, c in last_pairs)
+        closed = []
+        for a in range(width):
+            base = b0 + b1 * a
+            slope = s0 + s1 * a
+            if base >= cutoff:
+                closed.append(0)
+            elif slope > 0:
+                closed.append(-((base - cutoff) // slope))  # ceil((cutoff - base) / slope)
+            else:
+                closed.append(top)
+        # ts[a] is the threshold of cell a - 1, and top before the row
+        ts = list(accumulate(map(min, closed, down), min, initial=top))
+        threshold[r * width:(r + 1) * width] = ts[1:]
+        for a, t, h, before in zip(range(width), closed, down, ts):
+            if t < h and t < before:
+                minimal.append((*prefix, a, t))
     if not minimal:
         raise CutoffUnreachableError(
             f"no state of the grid reaches profit cutoff {float(cutoff)}"
         )
+    if d == 1:
+        minimal = [point[1:] for point in minimal]
     minimal.sort(key=lambda a: a[::-1])
     return MonomialIdeal(dimension=d, generators=tuple(minimal))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -538,9 +539,11 @@ def oracle_cases(draw):
     Points range over the whole grid, so generators with last coordinate 0,
     the all-zero generator and generators at the top level all occur.
     """
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 8))
     rows = []
-    for levels in draw(st.lists(st.integers(2, 4), min_size=d, max_size=d)):
+    # up to eight coordinates give rows of width 2 and both running-minimum slice forms
+    most = 4 if d <= 5 else 3
+    for levels in draw(st.lists(st.integers(2, most), min_size=d, max_size=d)):
         weights = draw(st.lists(st.integers(1, 97), min_size=levels, max_size=levels))
         rows.append(tuple(w / sum(weights) for w in weights))
     point = st.tuples(*(st.integers(0, len(row) - 1) for row in rows))
@@ -554,6 +557,21 @@ class TestBruteForce:
     @example((((0.1, 0.6, 0.3), (0.3, 0.7), (0.4, 0.35, 0.25)), ((2, 1, 0), (0, 1, 1))))
     @example((((0.1, 0.2, 0.7),), ((2,),)))
     @example((((0.1, 0.9), (0.3, 0.3, 0.4), (0.6, 0.4)), ((1, 2, 1),)))
+    # two points sharing their first d - 1 coordinates: only the lower one generates
+    @example(
+        (((0.2, 0.8), (0.3, 0.3, 0.4), (0.1, 0.5, 0.4)), ((1, 2, 2), (1, 2, 1), (0, 1, 2)))
+    )
+    # a generator at the origin prefix, so every prefix has a threshold
+    @example((((0.3, 0.7), (0.2, 0.5, 0.3), (0.5, 0.25, 0.25)), ((0, 0, 2), (1, 1, 1))))
+    # one component: its only prefix is empty
+    @example((((0.3, 0.3, 0.4),), ((1,),)))
+    # eight binary components: rows of width 2, contiguous and stepped slices
+    @example(
+        (
+            ((0.25, 0.75),) * 8,
+            ((1, 0, 0, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 0, 0, 1)),
+        )
+    )
     def test_equals_full_scan_bit_for_bit(self, case):
         rows, points = case
         system = CoherentSystem(
@@ -563,6 +581,21 @@ class TestBruteForce:
         assert brute_force_reliability(system, ideal) == full_scan_reliability(
             system, ideal
         )
+
+    def test_peak_memory_is_one_int_per_prefix(self):
+        # 2**15 prefixes and 2**16 - 1 states in the ideal: a list of the
+        # terms or one dict entry per prefix would each take over 2 MB
+        d = 16
+        system = CoherentSystem(tuple(Component(f"c{i}", 2, (0.375, 0.625)) for i in range(d)))
+        ideal = MonomialIdeal(d, tuple(tuple(int(i == k) for i in range(d)) for k in range(d)))
+        tracemalloc.start()
+        try:
+            value = brute_force_reliability(system, ideal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1 - 0.375**d
+        assert peak < 2_000_000
 
     def test_state_cap(self, monkeypatch):
         system = planar_system()

@@ -17,6 +17,7 @@ import scarfrel.cli as cli
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
 from scarfrel.complexes import Face, SignedTerm
+from scarfrel.specfile import load_spec
 from scarfrel.systems import random_points_for, random_system
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -78,6 +79,17 @@ class TestScarfCommand:
         assert code == 0
         assert "generators (11), 1-based, input order:" in out
         assert "face count: 49" in out
+
+    def test_profit_integers_above_two_to_the_53_stay_exact(self, capsys, tmp_path):
+        # as floats 2**53 + 1 rounds to 2**53, and (1, 1) would fall one short
+        data = base_points_spec()
+        del data["minimal_nonfailure_points"]
+        data["profit"] = {"linear": [2**53 + 1, 1], "cutoff": 2**53 + 2}
+        path = write_spec(tmp_path, data)
+        assert load_spec(path).profit.linear == (2**53 + 1, 1)
+        code, out, err = run(capsys, "scarf", path, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["generators"] == [[1, 1]]
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "scarf", BINARY)

@@ -343,6 +343,14 @@ class TestMinimalPointsFromProfit:
     @example((ProfitSpec((1, 0), ((0, 1, 0.5),), 2), (3, 5)))
     # decimal sum hits the cutoff exactly on the last coordinate
     @example((ProfitSpec((0.7, 0.1), (), 0.8), (3, 3)))
+    # coordinates d - 1 and d interact, so the slope grows along each row
+    @example((ProfitSpec((1, 0.5, 0), ((2, 1, 0.7),), 3.1), (3, 4, 5)))
+    # an outer coordinate and coordinate d - 1 interact, so b1 changes from row to row
+    @example((ProfitSpec((0.5, 0, 1), ((1, 0, 1.5), (0, 2, 0.2)), 4), (3, 4, 3)))
+    # rows of width 1
+    @example((ProfitSpec((1, 2, 0.5, 1), ((0, 3, 0.3),), 3.5), (3, 2, 1, 4)))
+    # d = 2: one row
+    @example((ProfitSpec((1, 0.5), ((0, 1, 0.25),), 2), (4, 5)))
     def test_equals_full_grid_scan(self, case):
         spec, levels = case
         expected = full_scan_profit_points(spec, levels)
