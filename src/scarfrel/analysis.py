@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
+from .complexes import LabeledComplex, SignedTerm, _lcm_codes, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
 from .systems import CoherentSystem
 
@@ -93,22 +93,16 @@ def _packed_generators(
 ) -> tuple[list[int], Callable[[int], float]]:
     """Each generator as one int whose OR over a subset codes the subset's lcm.
 
-    Per coordinate, the held values are ranked (rank 0 the smallest) and
-    rank i is a run of i one-bits in that coordinate's field, so the OR of
-    runs is the run of the largest rank.  Also returns the orthant of a
-    code: one table lookup per coordinate, multiplied in coordinate order
-    from 1.0, so it equals ``orthant_prob`` of the decoded label bit for bit.
+    The codes are :func:`~scarfrel.complexes._lcm_codes`'s.  Also returns
+    the orthant of a code: one table lookup per coordinate, multiplied in
+    coordinate order from 1.0, so it equals ``orthant_prob`` of the decoded
+    label bit for bit.
     """
-    codes = [0] * len(gens)
-    fields = []  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
-    shift = 0
-    for tails, column in zip(system.survival_table, zip(*gens)):
-        runs = {v: (1 << i) - 1 for i, v in enumerate(sorted(set(column)))}
-        for j, v in enumerate(column):
-            codes[j] |= runs[v] << shift
-        width = len(runs) - 1
-        fields.append((shift, (1 << width) - 1, {run: tails[v] for v, run in runs.items()}))
-        shift += width
+    codes, lcm_fields = _lcm_codes(gens)
+    fields = [  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
+        (shift, mask, {(1 << i) - 1: tails[v] for i, v in enumerate(values)})
+        for (shift, mask, values), tails in zip(lcm_fields, system.survival_table)
+    ]
 
     def orthant(code: int) -> float:
         p = 1.0

@@ -21,7 +21,11 @@ evaluates on that result and renders them:
 All numbers print with 12 significant digits and every report is
 deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
 indent=2, sort_keys=True)``, but fills face, term and int-row lists into
-cached ``%`` templates instead of running that pure-Python encoder.
+cached ``%`` templates instead of running that pure-Python encoder.  Items
+of one shape (a complex's faces and terms come a cardinality run at a time)
+share one template, looked up once per run and filled by ``map`` in C, so
+no Python statement runs per item.  A broken stdout pipe (``scarfrel scarf
+FILE | head -1``) ends the call with exit code 1 and no message.
 Exit codes: 0 success, 1 runtime failure or detected disagreement, 2
 invalid spec file or arguments.
 """
@@ -32,8 +36,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .analysis import (
@@ -66,48 +73,81 @@ def _members(face_members: Sequence[int]) -> str:
     return "{" + ", ".join(str(i) for i in face_members) + "}"
 
 
-# Item forms of the report shapes: the indent of their int lists and their text
-# with one {} per int list.  Faces and terms render as dicts of their fields.
+def _slot(pad: str, n: int) -> str:
+    """``%s`` slots for n ints, laid out as json.dumps(indent=2) lays out a list at indent pad."""
+    sep = ",\n" + pad + "  "
+    return f"[{sep[1:]}{sep.join(['%s'] * n)}\n{pad}]" if n else "[]"
+
+
+# The ``%s`` template of an item by kind, from the item's shape: the lengths of
+# its int lists and, for a term, its cardinality and sign, which a run of terms
+# shares.  Faces and terms render as dicts of their fields.
 _FORMS = {
-    "row": ("    ", "{}"),
-    "face": ("      ", '{{\n      "label": {},\n      "members": {}\n    }}'),
-    "term": (
-        "      ",
-        '{{\n      "cardinality": %s,\n      "exponent": {},\n      "sign": %s\n    }}',
+    "row": lambda n: _slot("    ", n),
+    "face": lambda n_label, n_members: (
+        f'{{\n      "label": {_slot("      ", n_label)},'
+        f'\n      "members": {_slot("      ", n_members)}\n    }}'
+    ),
+    "term": lambda cardinality, n, sign: (
+        f'{{\n      "cardinality": {cardinality},\n      "exponent": {_slot("      ", n)},'
+        f'\n      "sign": {sign}\n    }}'
     ),
 }
 _TEMPLATES: dict[tuple, str] = {}  # pure memo: a few entries per dimension and face size
 
 
-def _template(kind: str, *lengths: int) -> str:
-    """The ``%s`` template of a ``kind`` item whose int lists have these lengths."""
-    key = (kind, *lengths)
+def _template(kind: str, *shape: int) -> str:
+    """The ``%s`` template of a ``kind`` item of this shape."""
+    key = (kind, *shape)
     if key not in _TEMPLATES:
-        pad, form = _FORMS[kind]
-        sep = ",\n" + pad + "  "  # as json.dumps(indent=2) lays out a list at indent pad
-        slots = [f"[{sep[1:]}{sep.join(['%s'] * n)}\n{pad}]" if n else "[]" for n in lengths]
-        _TEMPLATES[key] = form.format(*slots)
+        _TEMPLATES[key] = _FORMS[kind](*shape)
     return _TEMPLATES[key]
 
 
+def _filled(kind: str, shapes, args) -> list[str]:
+    """Each item's ``args`` tuple filled into the template of its shape.
+
+    ``groupby`` splits the shapes into runs of equal ones, comparing them in
+    C, and each run looks its template up once and fills it by ``map``.  A
+    complex's faces and terms come a cardinality run at a time, so runs are
+    long; items in any other order still get the template of their shape.
+    """
+    texts: list[str] = []
+    args = iter(args)
+    for shape, run in groupby(shapes):
+        texts += map(_template(kind, *shape).__mod__, islice(args, len(list(run))))
+    return texts
+
+
+_MEMBERS, _LABEL = itemgetter(0), itemgetter(1)  # Face fields
+_SIGN, _EXPONENT, _CARDINALITY = itemgetter(0), itemgetter(1), itemgetter(2)  # SignedTerm fields
+
+
 def _rows(rows) -> list[str]:
-    return [_template("row", len(row)) % tuple(row) for row in rows]
+    return _filled("row", zip(map(len, rows)), rows)
 
 
-_SHAPES = {
-    "generators": _rows,
-    "facets": _rows,
-    "faces": lambda faces: [_template("face", len(lb), len(ms)) % (*lb, *ms) for ms, lb in faces],
-    "terms": lambda terms: [_template("term", len(e)) % (c, *e, s) for s, e, c in terms],
-}
+def _faces(faces) -> list[str]:
+    labels, members = list(map(_LABEL, faces)), list(map(_MEMBERS, faces))
+    shapes = zip(map(len, labels), map(len, members))
+    return _filled("face", shapes, map(tuple.__add__, labels, members))
+
+
+def _terms(terms) -> list[str]:
+    exponents = list(map(_EXPONENT, terms))
+    shapes = zip(map(_CARDINALITY, terms), map(len, exponents), map(_SIGN, terms))
+    return _filled("term", shapes, exponents)
+
+
+_SHAPES = {"generators": _rows, "facets": _rows, "faces": _faces, "terms": _terms}
 
 
 def _emit_json(payload: dict) -> None:
     """Print ``payload`` byte for byte as ``json.dumps(payload, indent=2, sort_keys=True)``.
 
-    Lists under a ``_SHAPES`` key (int rows, Face and SignedTerm tuples) are
-    filled into templates; every other value goes through ``json.dumps`` on
-    its own, indented one level.
+    Lists under a ``_SHAPES`` key (int rows, Face and SignedTerm tuples,
+    every int list a tuple) are filled into templates; every other value
+    goes through ``json.dumps`` on its own, indented one level.
     """
     items = []
     for key in sorted(payload):
@@ -387,7 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``scarfrel scarf FILE | head -1``): not an
+        # error to report.  As the SIGPIPE note in the ``signal`` docs does,
+        # point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as err:  # noqa: BLE001 - CLI boundary
         # an empty message (MemoryError has one) is named by its type
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)

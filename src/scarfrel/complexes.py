@@ -20,14 +20,22 @@ checks them at construction and derives every face label, on first access
 to its ``faces``, as the lcm of the member generators of its own ideal, so
 a label can never disagree with its face and evaluators that need no
 exponent tuple never build one.
+
+Canonical order (ascending cardinality, then lexicographic) puts the faces
+in runs of one cardinality.  The per-face passes, labels, facets and the
+Hilbert numerator's terms, each take one run at a time through ``map``,
+``zip`` and ``itertools`` calls in C, so none runs a Python statement per
+face: a run's lcm codes come from the run before, its facets from the
+``combinations`` of the run after, and its terms share one sign.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations
-from operator import lt
+from itertools import chain, combinations, compress, count, cycle, repeat
+from operator import and_, itemgetter, lt, not_, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .monomial import (
@@ -84,6 +92,42 @@ class SignedTerm(NamedTuple):
 
 def _canonical_key(members: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (len(members), members)
+
+
+_PREFIX = itemgetter(slice(None, -1))
+_LAST = itemgetter(-1)
+_LABEL = itemgetter(1)
+
+
+def _lcm_codes(gens: Sequence[Exponent]) -> tuple[list[int], list[tuple[int, int, list]]]:
+    """Each generator as one int whose OR over a set of generators codes their lcm.
+
+    Per coordinate, the held values are ranked (rank 0 the smallest) and
+    rank i is a run of i one-bits in that coordinate's field, so the OR of
+    runs is the run of the largest rank; the fields take at most d * (r - 1)
+    bits in all.  Also returns each coordinate's (shift, mask, values): a
+    code's field is ``code >> shift & mask``, and it holds the run of
+    ``values[field.bit_length()]``.
+    """
+    codes = [0] * len(gens)
+    fields = []
+    shift = 0
+    for column in zip(*gens):
+        values = sorted(set(column))
+        runs = {v: (1 << i) - 1 << shift for i, v in enumerate(values)}
+        codes = list(map(or_, codes, map(runs.__getitem__, column)))
+        width = len(values) - 1
+        fields.append((shift, (1 << width) - 1, values))
+        shift += width
+    return codes, fields
+
+
+def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
+    """Where each cardinality's run of canonically ordered tuples starts, then their end.
+
+    Run s is ``tuples[bounds[s - 1]:bounds[s]]``; closure leaves no size out.
+    """
+    return [0, *(bisect_right(tuples, s, key=len) for s in range(1, len(tuples[-1]) + 1))]
 
 
 @dataclass(frozen=True)
@@ -156,30 +200,50 @@ class LabeledComplex:
     def faces(self) -> tuple[Face, ...]:
         """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
 
-        Closure puts each face's prefix face ``ms[:-1]`` first, so its label
-        is one two-vector max away.
+        Canonical order puts the faces in runs of one cardinality, and the
+        singletons are the generators in order.  Each later run takes its
+        lcm codes (:func:`_lcm_codes`) from the run before: a face's code is
+        its prefix face ``ms[:-1]``'s code OR its last generator's.  Each
+        distinct code is decoded into its label once, and the faces share
+        that tuple.  Every run is one pass of ``map`` calls in C, so no
+        Python statement runs per face.
         """
-        gens = self.ideal.generators
-        labels: dict[tuple[int, ...], Exponent] = {(): (0,) * self.ideal.dimension}
-        faces = []
-        for ms in self.member_tuples:
-            labels[ms] = label = tuple(map(max, labels[ms[:-1]], gens[ms[-1] - 1]))
-            faces.append(Face(ms, label))
-        return tuple(faces)
+        tuples = self.member_tuples
+        gen_codes, fields = _lcm_codes(self.ideal.generators)
+        by_index = (None, *gen_codes)  # 1-based
+        bounds = _run_bounds(tuples)
+        codes = list(gen_codes)
+        prefix_code = dict(zip(tuples, gen_codes))  # the singleton run
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            run = tuples[lo:hi]
+            prefixes = map(prefix_code.__getitem__, map(_PREFIX, run))
+            grown = list(map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run))))
+            codes += grown
+            prefix_code = dict(zip(run, grown))
+        distinct = dict.fromkeys(codes)
+        columns = []  # per coordinate, each distinct code's label entry
+        for shift, mask, values in fields:
+            runs = map(and_, map(rshift, distinct, repeat(shift)), repeat(mask))
+            columns.append(map(values.__getitem__, map(int.bit_length, runs)))
+        label_of = dict(zip(distinct, zip(*columns)))
+        labels = map(label_of.__getitem__, codes)
+        return tuple(map(tuple.__new__, repeat(Face), zip(tuples, labels)))
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, in canonical order.
 
         The complex is closed under subsets, so a face is maximal exactly
         when it is not one of the one-smaller subfaces of another face.
+        Those subfaces are gathered into one set, a run of one cardinality
+        at a time, by ``combinations`` in C; closure makes each of them a
+        face, so the set holds at most one entry per face.
         """
-        maximal = {face.members: True for face in self.faces}
-        for face in self.faces:
-            ms = face.members
-            if len(ms) > 1:
-                for k in range(len(ms)):
-                    maximal[ms[:k] + ms[k + 1:]] = False
-        return tuple(face for face in self.faces if maximal[face.members])
+        tuples = self.member_tuples
+        bounds = _run_bounds(tuples)
+        covered: set[tuple[int, ...]] = set()
+        for size, lo, hi in zip(count(1), bounds[1:], bounds[2:]):  # the run of size + 1
+            covered.update(chain.from_iterable(map(combinations, tuples[lo:hi], repeat(size))))
+        return tuple(compress(self.faces, map(not_, map(covered.__contains__, tuples))))
 
     def max_cardinality(self) -> int:
         return len(self.member_tuples[-1])  # canonical order sorts by cardinality
@@ -420,12 +484,18 @@ def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
     zero vector is a generator.  That whole-ring ideal is the one exception;
     its numerator is legitimately 1 - x^0, and both terms are kept so the
     pointwise identity still holds.
+
+    The faces of one cardinality form one run and share their sign, so the
+    signs and cardinalities are runs of ``repeat`` and the terms are made
+    from them and the faces' labels in C, with no Python step per face.
     """
-    terms = [SignedTerm(1, (0,) * complex_.ideal.dimension, 0)]
-    for face in complex_.faces:
-        s = face.cardinality
-        terms.append(SignedTerm(-1 if s % 2 else 1, face.label, s))
-    return tuple(terms)
+    bounds = _run_bounds(complex_.member_tuples)
+    counts = list(map(sub, bounds[1:], bounds))  # faces per cardinality 1, 2, ...
+    signs = chain.from_iterable(map(repeat, cycle((-1, 1)), counts))
+    sizes = chain.from_iterable(map(repeat, count(1), counts))
+    labels = map(_LABEL, complex_.faces)
+    terms = map(tuple.__new__, repeat(SignedTerm), zip(signs, labels, sizes))
+    return (SignedTerm(1, (0,) * complex_.ideal.dimension, 0), *terms)
 
 
 def pointwise_coefficient(terms: Sequence[SignedTerm], beta: Sequence[int]) -> int:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_, lt
 from pathlib import Path
 from typing import Optional
 
@@ -89,6 +91,20 @@ def _profit_number(value, where: str, nonnegative: bool = True) -> int | float:
     return value if isinstance(value, int) else x
 
 
+def _check_point(vec, where: str, components: list[Component]) -> None:
+    """Check a minimal nonfailure point one rule at a time; the first it breaks raises."""
+    d = len(components)
+    _require(isinstance(vec, list), f"{where}: expected a list of integers")
+    _require(len(vec) == d, f"{where}: has {len(vec)} coordinates, expected {d}")
+    coords = tuple(_int_field(x, f"{where}[{k}]") for k, x in enumerate(vec))
+    for k, x in enumerate(coords):
+        _require(
+            0 <= x < components[k].levels,
+            f"{where}[{k}]: level {x} outside 0..{components[k].levels - 1} "
+            f"for component {components[k].name!r}",
+        )
+
+
 def parse_spec(data, source: str = "<spec>") -> SystemSpec:
     _require(isinstance(data, dict), f"{source}: top level must be a JSON object")
     known = {"components", "minimal_nonfailure_points", "profit", "deformation_v"}
@@ -114,7 +130,10 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
         levels = _int_field(entry["levels"], f"{where}.levels")
         probs = entry["probs"]
         _require(isinstance(probs, list), f"{where}.probs: expected a list")
-        row = tuple(_number_field(p, f"{where}.probs[{j}]") for j, p in enumerate(probs))
+        row = tuple(  # a float passes as it is: only another value builds a message
+            p if type(p) is float else _number_field(p, f"{where}.probs[{j}]")
+            for j, p in enumerate(probs)
+        )
         try:
             components.append(Component(entry["name"], levels, row))
         except ValueError as err:
@@ -137,22 +156,19 @@ def parse_spec(data, source: str = "<spec>") -> SystemSpec:
             isinstance(raw_points, list) and raw_points,
             f"{source}: 'minimal_nonfailure_points' must be a nonempty list",
         )
+        levels = [c.levels for c in components]
         rows = []
         for idx, vec in enumerate(raw_points):
-            where = f"{source}: minimal_nonfailure_points[{idx}]"
-            _require(isinstance(vec, list), f"{where}: expected a list of integers")
-            _require(
-                len(vec) == d,
-                f"{where}: has {len(vec)} coordinates, expected {d}",
-            )
-            coords = tuple(_int_field(x, f"{where}[{k}]") for k, x in enumerate(vec))
-            for k, x in enumerate(coords):
-                _require(
-                    0 <= x < components[k].levels,
-                    f"{where}[{k}]: level {x} outside 0..{components[k].levels - 1} "
-                    f"for component {components[k].name!r}",
-                )
-            rows.append(coords)
+            # a list of d in-range ints passes in C, building no message
+            if not (
+                type(vec) is list
+                and len(vec) == d
+                and all(map(is_, map(type, vec), repeat(int)))
+                and all(map(lt, vec, levels))
+                and min(vec) >= 0
+            ):
+                _check_point(vec, f"{source}: minimal_nonfailure_points[{idx}]", components)
+            rows.append(tuple(vec))
         points = tuple(rows)
     else:
         raw_profit = data["profit"]

@@ -10,7 +10,16 @@ import math
 import random
 from itertools import product
 
-from scarfrel import DepthBound, MonomialIdeal, deform, is_generic, minimalize, orthant_prob
+from scarfrel import (
+    DepthBound,
+    Face,
+    MonomialIdeal,
+    SignedTerm,
+    deform,
+    is_generic,
+    minimalize,
+    orthant_prob,
+)
 # Re-exported: tests draw systems from the factory `scarfrel compare` uses.
 from scarfrel.systems import random_points_for, random_system
 
@@ -204,3 +213,35 @@ def tuple_walk_bounds(system, ideal, depth=None) -> tuple:
     return tuple(
         DepthBound(k, math.fsum(terms[:end])) for k, end in enumerate(ends, start=1)
     )
+
+
+def reference_faces(complex_) -> tuple:
+    """Reference labels, one face at a time: the max of the prefix face's label and the last generator."""
+    gens = complex_.ideal.generators
+    labels = {(): (0,) * complex_.ideal.dimension}
+    faces = []
+    for ms in complex_.member_tuples:
+        labels[ms] = label = tuple(map(max, labels[ms[:-1]], gens[ms[-1] - 1]))
+        faces.append(Face(ms, label))
+    return tuple(faces)
+
+
+def reference_facets(complex_) -> tuple:
+    """Reference facets: every face not marked as a one-smaller subface of another face."""
+    faces = reference_faces(complex_)
+    maximal = {face.members: True for face in faces}
+    for face in faces:
+        ms = face.members
+        if len(ms) > 1:
+            for k in range(len(ms)):
+                maximal[ms[:k] + ms[k + 1:]] = False
+    return tuple(face for face in faces if maximal[face.members])
+
+
+def reference_hilbert_numerator(complex_) -> tuple:
+    """Reference numerator: the constant term, then one signed term per face."""
+    terms = [SignedTerm(1, (0,) * complex_.ideal.dimension, 0)]
+    for face in reference_faces(complex_):
+        s = face.cardinality
+        terms.append(SignedTerm(-1 if s % 2 else 1, face.label, s))
+    return tuple(terms)

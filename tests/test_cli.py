@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -430,6 +431,29 @@ class TestCachedParser:
         assert result.stdout == "0\n"
 
 
+class TestBrokenPipe:
+    def test_a_reader_that_leaves_early_gets_exit_1_and_no_message(self, tmp_path):
+        # Eight binary components whose minimal points are the 28 pairs: about
+        # 0.5 MB of JSON, far more than a pipe holds, so the writer is still
+        # writing when the reader closes after the first line.
+        pairs = itertools.combinations(range(8), 2)
+        data = {
+            "components": [{"name": f"c{k}", "levels": 2, "probs": [0.5, 0.5]} for k in range(8)],
+            "minimal_nonfailure_points": [[int(k in pair) for k in range(8)] for pair in pairs],
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scarfrel.cli", "scarf", write_spec(tmp_path, data), "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b"")
+
+
 class TestUnexpectedErrors:
     def test_empty_message_is_named_by_its_type(self, capsys, monkeypatch):
         def out_of_memory(*args, **kwargs):
@@ -480,6 +504,24 @@ class TestSpecErrors:
         code, _, err = run(capsys, "scarf", write_spec(tmp_path, data))
         assert code == 2
         assert "outside 0..2" in err
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ("x", "minimal_nonfailure_points[2]: expected a list of integers"),
+            ([1], "minimal_nonfailure_points[2]: has 1 coordinates, expected 2"),
+            ([1, True], "minimal_nonfailure_points[2][1]: expected an integer, got True"),
+            ([1.0, 9], "minimal_nonfailure_points[2][0]: expected an integer, got 1.0"),
+            ([0, -1], "minimal_nonfailure_points[2][1]: level -1 outside 0..2 for component 'b'"),
+            ([2, 0], "minimal_nonfailure_points[2][0]: level 2 outside 0..1 for component 'a'"),
+        ],
+        ids=["not-a-list", "length", "bool", "float", "negative", "above"],
+    )
+    def test_each_point_rule_names_its_entry(self, capsys, tmp_path, point, message):
+        data = base_points_spec()
+        data["minimal_nonfailure_points"].append(point)
+        path = write_spec(tmp_path, data)
+        assert run(capsys, "scarf", path) == (2, "", f"error: {path}: {message}\n")
 
     def test_unknown_key(self, capsys, tmp_path):
         data = base_points_spec()
@@ -727,6 +769,37 @@ class TestJsonRenderer:
             "facets": [(1,)],
         }
     )
+    # Runs of one shape that break and resume: cardinalities 1, 2, 1, 3 and
+    # rows of mixed lengths, then empty lists and one-item lists.
+    @example(
+        {
+            "generators": [(1, 0), (0, 2, 1), (3, 1), ()],
+            "generic": False,
+            "deformation_v": 5,
+            "kind": "scarf_deformed",
+            "face_count": 4,
+            "faces": [
+                Face((1,), (1, 0)),
+                Face((1, 2), (1, 2)),
+                Face((2,), (0, 2)),
+                Face((1, 2, 3), (3, 2)),
+                Face((1, 2, 3), (3, 2, 0)),
+                Face((), ()),
+            ],
+            "facets": [(1, 2), (3,), (1, 2), (1, 2, 3), ()],
+        }
+    )
+    @example(
+        {
+            "generators": [],
+            "generic": True,
+            "deformation_v": None,
+            "kind": "scarf",
+            "face_count": 0,
+            "faces": [],
+            "facets": [],
+        }
+    )
     def test_scarf_shaped_payloads(self, payload):
         assert rendered(payload) == reference_json(payload)
 
@@ -757,6 +830,61 @@ class TestJsonRenderer:
                 ),
             }
         )
+    )
+    # Terms whose exponent lengths, cardinalities and signs change from one
+    # term to the next, faces of cardinalities 1, 2, 1, 3; then one-item and
+    # empty lists.
+    @example(
+        {
+            "identity_value": 0.5,
+            "term_count": 5,
+            "baseline_term_count": 7,
+            "deformation_v": None,
+            "oracle_value": None,
+            "discrepancy": None,
+            "terms": [
+                SignedTerm(-1, (1, 2), 1),
+                SignedTerm(-1, (1, 2, 3), 1),
+                SignedTerm(1, (1, 2, 3), 2),
+                SignedTerm(-1, (4,), 1),
+                SignedTerm(1, (4,), 1),
+                SignedTerm(1, (), 0),
+                SignedTerm(-1, (1, 2), 1),
+            ],
+            "faces": [
+                Face((1,), (1, 2)),
+                Face((1, 2), (1, 3)),
+                Face((2,), (0, 3)),
+                Face((1, 2, 3), (2, 3)),
+            ],
+            "bounds": [],
+        }
+    )
+    @example(
+        {
+            "identity_value": 1.0,
+            "term_count": 1,
+            "baseline_term_count": 1,
+            "deformation_v": 2,
+            "oracle_value": 1.0,
+            "discrepancy": 0.0,
+            "terms": [SignedTerm(-1, (0, 0), 1)],
+            "faces": [Face((1,), (0, 0))],
+            "bounds": [{"depth": 1, "kind": "upper", "value": 1.0}],
+        }
+    )
+    @example(
+        {
+            "identity_value": 0.0,
+            "term_count": 0,
+            "baseline_term_count": 0,
+            "deformation_v": None,
+            "oracle_value": None,
+            "discrepancy": None,
+            "terms": [],
+            "faces": [],
+            "bounds": [],
+        }
     )
     def test_reliability_shaped_payloads(self, payload):
         assert rendered(payload) == reference_json(payload)

@@ -10,6 +10,7 @@ import scarfrel.complexes as complexes
 from scarfrel import (
     ComplexSizeError,
     DeformationRecord,
+    Face,
     LabeledComplex,
     MonomialIdeal,
     NotGenericError,
@@ -37,6 +38,9 @@ from helpers import (
     PLANAR_GENS,
     random_generic_ideal,
     random_ideal,
+    reference_faces,
+    reference_facets,
+    reference_hilbert_numerator,
 )
 
 PLANAR = MonomialIdeal(2, PLANAR_GENS)
@@ -285,6 +289,64 @@ class TestFacets:
                     if not any(set(f.members) < set(g.members) for g in cx.faces)
                 )
                 assert cx.facets() == maximal
+
+
+def assert_run_passes_match_the_per_face_loops(cx):
+    """faces, facets() and hilbert_numerator equal their per-face references
+    tuple for tuple, and every item is still a working Face or SignedTerm."""
+    faces, facets, terms = cx.faces, cx.facets(), hilbert_numerator(cx)
+    assert faces == reference_faces(cx)
+    assert facets == reference_facets(cx)
+    assert terms == reference_hilbert_numerator(cx)
+    for face in faces + facets:
+        assert type(face) is Face
+        assert face._asdict() == {"members": face.members, "label": face.label}
+        assert face.cardinality == len(face.members)
+        assert type(face.label) is tuple and len(face.label) == cx.ideal.dimension
+    for term in terms:
+        assert type(term) is SignedTerm
+        assert term._asdict() == {
+            "sign": term.sign, "exponent": term.exponent, "cardinality": term.cardinality
+        }
+        assert term.sign == (-1) ** term.cardinality
+
+
+class TestRunPasses:
+    """The cardinality-run passes against the per-face loops they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), route=st.sampled_from(["taylor", "scarf", "deformed"]))
+    def test_equal_the_per_face_loops(self, data, route):
+        if route == "scarf":
+            cx = scarf_complex(data.draw(generic_ideals_with_zeros()))
+        else:
+            ideal = data.draw(ideals_with_zeros(max_points=9))
+            cx = taylor_complex(ideal) if route == "taylor" else deform_and_scarf(ideal)
+        assert_run_passes_match_the_per_face_loops(cx)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: scarf_complex(PLANAR),
+            lambda: taylor_complex(PLANAR),
+            lambda: scarf_complex(MonomialIdeal(2, ((0, 0),))),  # the whole ring
+            lambda: scarf_complex(MonomialIdeal(3, ((2, 0, 1),))),
+            lambda: deform_and_scarf(minimalize(BINARY_NINE)),
+            lambda: deform_and_scarf(minimalize(NONNETWORK_FIVE)),
+        ],
+        ids=["planar-scarf", "planar-taylor", "whole-ring", "principal", "binary-nine", "nonnetwork"],
+    )
+    def test_named_complexes(self, build):
+        assert_run_passes_match_the_per_face_loops(build())
+
+    def test_a_face_without_children_that_is_not_maximal(self):
+        # The builder grows (1, 3) by no later sibling, so no face extends it,
+        # yet it lies in (1, 2, 3): a face with no children is not a facet.
+        cx = deform_and_scarf(minimalize(MULTI_NINE))
+        assert (1, 3) in cx.member_tuples and (1, 2, 3) in cx.member_tuples
+        assert not any(ms[:2] == (1, 3) for ms in cx.member_tuples if len(ms) > 2)
+        assert (1, 3) not in [f.members for f in cx.facets()]
+        assert_run_passes_match_the_per_face_loops(cx)
 
 
 class TestBruteOracle:
