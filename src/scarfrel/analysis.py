@@ -13,13 +13,18 @@ each distinct label's orthant once (deformed and subset complexes repeat
 labels).  Both routes pack each generator into one int (per coordinate,
 the rank of its value as a run of one-bits, at most d * (r - 1) bits in
 all), so an lcm is one integer OR and each distinct code becomes an
-orthant through d table lookups.  The codes and each evaluated orthant are
-held in one slot on the system, keyed by the ideal, so the Scarf route and
-the subset walk of one call pack once and evaluate each code once between
-them.  A complex's faces take the code of their prefix face ORed with
-their last member's and never derive their exponent labels; the classical
-Bonferroni baseline is a level walk over the generator subsets of size
-<= k that builds no complex and holds only one level of ints at a time.
+orthant through d table lookups.  The product over the first d // 2
+coordinates is memoized by those coordinates' fields of the code, and the
+rest multiply onto it in order, so an orthant is bit for bit the product
+in coordinate order from 1.0 while codes that share their leading fields
+share that work.  The codes and each evaluated orthant are held in one
+slot on the system, keyed by the ideal, so the Scarf route and the subset
+walk of one call pack once and evaluate each code once between them.  A
+complex keeps one code per face, derived a cardinality run at a time, and
+the fold counts each run's codes; no exponent label is derived.  The
+classical Bonferroni baseline is a level walk over the generator subsets
+of size <= k that builds no complex and holds only one level of ints at a
+time.
 Only ``inclusion_exclusion``, which takes a caller's label evaluator,
 reads the labels.  The fold keeps each orthant as an exact integer count of 2**-1074
 (every float is one), so level sums and running totals are exact and each
@@ -96,7 +101,8 @@ def _packed_generators(
     The codes are :func:`~scarfrel.complexes._lcm_codes`'s.  Also returns
     the orthant of a code: one table lookup per coordinate, multiplied in
     coordinate order from 1.0, so it equals ``orthant_prob`` of the decoded
-    label bit for bit.
+    label bit for bit.  The product over the first d // 2 coordinates is
+    kept per value of their fields and the others multiply onto it.
     """
     codes, lcm_fields = _lcm_codes(gens)
     fields = [  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
@@ -104,29 +110,24 @@ def _packed_generators(
         for (shift, mask, values), tails in zip(lcm_fields, system.survival_table)
     ]
 
+    half = len(fields) // 2
+    head, tail = fields[:half], fields[half:]
+    low = (1 << tail[0][0]) - 1  # the bits of the head's fields
+    leading: dict[int, float] = {}  # the head's product, by the head's fields
+
     def orthant(code: int) -> float:
-        p = 1.0
-        for shift, mask, table in fields:
+        try:
+            p = leading[code & low]
+        except KeyError:
+            p = 1.0
+            for shift, mask, table in head:
+                p *= table[code >> shift & mask]
+            leading[code & low] = p
+        for shift, mask, table in tail:
             p *= table[code >> shift & mask]
         return p
 
     return codes, orthant
-
-
-def _face_code_counts(complex_: LabeledComplex, codes: Sequence[int], depth: int) -> list[Counter]:
-    """Per cardinality 1..depth, how many faces have each lcm code.
-
-    A face's code is its prefix face's code OR its last member's code;
-    closure and canonical order put the prefix face first.
-    """
-    levels: list[list[int]] = [[] for _ in range(depth)]
-    code_of = {(): 0}
-    for ms in complex_.member_tuples:
-        if len(ms) > depth:
-            break  # canonical order sorts by cardinality
-        code_of[ms] = code = code_of[ms[:-1]] | codes[ms[-1] - 1]
-        levels[len(ms) - 1].append(code)
-    return [Counter(level) for level in levels]
 
 
 def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
@@ -235,12 +236,14 @@ def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> fl
 def depth_bounds(
     system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
-    """Truncation bounds at depths 1..depth (default: every depth) from one walk
-    over the packed lcm codes of the faces; no face label is derived."""
+    """Truncation bounds at depths 1..depth (default: every depth) from the
+    complex's face codes, counted a cardinality run at a time; no face label
+    is derived."""
     depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
-    codes, units = _packed_units(system, complex_.ideal)
-    counts = _face_code_counts(complex_, codes, depth)
-    return _fold_bounds([level.items() for level in counts], units)
+    _, units = _packed_units(system, complex_.ideal)
+    codes, bounds = complex_._lcm[0], complex_._bounds
+    counts = [Counter(codes[lo:hi]).items() for lo, hi in zip(bounds, bounds[1:depth + 1])]
+    return _fold_bounds(counts, units)
 
 
 def subset_bounds(

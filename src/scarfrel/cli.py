@@ -24,7 +24,8 @@ indent=2, sort_keys=True)``, but fills face, term and int-row lists into
 cached ``%`` templates instead of running that pure-Python encoder.  Items
 of one shape (a complex's faces and terms come a cardinality run at a time)
 share one template, looked up once per run and filled by ``map`` in C, so
-no Python statement runs per item.  A broken stdout pipe (``scarfrel scarf
+no Python statement runs per item; a face's label or a term's exponent is
+formatted once per label tuple, which faces with equal labels share.  A broken stdout pipe (``scarfrel scarf
 FILE | head -1``) ends the call with exit code 1 and no message.
 Exit codes: 0 success, 1 runtime failure or detected disagreement, 2
 invalid spec file or arguments.
@@ -81,15 +82,16 @@ def _slot(pad: str, n: int) -> str:
 
 # The ``%s`` template of an item by kind, from the item's shape: the lengths of
 # its int lists and, for a term, its cardinality and sign, which a run of terms
-# shares.  Faces and terms render as dicts of their fields.
+# shares.  Faces and terms render as dicts of their fields; their label or
+# exponent fills one ``%s``, from its own "label" template.
 _FORMS = {
     "row": lambda n: _slot("    ", n),
-    "face": lambda n_label, n_members: (
-        f'{{\n      "label": {_slot("      ", n_label)},'
-        f'\n      "members": {_slot("      ", n_members)}\n    }}'
+    "label": lambda n: _slot("      ", n),
+    "face": lambda n_members: (
+        f'{{\n      "label": %s,\n      "members": {_slot("      ", n_members)}\n    }}'
     ),
-    "term": lambda cardinality, n, sign: (
-        f'{{\n      "cardinality": {cardinality},\n      "exponent": {_slot("      ", n)},'
+    "term": lambda cardinality, sign: (
+        f'{{\n      "cardinality": {cardinality},\n      "exponent": %s,'
         f'\n      "sign": {sign}\n    }}'
     ),
 }
@@ -127,16 +129,27 @@ def _rows(rows) -> list[str]:
     return _filled("row", zip(map(len, rows)), rows)
 
 
+def _labels(labels: list) -> zip:
+    """Each label's text as a 1-tuple, formatted once per label tuple.
+
+    A complex's faces with equal labels share one tuple, so the tuple's
+    ``id`` is the key: an int, hashed in C without reading the label.
+    """
+    by_id = dict(zip(map(id, labels), labels))
+    texts = _filled("label", zip(map(len, by_id.values())), by_id.values())
+    text_of = dict(zip(by_id, texts))
+    return zip(map(text_of.__getitem__, map(id, labels)))
+
+
 def _faces(faces) -> list[str]:
-    labels, members = list(map(_LABEL, faces)), list(map(_MEMBERS, faces))
-    shapes = zip(map(len, labels), map(len, members))
-    return _filled("face", shapes, map(tuple.__add__, labels, members))
+    members = list(map(_MEMBERS, faces))
+    labels = _labels(list(map(_LABEL, faces)))
+    return _filled("face", zip(map(len, members)), map(tuple.__add__, labels, members))
 
 
 def _terms(terms) -> list[str]:
-    exponents = list(map(_EXPONENT, terms))
-    shapes = zip(map(_CARDINALITY, terms), map(len, exponents), map(_SIGN, terms))
-    return _filled("term", shapes, exponents)
+    shapes = zip(map(_CARDINALITY, terms), map(_SIGN, terms))
+    return _filled("term", shapes, _labels(list(map(_EXPONENT, terms))))
 
 
 _SHAPES = {"generators": _rows, "facets": _rows, "faces": _faces, "terms": _terms}

@@ -22,11 +22,14 @@ a label can never disagree with its face and evaluators that need no
 exponent tuple never build one.
 
 Canonical order (ascending cardinality, then lexicographic) puts the faces
-in runs of one cardinality.  The per-face passes, labels, facets and the
-Hilbert numerator's terms, each take one run at a time through ``map``,
-``zip`` and ``itertools`` calls in C, so none runs a Python statement per
-face: a run's lcm codes come from the run before, its facets from the
-``combinations`` of the run after, and its terms share one sign.
+in runs of one cardinality.  The per-face passes, the member checks, lcm
+codes, labels, facets and the Hilbert numerator's terms, each take one run
+at a time through ``map``, ``zip``, set and ``itertools`` calls in C, so
+none runs a Python statement per face: a run's checks compare its columns
+and its neighbours and look its subfaces up in the run before, its lcm
+codes come from the run before, its facets from the ``combinations`` of the
+run after, and its terms share one sign.  The complex keeps one list of
+face codes, which its labels decode and the evaluators count.
 """
 
 from __future__ import annotations
@@ -90,10 +93,6 @@ class SignedTerm(NamedTuple):
     cardinality: int
 
 
-def _canonical_key(members: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (len(members), members)
-
-
 _PREFIX = itemgetter(slice(None, -1))
 _LAST = itemgetter(-1)
 _LABEL = itemgetter(1)
@@ -130,6 +129,36 @@ def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
     return [0, *(bisect_right(tuples, s, key=len) for s in range(1, len(tuples[-1]) + 1))]
 
 
+def _check_faces(
+    faces: Sequence[tuple[int, ...]], seen: set, r: int, d: int, max_size: int
+) -> None:
+    """The member rules one face at a time, in canonical order; raises at the first fault.
+
+    ``seen`` holds the faces before ``faces`` and gains each face that passes.
+    """
+    for ms in faces:
+        if not ms:
+            raise ValueError("faces must be nonempty; the empty face is implicit")
+        if not all(map(lt, ms, ms[1:])):
+            raise ValueError(f"face members must be strictly ascending: {ms}")
+        if ms[0] < 1:
+            raise ValueError(f"face members are 1-based: {ms}")
+        if ms[-1] > r:
+            raise ValueError(f"face {ms} exceeds generator count {r}")
+        if ms in seen:
+            raise ValueError(f"duplicate face {ms}")
+        if len(ms) > max_size:
+            raise ValueError(
+                f"Scarf face {ms} has cardinality above the ambient dimension {d}"
+            )
+        if len(ms) > 1 and not seen.issuperset(combinations(ms, len(ms) - 1)):
+            sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
+            raise ValueError(
+                f"complex is not closed under subsets: {ms} present but {sub} missing"
+            )
+        seen.add(ms)
+
+
 @dataclass(frozen=True)
 class LabeledComplex:
     """A simplicial complex on generator indices with lcm labels.
@@ -139,13 +168,23 @@ class LabeledComplex:
     tuple may repeat, every singleton must be present and the set must be
     closed under subsets.  Scarf kinds also need every cardinality at most
     the dimension, and kind="scarf" needs pairwise distinct labels.  All of
-    this is checked at construction.
+    this is checked at construction, one cardinality run at a time: the
+    columns of a run are ascending, its first column's least entry is at
+    least 1 and its last column's largest at most r, no face equals its
+    neighbour, and the one-smaller subsets of all its faces lie in the run
+    before; the singleton run then has r faces.  Only a run that breaks a
+    rule is checked face by face, so the fault named is the first in
+    canonical order and its message is the one that face's rule gives.
 
     ``member_tuples`` holds the tuples in canonical order (ascending
     cardinality, then lexicographic), and equality and hashing compare it.
+    Each face's lcm code (:func:`_lcm_codes`) is derived once, a run at a
+    time, on first need: for kind="scarf" at construction, where distinct
+    codes are distinct labels, and otherwise by ``faces`` or the evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
-    with the lcm of its generators; it is derived on first access and kept,
-    so evaluators that need no exponent tuple never build one.
+    with the lcm of its generators, decoded from those codes; it is derived
+    on first access and kept, so evaluators that need no exponent tuple
+    never build one.
     """
 
     ideal: MonomialIdeal
@@ -159,59 +198,62 @@ class LabeledComplex:
         r = len(self.ideal.generators)
         d = self.ideal.dimension
         max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
-        ordered = sorted(members, key=_canonical_key)
-        seen: set[tuple[int, ...]] = set()
-        for ms in ordered:
-            if not ms:
-                raise ValueError("faces must be nonempty; the empty face is implicit")
-            if not all(map(lt, ms, ms[1:])):
-                raise ValueError(f"face members must be strictly ascending: {ms}")
-            if ms[0] < 1:
-                raise ValueError(f"face members are 1-based: {ms}")
-            if ms[-1] > r:
-                raise ValueError(f"face {ms} exceeds generator count {r}")
-            if ms in seen:
-                raise ValueError(f"duplicate face {ms}")
-            if len(ms) > max_size:
-                raise ValueError(
-                    f"Scarf face {ms} has cardinality above the ambient dimension {d}"
-                )
-            if len(ms) > 1 and not seen.issuperset(combinations(ms, len(ms) - 1)):
-                sub = next(c for c in combinations(ms, len(ms) - 1) if c not in seen)
-                raise ValueError(
-                    f"complex is not closed under subsets: {ms} present but {sub} missing"
-                )
-            seen.add(ms)
-        for i in range(1, r + 1):
-            if (i,) not in seen:
-                raise ValueError(f"singleton {{{i}}} is missing")
+        ordered = sorted(members)
+        ordered.sort(key=len)  # stable: ascending cardinality, then lexicographic
+        if ordered and not ordered[0]:
+            raise ValueError("faces must be nonempty; the empty face is implicit")
+        bounds = _run_bounds(ordered) if ordered else [0, 0]
+        below: set[tuple[int, ...]] = set()  # the run before
+        for size, lo, hi in zip(count(1), bounds, bounds[1:]):
+            run = ordered[lo:hi]
+            run_set = set(run)
+            if run:
+                columns = list(zip(*run))
+                if not (
+                    size <= max_size
+                    and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+                    and min(columns[0]) >= 1
+                    and max(columns[-1]) <= r
+                    and len(run_set) == len(run)
+                    and (size == 1 or below.issuperset(
+                        chain.from_iterable(map(combinations, run, repeat(size - 1)))
+                    ))
+                ):
+                    _check_faces(run, set(ordered[:lo]), r, d, max_size)
+            below = run_set
+        if bounds[1] != r:  # the singletons are distinct and in 1..r, so all iff r of them
+            singletons = set(ordered[:bounds[1]])
+            for i in range(1, r + 1):
+                if (i,) not in singletons:
+                    raise ValueError(f"singleton {{{i}}} is missing")
         object.__setattr__(self, "member_tuples", tuple(ordered))
+        object.__setattr__(self, "_bounds", bounds)
         if self.kind == "scarf":
-            labels: dict[Exponent, tuple[int, ...]] = {}
-            for face in self.faces:
-                if face.label in labels:
-                    raise ValueError(
-                        f"Scarf labels must be distinct: {labels[face.label]} "
-                        f"and {face.members} share {face.label}"
-                    )
-                labels[face.label] = face.members
+            codes = self._lcm[0]
+            if len(set(codes)) != len(codes):  # codes and labels are in bijection
+                labels: dict[Exponent, tuple[int, ...]] = {}
+                for face in self.faces:
+                    if face.label in labels:
+                        raise ValueError(
+                            f"Scarf labels must be distinct: {labels[face.label]} "
+                            f"and {face.members} share {face.label}"
+                        )
+                    labels[face.label] = face.members
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
+    def _lcm(self) -> tuple[list[int], list[tuple[int, int, list]]]:
+        """Each face's lcm code in canonical order, and the fields that decode them.
 
-        Canonical order puts the faces in runs of one cardinality, and the
-        singletons are the generators in order.  Each later run takes its
-        lcm codes (:func:`_lcm_codes`) from the run before: a face's code is
-        its prefix face ``ms[:-1]``'s code OR its last generator's.  Each
-        distinct code is decoded into its label once, and the faces share
-        that tuple.  Every run is one pass of ``map`` calls in C, so no
-        Python statement runs per face.
+        The codes are :func:`_lcm_codes`'s.  Canonical order puts the faces
+        in runs of one cardinality, and the singletons are the generators in
+        order.  Each later run takes its codes from the run before: a face's
+        code is its prefix face ``ms[:-1]``'s code OR its last generator's,
+        one pass of ``map`` calls in C per run.
         """
         tuples = self.member_tuples
         gen_codes, fields = _lcm_codes(self.ideal.generators)
         by_index = (None, *gen_codes)  # 1-based
-        bounds = _run_bounds(tuples)
+        bounds = self._bounds
         codes = list(gen_codes)
         prefix_code = dict(zip(tuples, gen_codes))  # the singleton run
         for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -220,6 +262,17 @@ class LabeledComplex:
             grown = list(map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run))))
             codes += grown
             prefix_code = dict(zip(run, grown))
+        return codes, fields
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
+
+        Each distinct lcm code is decoded into its label once, a coordinate
+        column at a time, and the faces share that tuple, so no Python
+        statement runs per face.
+        """
+        codes, fields = self._lcm
         distinct = dict.fromkeys(codes)
         columns = []  # per coordinate, each distinct code's label entry
         for shift, mask, values in fields:
@@ -227,7 +280,7 @@ class LabeledComplex:
             columns.append(map(values.__getitem__, map(int.bit_length, runs)))
         label_of = dict(zip(distinct, zip(*columns)))
         labels = map(label_of.__getitem__, codes)
-        return tuple(map(tuple.__new__, repeat(Face), zip(tuples, labels)))
+        return tuple(map(tuple.__new__, repeat(Face), zip(self.member_tuples, labels)))
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, in canonical order.
@@ -239,7 +292,7 @@ class LabeledComplex:
         face, so the set holds at most one entry per face.
         """
         tuples = self.member_tuples
-        bounds = _run_bounds(tuples)
+        bounds = self._bounds
         covered: set[tuple[int, ...]] = set()
         for size, lo, hi in zip(count(1), bounds[1:], bounds[2:]):  # the run of size + 1
             covered.update(chain.from_iterable(map(combinations, tuples[lo:hi], repeat(size))))
@@ -302,7 +355,8 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     union that passes (a) and (b) has all its other subsets in the complex
     already.  A face's children are its accepted unions with its later
     siblings; the walk goes depth first with an explicit stack, so only the
-    sibling groups along one path are held.  It meets each size's faces in
+    sibling groups along one path are held.  A group is one list of
+    ``(face, mask, down, owner)`` records.  It meets each size's faces in
     lexicographic order, so they come out in :class:`LabeledComplex`'s
     canonical order and its sort has nothing to reorder.
     """
@@ -323,23 +377,19 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
                 owner[i] |= 1 << (i + shift)
     shifts = [width * (n >> s) for s in range(1, n.bit_length())]
     by_size: list[list[tuple[int, ...]]] = [[] for _ in range(d)]  # (a) bounds sizes by d
-    # Each group is held in descending order, so pop() takes its first face
-    # and the faces left in the list are that face's later siblings.
-    stack = [
-        ([(i,) for i in range(r, 0, -1)], [1 << i for i in reversed(range(r))], down[::-1], owner[::-1])
-    ]
+    # Each group is one list of (face, mask, down, owner) records in descending
+    # order, so pop() takes its first face and the records left in the list are
+    # that face's later siblings.
+    stack = [[((i + 1,), 1 << i, down[i], owner[i]) for i in reversed(range(r))]]
     while stack:
-        faces, masks, downs, owners = stack[-1]
-        if not faces:
+        group = stack[-1]
+        if not group:
             stack.pop()
             continue
-        face, mask, down_a, owner_a = faces.pop(), masks.pop(), downs.pop(), owners.pop()
+        face, mask, down_a, owner_a = group.pop()
         by_size[len(face) - 1].append(face)
-        grown: list[tuple[int, ...]] = []
-        grown_masks: list[int] = []
-        grown_downs: list[int] = []
-        grown_owners: list[int] = []
-        for other, mask_b, down_b, owner_b in zip(faces, masks, downs, owners):
+        grown = []
+        for other, mask_b, down_b, owner_b in group:
             union = mask | mask_b
             joined = down_a | down_b
             fold = joined
@@ -354,12 +404,9 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
                 fold |= fold >> s
             if fold & full != union:
                 continue
-            grown.append(face + other[-1:])
-            grown_masks.append(union)
-            grown_downs.append(joined)
-            grown_owners.append(owned)
+            grown.append((face + other[-1:], union, joined, owned))
         if grown:
-            stack.append((grown, grown_masks, grown_downs, grown_owners))
+            stack.append(grown)
     return [face for level in by_size for face in level]
 
 
@@ -489,7 +536,7 @@ def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
     signs and cardinalities are runs of ``repeat`` and the terms are made
     from them and the faces' labels in C, with no Python step per face.
     """
-    bounds = _run_bounds(complex_.member_tuples)
+    bounds = complex_._bounds
     counts = list(map(sub, bounds[1:], bounds))  # faces per cardinality 1, 2, ...
     signs = chain.from_iterable(map(repeat, cycle((-1, 1)), counts))
     sizes = chain.from_iterable(map(repeat, count(1), counts))

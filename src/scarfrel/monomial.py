@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, getitem
+from itertools import repeat
+from operator import and_, getitem, is_
 from typing import Iterable, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -31,8 +32,10 @@ class DimensionMismatchError(ValueError):
 
 def _vector(v: Sequence[int]) -> Exponent:
     out = tuple(v)
+    if all(map(is_, map(type, out), repeat(int))) and min(out, default=0) >= 0:
+        return out  # plain nonnegative ints pass in C, building no message
     for c in out:
-        if not isinstance(c, int):
+        if isinstance(c, bool) or not isinstance(c, int):
             raise ValueError(f"exponent coordinates must be integers, got {c!r}")
         if c < 0:
             raise ValueError(f"exponent coordinates must be nonnegative, got {c}")

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 from scarfrel import (
     DepthBound,
@@ -245,3 +246,64 @@ def reference_hilbert_numerator(complex_) -> tuple:
         s = face.cardinality
         terms.append(SignedTerm(-1 if s % 2 else 1, face.label, s))
     return tuple(terms)
+
+
+def reference_face_codes(complex_, codes) -> list:
+    """Reference lcm codes of the faces in canonical order, one face at a time.
+
+    A face's code is its prefix face's code OR its last member's code, from
+    the generators' ``codes``; closure and canonical order put the prefix
+    face first.
+    """
+    code_of = {(): 0}
+    for ms in complex_.member_tuples:
+        code_of[ms] = code_of[ms[:-1]] | codes[ms[-1] - 1]
+    return [code_of[ms] for ms in complex_.member_tuples]
+
+
+def reference_face_code_counts(complex_, codes, depth) -> list:
+    """Reference per-cardinality code counts for faces of size 1..depth."""
+    levels = [[] for _ in range(depth)]
+    for ms, code in zip(complex_.member_tuples, reference_face_codes(complex_, codes)):
+        if len(ms) <= depth:
+            levels[len(ms) - 1].append(code)
+    return [Counter(level) for level in levels]
+
+
+def reference_member_checks(ideal, members, kind) -> tuple:
+    """Reference member checks, one face at a time in canonical order.
+
+    Returns the canonically ordered member tuples, or raises the ValueError
+    that ``LabeledComplex`` raises for the first fault.  Labels are not
+    checked.
+    """
+    r, d = len(ideal.generators), ideal.dimension
+    max_size = r if kind == "taylor" else d
+    ordered = sorted(members, key=lambda ms: (len(ms), ms))
+    seen = set()
+    for ms in ordered:
+        if not ms:
+            raise ValueError("faces must be nonempty; the empty face is implicit")
+        if not all(a < b for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"face members must be strictly ascending: {ms}")
+        if ms[0] < 1:
+            raise ValueError(f"face members are 1-based: {ms}")
+        if ms[-1] > r:
+            raise ValueError(f"face {ms} exceeds generator count {r}")
+        if ms in seen:
+            raise ValueError(f"duplicate face {ms}")
+        if len(ms) > max_size:
+            raise ValueError(
+                f"Scarf face {ms} has cardinality above the ambient dimension {d}"
+            )
+        if len(ms) > 1:
+            for sub in combinations(ms, len(ms) - 1):
+                if sub not in seen:
+                    raise ValueError(
+                        f"complex is not closed under subsets: {ms} present but {sub} missing"
+                    )
+        seen.add(ms)
+    for i in range(1, r + 1):
+        if (i,) not in seen:
+            raise ValueError(f"singleton {{{i}}} is missing")
+    return tuple(ordered)

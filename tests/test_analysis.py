@@ -34,6 +34,7 @@ from scarfrel import (
     taylor_complex,
     tube_bounds,
 )
+from scarfrel.complexes import _lcm_codes
 from scarfrel.specfile import load_spec
 
 from helpers import (
@@ -42,6 +43,9 @@ from helpers import (
     MULTI_NINE,
     PLANAR_GENS,
     full_scan_reliability,
+    reference_face_code_counts,
+    reference_face_codes,
+    reference_faces,
     random_points_for,
     random_system,
     tuple_walk_bounds,
@@ -448,6 +452,71 @@ class TestFaceCodeRoute:
             expected = [x.hex() for x in fresh_fsums(levels, values)]
             for k in range(1, top + 1):
                 assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+
+
+@st.composite
+def dimension_cases(draw, d):
+    """A system of d components with non-dyadic rows and an ideal of at most 9 generators."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    point = st.tuples(*(st.integers(0, n - 1) for n in levels))
+    points = draw(st.lists(point, min_size=1, max_size=9))
+    rows = []
+    for n in levels:
+        weights = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
+        rows.append(tuple(w / sum(weights) for w in weights))
+    system = CoherentSystem(tuple(Component(f"c{i}", len(row), row) for i, row in enumerate(rows)))
+    return system, minimalize(points)
+
+
+def assert_codes_and_orthants_bit_for_bit(system, cx, order):
+    """The complex's face codes, each orthant met in ``order`` and every depth bound
+    equal their per-face references bit for bit."""
+    codes, orthant = analysis._packed_generators(system, cx.ideal.generators)  # a fresh memo
+    face_codes = reference_face_codes(cx, codes)
+    assert cx._lcm[0] == face_codes
+    label_of = dict(zip(face_codes, (f.label for f in reference_faces(cx))))
+    for code in order(list(label_of)):
+        assert orthant(code).hex() == orthant_prob(system, label_of[code]).hex()
+    top = cx.max_cardinality()
+    levels = reference_face_code_counts(cx, codes, top)
+    plain = analysis._Units(lambda code: orthant_prob(system, label_of[code]))
+    expected = [b.value.hex() for b in analysis._fold_bounds([c.items() for c in levels], plain)]
+    label_levels = [[(label_of[code], n) for code, n in level.items()] for level in levels]
+    values = {label: orthant_prob(system, label) for label in label_of.values()}
+    assert expected == [x.hex() for x in fresh_fsums(label_levels, values)]
+    for k in range(1, top + 1):
+        assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+
+
+class TestSharedCodesAndPrefixMemo:
+    """One code list per complex, and orthants that memoize the product over their
+    first d // 2 coordinates, against the per-face loop and ``orthant_prob``."""
+
+    # d = 1 memoizes no coordinate, d = 2 one of two, d = 3 and 9 split unevenly.
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_depth_and_orthant(self, d, data):
+        system, ideal = data.draw(dimension_cases(d))
+        builds = [taylor_complex, deform_and_scarf]
+        if is_generic(ideal):
+            builds.append(scarf_complex)
+        for build in builds:
+            shuffle = lambda codes: data.draw(st.permutations(codes))  # noqa: E731
+            assert_codes_and_orthants_bit_for_bit(system, build(ideal), shuffle)
+
+    def test_deep_complex_reads_shared_prefixes(self):
+        spec = load_spec(str(Path(__file__).resolve().parent / "specs" / "deep_d8_r12.json"))
+        ideal = minimalize(spec.points)
+        cx = deform_and_scarf(ideal)
+        codes, _ = analysis._packed_generators(spec.system, ideal.generators)
+        distinct = set(reference_face_codes(cx, codes))
+        low = (1 << _lcm_codes(ideal.generators)[1][4][0]) - 1  # fields 0..3 of 8
+        assert len({code & low for code in distinct}) < len(distinct)  # memo entries are shared
+        for seed in range(3):
+            assert_codes_and_orthants_bit_for_bit(
+                spec.system, cx, lambda codes: random.Random(seed).sample(codes, len(codes))
+            )
 
 
 class TestSubsetBounds:

@@ -21,6 +21,8 @@ from scarfrel.complexes import Face, SignedTerm
 from scarfrel.specfile import load_spec
 from scarfrel.systems import random_points_for, random_system
 
+from helpers import reference_face_code_counts
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BINARY = str(SPECS / "binary_network.json")
 POINTS = str(SPECS / "multistate_points.json")
@@ -370,7 +372,7 @@ class TestOneOrthantTablePerCall:
         scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
         subset_depth = len(ideal.generators) if argv == ("compare",) else scarf_depth
         expected = set()
-        for level in analysis._face_code_counts(complex_, codes, scarf_depth):
+        for level in reference_face_code_counts(complex_, codes, scarf_depth):
             expected |= set(level)
         for level in analysis._subset_label_counts(codes, subset_depth):
             expected |= set(level)

@@ -41,6 +41,7 @@ from helpers import (
     reference_faces,
     reference_facets,
     reference_hilbert_numerator,
+    reference_member_checks,
 )
 
 PLANAR = MonomialIdeal(2, PLANAR_GENS)
@@ -347,6 +348,135 @@ class TestRunPasses:
         assert not any(ms[:2] == (1, 3) for ms in cx.member_tuples if len(ms) > 2)
         assert (1, 3) not in [f.members for f in cx.facets()]
         assert_run_passes_match_the_per_face_loops(cx)
+
+
+@st.composite
+def antichains(draw, max_points):
+    """Ideals of 2..max_points points of one coordinate sum, so none is dropped; ties abound."""
+    d = draw(st.integers(2, 4))
+    total = draw(st.integers(2, 5))
+    layer = [p for p in itertools.product(range(total + 1), repeat=d) if sum(p) == total]
+    points = st.lists(st.sampled_from(layer), min_size=2, max_size=max_points, unique=True)
+    return minimalize(draw(points))
+
+
+FAULTS = ("empty", "descending", "zero", "above-r", "duplicate", "above-d", "unclosed", "singleton")
+
+
+def inject(data, members, faults, r, d):
+    """``members`` with the named faults; those that make a face all go into one face."""
+    faces = [ms for ms in members if ms]
+    if "unclosed" in faults:  # drop a face that lies in another face
+        inner = sorted(
+            {sub for ms in faces if len(ms) > 1 for sub in itertools.combinations(ms, len(ms) - 1)}
+        )
+        if inner:
+            drop = data.draw(st.sampled_from(inner))
+            members = [ms for ms in members if ms != drop]
+    if "singleton" in faults:
+        drop = (data.draw(st.integers(1, r)),)
+        members = [ms for ms in members if ms != drop]
+    if "empty" in faults:
+        members = [*members, ()]
+    if faults & {"above-d", "zero", "above-r", "descending", "duplicate"}:
+        if "above-d" in faults:  # a (d + 1)-face with every subset, so closure holds
+            ids = st.integers(1, r if r > d else d + 1)
+            face = tuple(sorted(data.draw(st.sets(ids, min_size=d + 1, max_size=d + 1))))
+            subsets = (c for s in range(1, d + 1) for c in itertools.combinations(face, s))
+            members = [*members, *(c for c in subsets if c not in members)]
+        else:
+            face = data.draw(st.sampled_from(faces)) if faces else (1,)
+        if "zero" in faults:
+            face = (0, *face)
+        if "above-r" in faults:
+            face = (*face, r + 1)
+        if "descending" in faults:  # the ends stay, so a zero or above-r fault stays too
+            if len(face) > 3:  # the inner entries reversed
+                face = face[:1] + face[-2:0:-1] + face[-1:]
+            else:  # the middle entry repeated
+                face = face[:len(face) // 2 + 1] + face[len(face) // 2:]
+        members = [*members, face, *[face] * ("duplicate" in faults)]
+    return members
+
+
+def assert_checks_match_the_per_face_rule(data, route, groups):
+    """Inject each group of faults into a drawn complex; compare with the per-face rule."""
+    if route == "scarf":
+        ideal = data.draw(generic_ideals_with_zeros(min_d=2, max_d=4, max_points=8))
+        kind, members = "scarf", list(scarf_complex(ideal).member_tuples)
+    else:
+        ideal = data.draw(antichains(max_points=6 if route == "taylor" else 12))
+        build = taylor_complex if route == "taylor" else deform_and_scarf
+        cx = build(ideal)
+        kind, members = cx.kind, list(cx.member_tuples)
+    r, d = len(ideal.generators), ideal.dimension
+    for group in groups:
+        members = inject(data, members, group, r, d)
+    members = data.draw(st.permutations(members))
+    try:
+        expected = reference_member_checks(ideal, members, kind)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            LabeledComplex(ideal=ideal, members=members, kind=kind)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert LabeledComplex(ideal=ideal, members=members, kind=kind).member_tuples == expected
+
+
+class TestRunWiseChecks:
+    """The member checks, a cardinality run at a time, against the per-face rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        route=st.sampled_from(["taylor", "scarf", "deformed"]),
+        faults=st.lists(st.sampled_from(FAULTS), max_size=3),
+    )
+    def test_same_members_or_same_error_as_the_per_face_rule(self, data, route, faults):
+        groups = []  # faults that share a group fall on one face
+        for fault in faults:
+            if not groups or data.draw(st.booleans()):
+                groups.append(set())
+            groups[-1].add(fault)
+        assert_checks_match_the_per_face_rule(data, route, groups)
+
+    # Every pair of rules that one face can break together, so each pair's order shows.
+    @pytest.mark.parametrize(
+        "pair",
+        list(itertools.combinations(("above-d", "zero", "above-r", "descending", "duplicate"), 2)),
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), route=st.sampled_from(["taylor", "scarf", "deformed"]))
+    def test_two_faults_on_one_face(self, pair, data, route):
+        assert_checks_match_the_per_face_rule(data, route, [set(pair)])
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            # the zero fault's face comes first in canonical order
+            ([(1,), (2,), (3,), (1, 3), (0, 2), (2, 1)],
+             "face members are 1-based: (0, 2)"),
+            # two faults on one face: the ascending rule is checked first
+            ([(1,), (2,), (3,), (0, 2, 1)], "face members must be strictly ascending: (0, 2, 1)"),
+            # closure is checked against the run before, in face order
+            ([(1,), (2,), (3,), (1, 2), (1, 3), (1, 2, 3)],
+             "complex is not closed under subsets: (1, 2, 3) present but (2, 3) missing"),
+            # a skipped cardinality leaves an empty run
+            ([(1,), (2,), (3,), (1, 2, 3)],
+             "complex is not closed under subsets: (1, 2, 3) present but (1, 2) missing"),
+            # singletons are counted last, so a later run's fault is named first
+            ([(1,), (3,), (1, 3), (1, 3)], "duplicate face (1, 3)"),
+            ([(1,), (3,)], "singleton {2} is missing"),
+            ([], "singleton {1} is missing"),
+        ],
+    )
+    def test_first_fault_in_canonical_order(self, members, message):
+        with pytest.raises(ValueError) as err:
+            LabeledComplex(ideal=PLANAR, members=members, kind="taylor")
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            reference_member_checks(PLANAR, members, "taylor")
+        assert str(err.value) == message
 
 
 class TestBruteOracle:

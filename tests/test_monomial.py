@@ -257,6 +257,41 @@ class TestMonomialIdealValidation:
         assert contains(ideal, (0, 0))
 
 
+class TestExponentTypes:
+    """Every entry point rejects a non-int coordinate, bools included, as the spec loader does."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: MonomialIdeal(2, (v,)),
+            lambda v: minimalize([v, (0, 1)]),
+            lambda v: lcm([(0, 2), v]),
+            lambda v: contains(MonomialIdeal(2, ((1, 0),)), v),
+        ],
+        ids=["ideal", "minimalize", "lcm", "contains"],
+    )
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            ((True, 0), "exponent coordinates must be integers, got True"),
+            ((1, False), "exponent coordinates must be integers, got False"),
+            ((1, 2.0), "exponent coordinates must be integers, got 2.0"),
+            ((1, "2"), "exponent coordinates must be integers, got '2'"),
+            ((-1, True), "exponent coordinates must be nonnegative, got -1"),
+            ((True, -1), "exponent coordinates must be integers, got True"),
+        ],
+    )
+    def test_rejected_with_the_first_offender(self, call, vector, message):
+        with pytest.raises(ValueError) as err:
+            call(vector)
+        assert str(err.value) == message
+
+    def test_plain_ints_pass_unchanged(self):
+        assert minimalize([(1, 0), [0, 1]]).generators == ((1, 0), (0, 1))
+        assert lcm([(3, 0), (0, 2)]) == (3, 2)
+        assert contains(MonomialIdeal(2, ((1, 0),)), [1, 5])
+
+
 class TestContains:
     def test_planar(self):
         ideal = MonomialIdeal(2, ((3, 0), (2, 2), (0, 3)))
