@@ -26,7 +26,8 @@ classical Bonferroni baseline is a level walk over the generator subsets
 of size <= k that builds no complex and holds only one level of ints at a
 time.
 Only ``inclusion_exclusion``, which takes a caller's label evaluator,
-reads the labels.  The fold keeps each orthant as an exact integer count of 2**-1074
+reads the labels, and it counts them a cardinality run at a time too.
+The fold keeps each orthant as an exact integer count of 2**-1074
 (every float is one), so level sums and running totals are exact and each
 depth rounds once, by int / int, which is correctly rounded: the depth-k
 bound is bit for bit a fresh fsum of the signed terms of cardinality <= k,
@@ -83,14 +84,6 @@ def check_depth(depth: int, max_card: int) -> None:
         raise ValueError(
             f"depth must lie in 1..{max_card} for this complex, got {depth}"
         )
-
-
-def _face_label_counts(complex_: LabeledComplex) -> list[LabelCounts]:
-    """Per cardinality, one (label, 1) pair per face."""
-    levels: list[list[tuple[Exponent, int]]] = [[] for _ in range(complex_.max_cardinality())]
-    for members, label in complex_.faces:
-        levels[len(members) - 1].append((label, 1))
-    return levels
 
 
 def _packed_generators(
@@ -225,7 +218,9 @@ def inclusion_exclusion(
     identity work off-grid.  Its values are read through ``float()``, as
     fsum reads them, and a non-finite one raises ValueError naming its label.
     """
-    return _fold_bounds(_face_label_counts(complex_), _Units(orthant))[-1].value
+    labels, bounds = [face.label for face in complex_.faces], complex_._bounds
+    counts = [Counter(labels[lo:hi]).items() for lo, hi in zip(bounds, bounds[1:])]
+    return _fold_bounds(counts, _Units(orthant))[-1].value
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
@@ -282,6 +277,11 @@ def bonferroni_bounds(
             f"Bonferroni bounds need the full subset complex, got kind {taylor.kind!r}"
         )
     return depth_bounds(system, taylor, depth)[-1]
+
+
+def _oracle_affordable(system: CoherentSystem) -> bool:
+    """Whether the system's state grid is small enough for the oracle (at most ``STATE_CAP``)."""
+    return math.prod(system.level_counts()) <= STATE_CAP
 
 
 def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> float:
@@ -358,7 +358,7 @@ def build_report(system: CoherentSystem, complex_: LabeledComplex) -> Reliabilit
             f"complex or system data is inconsistent"
         )
     oracle: Optional[float] = None
-    if math.prod(system.level_counts()) <= STATE_CAP:
+    if _oracle_affordable(system):
         oracle = brute_force_reliability(system, complex_.ideal)
     return ReliabilityReport(
         identity_value=identity,

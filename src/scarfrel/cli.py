@@ -4,7 +4,7 @@ Every subcommand takes one pipeline: load the spec, extract its minimal
 nonfailure points (explicit list or profit grid scan), check genericity
 once, then build the Scarf complex or, for a non-generic ideal, the Scarf
 complex of its deformation.  Each subcommand only picks the routes it
-evaluates on that result and renders them:
+evaluates on that result:
 
 - ``scarf FILE``: generators, genericity, deformation, full face list
   with lcm labels, facets and face count.
@@ -18,6 +18,9 @@ evaluates on that result and renders them:
   discrepancy; without FILE, a seeded randomized self-test corpus whose
   random systems take the same generic-or-deform choice as a spec file.
 
+Every command returns its report as a payload and a callable that yields
+its text lines; ``main`` alone writes one of them to stdout, flushes and
+maps the outcome to an exit code, so a ``--json`` call formats no text line.
 All numbers print with 12 significant digits and every report is
 deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
 indent=2, sort_keys=True)``, but fills face, term and int-row lists into
@@ -25,10 +28,13 @@ cached ``%`` templates instead of running that pure-Python encoder.  Items
 of one shape (a complex's faces and terms come a cardinality run at a time)
 share one template, looked up once per run and filled by ``map`` in C, so
 no Python statement runs per item; a face's label or a term's exponent is
-formatted once per label tuple, which faces with equal labels share.  A broken stdout pipe (``scarfrel scarf
-FILE | head -1``) ends the call with exit code 1 and no message.
-Exit codes: 0 success, 1 runtime failure or detected disagreement, 2
-invalid spec file or arguments.
+formatted once per label tuple, which faces with equal labels share.
+
+Exit codes: 0 success; 1 runtime failure or detected disagreement
+(``compare``'s ``"ok": false``); 2 invalid spec file or argument, such as
+``--v`` not above r or a ``--depth`` outside the complex.  A reader that
+closes stdout early (``scarfrel scarf FILE | head -1``) ends the call with
+exit code 1 and no message.
 """
 
 from __future__ import annotations
@@ -42,10 +48,11 @@ import random
 import sys
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import (
     STATE_CAP,
+    _oracle_affordable,
     brute_force_reliability,
     build_report,
     check_depth,
@@ -64,6 +71,8 @@ from .systems import (
 )
 
 AGREEMENT_TOL = 1e-9
+_Report = tuple[dict, Callable[[], Iterable[str]]]  # a payload and its text lines, built on demand
+_ROUTES = {"scarf": "identity (scarf)", "taylor": "identity (taylor)", "oracle": "oracle"}
 
 
 def _fmt(x: float) -> str:
@@ -155,8 +164,8 @@ def _terms(terms) -> list[str]:
 _SHAPES = {"generators": _rows, "facets": _rows, "faces": _faces, "terms": _terms}
 
 
-def _emit_json(payload: dict) -> None:
-    """Print ``payload`` byte for byte as ``json.dumps(payload, indent=2, sort_keys=True)``.
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
 
     Lists under a ``_SHAPES`` key (int rows, Face and SignedTerm tuples,
     every int list a tuple) are filled into templates; every other value
@@ -170,37 +179,44 @@ def _emit_json(payload: dict) -> None:
         else:
             text = json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
         items.append(f"  {json.dumps(key)}: {text}")
-    print("{\n" + ",\n".join(items) + "\n}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _checked(check, *args) -> None:
+    """Run an argument ``check``; a ValueError it raises means an invalid argument."""
+    try:
+        check(*args)
+    except ValueError as err:
+        raise SpecFileError(str(err)) from err
 
 
 def _scarf_route(ideal, v: Optional[int]):
     """(complex, v used): Scarf when generic (v None), else deformed with v (default r + 1)."""
     r = len(ideal.generators)
     v = r + 1 if v is None else v
-    try:
-        check_deformation_v(v, r)  # also when the ideal is generic and v goes unused
-    except ValueError as err:
-        raise SpecFileError(str(err)) from err
+    _checked(check_deformation_v, v, r)  # also when the ideal is generic and v goes unused
     if is_generic(ideal):
         return scarf_complex(ideal), None
     return deform_and_scarf(ideal, v), v
 
 
-def _pipeline(path: str, v: Optional[int] = None, build: bool = True):
-    """(system, ideal, complex, v used) for a spec file; no complex unless ``build``.
-
-    ``v`` from the command line wins over the spec's ``deformation_v``.
-    """
+def _load(path: str):
+    """(system, ideal, the spec's deformation_v) for a spec file."""
     spec = load_spec(path)
-    system = spec.system
     if spec.points is not None:
         ideal = minimalize(spec.points)
     else:
-        ideal = minimal_points_from_profit(spec.profit, system.level_counts())
-    if not build:
-        return system, ideal, None, None
-    complex_, v = _scarf_route(ideal, spec.deformation_v if v is None else v)
-    return system, ideal, complex_, v
+        ideal = minimal_points_from_profit(spec.profit, spec.system.level_counts())
+    return spec.system, ideal, spec.deformation_v
+
+
+def _pipeline(path: str, v: Optional[int] = None):
+    """(system, ideal, complex, v used) for a spec file.
+
+    ``v`` from the command line wins over the spec's ``deformation_v``.
+    """
+    system, ideal, spec_v = _load(path)
+    return (system, ideal, *_scarf_route(ideal, spec_v if v is None else v))
 
 
 def _bonferroni(system, ideal, depth: Optional[int] = None):
@@ -216,89 +232,75 @@ def _cross_check(system, ideal, complex_) -> dict[str, float]:
     bonferroni = _bonferroni(system, ideal)
     if bonferroni:
         values["taylor"] = bonferroni[-1].value
-    if math.prod(system.level_counts()) <= STATE_CAP:
+    if _oracle_affordable(system):
         values["oracle"] = brute_force_reliability(system, ideal)
     return values
 
 
-def cmd_scarf(args) -> int:
+def cmd_scarf(args) -> _Report:
     _, ideal, complex_, v_used = _pipeline(args.spec, args.v)
-    generic = v_used is None
-    facets = complex_.facets()
-    if args.json:
-        _emit_json(
-            {
-                "generators": ideal.generators,
-                "generic": generic,
-                "deformation_v": v_used,
-                "kind": complex_.kind,
-                "face_count": len(complex_.faces),
-                "faces": complex_.faces,
-                "facets": [f.members for f in facets],
-            }
-        )
-        return 0
-    print(f"generators ({len(ideal.generators)}), 1-based, input order:")
-    for i, g in enumerate(ideal.generators, start=1):
-        print(f"  {i}: {g}")
-    print(f"generic: {'yes' if generic else 'no'}")
-    if generic:
-        print("deformation: not applied")
-    else:
-        print(f"deformation: applied (v = {v_used})")
-    print(f"faces ({len(complex_.faces)}):")
-    for f in complex_.faces:
-        print(f"  {_members(f.members)}  {f.label}")
-    print(f"facets ({len(facets)}):")
-    for f in facets:
-        print(f"  {_members(f.members)}")
-    print(f"face count: {len(complex_.faces)}")
-    return 0
+    faces, facets = complex_.faces, [f.members for f in complex_.facets()]
+    payload = {
+        "generators": ideal.generators,
+        "generic": v_used is None,
+        "deformation_v": v_used,
+        "kind": complex_.kind,
+        "face_count": len(faces),
+        "faces": faces,
+        "facets": facets,
+    }
+
+    def text():
+        yield f"generators ({len(ideal.generators)}), 1-based, input order:"
+        yield from (f"  {i}: {g}" for i, g in enumerate(ideal.generators, start=1))
+        yield f"generic: {'yes' if v_used is None else 'no'}"
+        yield "deformation: " + ("not applied" if v_used is None else f"applied (v = {v_used})")
+        yield f"faces ({len(faces)}):"
+        yield from (f"  {_members(f.members)}  {f.label}" for f in faces)
+        yield f"facets ({len(facets)}):"
+        yield from (f"  {_members(members)}" for members in facets)
+        yield f"face count: {len(faces)}"
+
+    return payload, text
 
 
-def cmd_reliability(args) -> int:
+def cmd_reliability(args) -> _Report:
     system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
     report = build_report(system, complex_)
-    discrepancy = (
-        None
-        if report.oracle_value is None
-        else abs(report.identity_value - report.oracle_value)
-    )
-    if args.json:
-        _emit_json(
-            {
-                "identity_value": report.identity_value,
-                "term_count": report.term_count,
-                "baseline_term_count": report.baseline_term_count,
-                "deformation_v": v_used,
-                "oracle_value": report.oracle_value,
-                "discrepancy": discrepancy,
-                "terms": report.terms,
-                "faces": complex_.faces,
-                "bounds": [
-                    {"depth": b.depth, "kind": b.kind, "value": b.value}
-                    for b in report.bounds
-                ],
-            }
-        )
-        return 0
-    print(f"system: {system.dimension} components")
-    print(f"generators: {len(ideal.generators)}")
-    print(f"generic: {'yes' if v_used is None else 'no'}")
-    if v_used is not None:
-        print(f"deformation: applied (v = {v_used})")
-    print(f"identity: {_fmt(report.identity_value)}")
-    print(f"terms: {report.term_count} (complete formula: {report.baseline_term_count})")
-    states = math.prod(system.level_counts())
-    if report.oracle_value is None:
-        print(f"oracle: skipped ({states} states exceeds cap {STATE_CAP})")
-    else:
-        print(f"oracle: {_fmt(report.oracle_value)} ({states} states)")
-        print(f"discrepancy: {_fmt(discrepancy)}")
-    return 0
+    oracle = report.oracle_value
+    discrepancy = None if oracle is None else abs(report.identity_value - oracle)
+    payload = {
+        "identity_value": report.identity_value,
+        "term_count": report.term_count,
+        "baseline_term_count": report.baseline_term_count,
+        "deformation_v": v_used,
+        "oracle_value": oracle,
+        "discrepancy": discrepancy,
+        "terms": report.terms,
+        "faces": complex_.faces,
+        "bounds": [{"depth": b.depth, "kind": b.kind, "value": b.value} for b in report.bounds],
+    }
+
+    def text():
+        yield f"system: {system.dimension} components"
+        yield f"generators: {len(ideal.generators)}"
+        yield f"generic: {'yes' if v_used is None else 'no'}"
+        if v_used is not None:
+            yield f"deformation: applied (v = {v_used})"
+        yield f"identity: {_fmt(report.identity_value)}"
+        yield f"terms: {report.term_count} (complete formula: {report.baseline_term_count})"
+        states = math.prod(system.level_counts())
+        if oracle is None:
+            yield f"oracle: skipped ({states} states exceeds cap {STATE_CAP})"
+        else:
+            yield f"oracle: {_fmt(oracle)} ({states} states)"
+            yield f"discrepancy: {_fmt(discrepancy)}"
+
+    return payload, text
 
 
 def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
+    """The ``--depth`` entries (default: every depth), each in 1..max_depth."""
     if raw is None:
         return list(range(1, max_depth + 1))
     depths = []
@@ -308,55 +310,49 @@ def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
             depths.append(int(piece))
         except ValueError:
             raise SpecFileError(f"--depth entries must be integers, got {piece!r}")
+    for depth in depths:
+        _checked(check_depth, depth, max_depth)
     return depths
 
 
-def cmd_bounds(args) -> int:
+def _row(b, bonf: Optional[float]) -> dict:
+    """One ``bounds`` row from the Scarf DepthBound ``b`` and the Bonferroni value at its depth."""
+    if bonf is None:
+        tighter = "n/a"
+    elif abs(b.value - bonf) <= 1e-12:
+        tighter = "equal"
+    else:
+        wins = b.value < bonf if b.kind == "upper" else b.value > bonf
+        tighter = "scarf" if wins else "bonferroni"
+    return dict(depth=b.depth, kind=b.kind, scarf=b.value, bonferroni=bonf, tighter=tighter)
+
+
+def cmd_bounds(args) -> _Report:
     system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
-    max_card = complex_.max_cardinality()
-    depths = _parse_depths(args.depth, max_card)
-    for depth in depths:
-        check_depth(depth, max_card)
+    depths = _parse_depths(args.depth, complex_.max_cardinality())
     scarf = depth_bounds(system, complex_, max(depths))
     # depths never exceed r; the subset walk stops at max(depths)
-    bonferroni = _bonferroni(system, ideal, max(depths))
-    rows = []
-    for depth in depths:
-        b = scarf[depth - 1]
-        bonf = bonferroni[depth - 1].value if bonferroni else None
-        tighter = "n/a"
-        if bonf is not None:
-            if abs(b.value - bonf) <= 1e-12:
-                tighter = "equal"
-            elif b.kind == "upper":
-                tighter = "scarf" if b.value < bonf else "bonferroni"
-            else:
-                tighter = "scarf" if b.value > bonf else "bonferroni"
-        rows.append(dict(depth=depth, kind=b.kind, scarf=b.value, bonferroni=bonf, tighter=tighter))
-    if args.json:
-        _emit_json({"deformation_v": v_used, "rows": rows})
-        return 0
-    print("depth  kind   scarf            bonferroni       tighter")
-    for row in rows:
-        bonf = "n/a" if row["bonferroni"] is None else _fmt(row["bonferroni"])
-        scarf = _fmt(row["scarf"])
-        print(f"{row['depth']:>5}  {row['kind']:<5}  {scarf:<16} {bonf:<16} {row['tighter']}")
-    return 0
+    bonferroni = [b.value for b in _bonferroni(system, ideal, max(depths))] or [None] * len(scarf)
+    rows = [_row(scarf[depth - 1], bonferroni[depth - 1]) for depth in depths]
+
+    def text():
+        yield "depth  kind   scarf            bonferroni       tighter"
+        for row in rows:
+            bonf = "n/a" if row["bonferroni"] is None else _fmt(row["bonferroni"])
+            value = _fmt(row["scarf"])
+            yield f"{row['depth']:>5}  {row['kind']:<5}  {value:<16} {bonf:<16} {row['tighter']}"
+
+    return {"deformation_v": v_used, "rows": rows}, text
 
 
-def cmd_oracle(args) -> int:
-    system, ideal, _, _ = _pipeline(args.spec, build=False)
-    value = brute_force_reliability(system, ideal)
-    states = math.prod(system.level_counts())
-    if args.json:
-        _emit_json({"states": states, "reliability": value})
-        return 0
-    print(f"states: {states}")
-    print(f"reliability: {_fmt(value)}")
-    return 0
+def cmd_oracle(args) -> _Report:
+    system, ideal, _ = _load(args.spec)
+    states, value = math.prod(system.level_counts()), brute_force_reliability(system, ideal)
+    payload = {"states": states, "reliability": value}
+    return payload, lambda: (f"states: {states}", f"reliability: {_fmt(value)}")
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> _Report:
     if args.spec is None:
         ignored, needs = {"--v": args.v}, "a FILE"
     else:
@@ -376,9 +372,12 @@ def cmd_compare(args) -> int:
             "oracle": values.get("oracle"),
             "deformation_v": v_used,
         }
-        names = {"scarf": "identity (scarf)", "taylor": "identity (taylor)", "oracle": "oracle"}
-        head = [f"{names[route]}: {_fmt(value)}" for route, value in values.items()]
-        tail = [f"agreement (<= {AGREEMENT_TOL:g}): {'yes' if ok else 'no'}"]
+
+        def text():
+            yield from (f"{_ROUTES[route]}: {_fmt(value)}" for route, value in values.items())
+            yield f"max discrepancy: {_fmt(worst)}"
+            yield f"agreement (<= {AGREEMENT_TOL:g}): {'yes' if ok else 'no'}"
+
     else:
         seed = 0 if args.seed is None else args.seed
         count = 25 if args.count is None else args.count
@@ -396,13 +395,14 @@ def cmd_compare(args) -> int:
             failures += spread > AGREEMENT_TOL
         ok = failures == 0
         payload = {"count": count, "seed": seed, "failures": failures}
-        head = [f"random self-test: {count} systems, seed {seed}", f"failures: {failures}"]
-        tail = []
-    if args.json:
-        _emit_json({**payload, "max_discrepancy": worst, "ok": ok})
-    else:
-        print("\n".join([*head, f"max discrepancy: {_fmt(worst)}", *tail]))
-    return 0 if ok else 1
+
+        def text():
+            yield f"random self-test: {count} systems, seed {seed}"
+            yield f"failures: {failures}"
+            yield f"max discrepancy: {_fmt(worst)}"
+
+    payload.update(max_discrepancy=worst, ok=ok)
+    return payload, text
 
 
 @functools.cache
@@ -440,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, text = args.func(args)
+        print(_json_text(payload) if args.json else "\n".join(text()))
         sys.stdout.flush()  # a reader that left early is met here, not at exit
-        return code
+        return 0 if payload.get("ok", True) else 1
     except BrokenPipeError:
         # The reader closed stdout (``scarfrel scarf FILE | head -1``): not an
         # error to report.  As the SIGPIPE note in the ``signal`` docs does,

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import math
@@ -7,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -168,14 +166,14 @@ class TestBoundsCommand:
 
     def test_out_of_range_depth(self, capsys):
         code, _, err = run(capsys, "bounds", POINTS, "--depth", "9")
-        assert code == 1
+        assert code == 2
         assert "depth" in err
 
     def test_nonpositive_depth_is_rejected(self, capsys):
         # depth 0 must fail, not read the deepest row through index -1
         for depths in ("0", "2,0,9"):
             code, out, err = run(capsys, "bounds", POINTS, "--depth", depths)
-            assert code == 1
+            assert code == 2
             assert out == ""
             assert "must lie in 1..3 for this complex, got 0" in err
 
@@ -305,6 +303,31 @@ class TestCompareCommand:
         assert code == 0
         assert calls == {"scarf_complex": 17, "deform_and_scarf": 8}
 
+    def offset_oracle(self, monkeypatch):
+        oracle = cli.brute_force_reliability
+        monkeypatch.setattr(cli, "brute_force_reliability", lambda *a: oracle(*a) + 1e-6)
+
+    def test_file_mode_disagreement_exits_1(self, capsys, monkeypatch):
+        self.offset_oracle(monkeypatch)
+        code, out, err = run(capsys, "compare", BINARY)
+        assert (code, err) == (1, "")
+        assert out.endswith("max discrepancy: 1e-06\nagreement (<= 1e-09): no\n")
+        code, out, err = run(capsys, "compare", BINARY, "--json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert payload["ok"] is False
+        assert payload["oracle"] - payload["identity_scarf"] == pytest.approx(1e-6)
+
+    def test_random_mode_disagreement_exits_1(self, capsys, monkeypatch):
+        self.offset_oracle(monkeypatch)
+        code, out, err = run(capsys, "compare", "--seed", "3", "--count", "5")
+        assert (code, err) == (1, "")
+        assert "failures: 5\n" in out
+        code, out, err = run(capsys, "compare", "--seed", "3", "--count", "5", "--json")
+        payload = json.loads(out)
+        assert (code, err) == (1, "")
+        assert (payload["ok"], payload["failures"]) == (False, 5)
+
 
 def count_calls(monkeypatch, *names):
     """Count the calls to each named function as ``scarfrel.cli`` sees it."""
@@ -318,6 +341,36 @@ def count_calls(monkeypatch, *names):
 
         monkeypatch.setattr(cli, name, counted)
     return calls
+
+
+class TestOneReportPath:
+    """Commands return a payload and lazy text; ``main`` alone renders and writes."""
+
+    ARGVS = [
+        ("scarf", POINTS),
+        ("reliability", POINTS),
+        ("bounds", POINTS),
+        ("oracle", PROFIT),
+        ("compare", POINTS),
+        ("compare", "--seed", "3", "--count", "5"),
+    ]
+    IDS = ["scarf", "reliability", "bounds", "oracle", "compare_file", "compare_random"]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
+    def test_json_formats_no_text(self, capsys, monkeypatch, argv):
+        calls = count_calls(monkeypatch, "_members", "_fmt")
+        code, _, err = run(capsys, *argv, "--json")
+        assert (code, err, calls) == (0, "", {})
+        run(capsys, *argv)
+        assert calls["_fmt"] + calls["_members"] > 0
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
+    def test_commands_write_nothing(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        payload, text = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(payload, dict)
+        assert run(capsys, *argv) == (0, "\n".join(text()) + "\n", "")
 
 
 class TestOnePipelinePerCall:
@@ -461,7 +514,7 @@ class TestUnexpectedErrors:
         def out_of_memory(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "_pipeline", out_of_memory)
+        monkeypatch.setattr(cli, "load_spec", out_of_memory)
         for command in ("scarf", "reliability", "bounds", "oracle", "compare"):
             assert run(capsys, command, POINTS) == (1, "", "error: MemoryError\n")
 
@@ -697,17 +750,14 @@ def reference_json(payload) -> str:
 
 
 def rendered(payload) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        cli._emit_json(payload)
-    return out.getvalue()
+    return cli._json_text(payload) + "\n"
 
 
 def check_json_calls(capsys, monkeypatch, calls):
     """Run each ``--json`` argv; its output must equal json.dumps of the payload it rendered."""
     payloads = []
-    render = cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda p: (payloads.append(p), render(p)))
+    render = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda p: (payloads.append(p), render(p))[1])
     for argv in calls:
         code, out, err = run(capsys, *argv, "--json")
         assert (code, err) == (0, ""), argv
