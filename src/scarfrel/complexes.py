@@ -16,20 +16,21 @@ depend on the tie-break magnitude, only on the ordering, so any deformation
 parameter v > r yields the same complex.
 
 Builders hand :class:`LabeledComplex` member tuples only.  The complex
-checks them at construction and derives every face label, on first access
-to its ``faces``, as the lcm of the member generators of its own ideal, so
-a label can never disagree with its face and evaluators that need no
-exponent tuple never build one.
+derives every face label, on first access to its ``faces``, as the lcm of
+the member generators of its own ideal, so a label can never disagree with
+its face and evaluators that need no exponent tuple never build one.
 
 Canonical order (ascending cardinality, then lexicographic) puts the faces
-in runs of one cardinality.  The per-face passes, the member checks, lcm
-codes, labels, facets and the Hilbert numerator's terms, each take one run
-at a time through ``map``, ``zip``, set and ``itertools`` calls in C, so
-none runs a Python statement per face: a run's checks compare its columns
-and its neighbours and look its subfaces up in the run before, its lcm
-codes come from the run before, its facets from the ``combinations`` of the
-run after, and its terms share one sign.  The complex keeps one list of
-face codes, which its labels decode and the evaluators count.
+in runs of one cardinality.  The package's builders are trusted: they make
+their faces run by run in that order and hand the complex the runs, which
+it takes unchecked.  A member list from a caller is sorted and checked
+face by face at construction.  The per-face passes, lcm codes, labels,
+facets and the Hilbert numerator's terms, each take one run at a time
+through ``map``, ``zip``, set and ``itertools`` calls in C, so none runs a
+Python statement per face: a run's lcm codes come from the run before, its
+facets from the ``combinations`` of the run after, and its terms share one
+sign.  The complex keeps one list of face codes, which its labels decode
+and the evaluators count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress, count, cycle, repeat
+from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
 from operator import and_, itemgetter, lt, not_, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -74,7 +75,7 @@ class Face(NamedTuple):
 
     ``members`` are 1-based generator indices in ascending order; ``label``
     is the coordinatewise maximum of the corresponding exponent vectors.
-    Faces are made by :class:`LabeledComplex`, which checks both.
+    Faces are made by :class:`LabeledComplex`, which derives both.
     """
 
     members: tuple[int, ...]
@@ -129,16 +130,14 @@ def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
     return [0, *(bisect_right(tuples, s, key=len) for s in range(1, len(tuples[-1]) + 1))]
 
 
-def _check_faces(
-    faces: Sequence[tuple[int, ...]], seen: set, r: int, d: int, max_size: int
-) -> None:
-    """The member rules one face at a time, in canonical order; raises at the first fault.
-
-    ``seen`` holds the faces before ``faces`` and gains each face that passes.
-    """
+def _check_faces(faces: Sequence[tuple[int, ...]], r: int, d: int, max_size: int) -> None:
+    """The member rules one face at a time, in canonical order; raises at the first fault."""
+    seen: set[tuple[int, ...]] = set()
     for ms in faces:
         if not ms:
             raise ValueError("faces must be nonempty; the empty face is implicit")
+        if any(type(m) is not int for m in ms):
+            raise ValueError(f"face members must be ints: {ms}")
         if not all(map(lt, ms, ms[1:])):
             raise ValueError(f"face members must be strictly ascending: {ms}")
         if ms[0] < 1:
@@ -164,23 +163,22 @@ class LabeledComplex:
     """A simplicial complex on generator indices with lcm labels.
 
     Built from ``members``, a sequence of 1-based member tuples.  Each must
-    be nonempty, strictly ascending and at most the generator count r; no
-    tuple may repeat, every singleton must be present and the set must be
-    closed under subsets.  Scarf kinds also need every cardinality at most
-    the dimension, and kind="scarf" needs pairwise distinct labels.  All of
-    this is checked at construction, one cardinality run at a time: the
-    columns of a run are ascending, its first column's least entry is at
-    least 1 and its last column's largest at most r, no face equals its
-    neighbour, and the one-smaller subsets of all its faces lie in the run
-    before; the singleton run then has r faces.  Only a run that breaks a
-    rule is checked face by face, so the fault named is the first in
-    canonical order and its message is the one that face's rule gives.
+    be nonempty, made of ints, strictly ascending and at most the generator
+    count r; no tuple may repeat, every singleton must be present and the
+    set must be closed under subsets.  Scarf kinds also need every
+    cardinality at most the dimension, and kind="scarf" needs pairwise
+    distinct labels.  The constructor sorts a caller's members and checks
+    all of this face by face in canonical order, so the fault named is the
+    first in that order.  The package's builders make complexes that meet
+    every rule by construction and go through :meth:`_built`, which checks
+    nothing.
 
     ``member_tuples`` holds the tuples in canonical order (ascending
     cardinality, then lexicographic), and equality and hashing compare it.
     Each face's lcm code (:func:`_lcm_codes`) is derived once, a run at a
-    time, on first need: for kind="scarf" at construction, where distinct
-    codes are distinct labels, and otherwise by ``faces`` or the evaluators.
+    time, on first need: by the constructor's kind="scarf" label check,
+    where distinct codes are distinct labels, and otherwise by ``faces`` or
+    the evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
     with the lcm of its generators, decoded from those codes; it is derived
     on first access and kept, so evaluators that need no exponent tuple
@@ -200,34 +198,13 @@ class LabeledComplex:
         max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
         ordered = sorted(members)
         ordered.sort(key=len)  # stable: ascending cardinality, then lexicographic
-        if ordered and not ordered[0]:
-            raise ValueError("faces must be nonempty; the empty face is implicit")
-        bounds = _run_bounds(ordered) if ordered else [0, 0]
-        below: set[tuple[int, ...]] = set()  # the run before
-        for size, lo, hi in zip(count(1), bounds, bounds[1:]):
-            run = ordered[lo:hi]
-            run_set = set(run)
-            if run:
-                columns = list(zip(*run))
-                if not (
-                    size <= max_size
-                    and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
-                    and min(columns[0]) >= 1
-                    and max(columns[-1]) <= r
-                    and len(run_set) == len(run)
-                    and (size == 1 or below.issuperset(
-                        chain.from_iterable(map(combinations, run, repeat(size - 1)))
-                    ))
-                ):
-                    _check_faces(run, set(ordered[:lo]), r, d, max_size)
-            below = run_set
-        if bounds[1] != r:  # the singletons are distinct and in 1..r, so all iff r of them
-            singletons = set(ordered[:bounds[1]])
-            for i in range(1, r + 1):
-                if (i,) not in singletons:
-                    raise ValueError(f"singleton {{{i}}} is missing")
+        _check_faces(ordered, r, d, max_size)
+        singletons = set(ordered[:r])  # singletons sort first, so all r lie here if present
+        for i in range(1, r + 1):
+            if (i,) not in singletons:
+                raise ValueError(f"singleton {{{i}}} is missing")
         object.__setattr__(self, "member_tuples", tuple(ordered))
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_bounds", _run_bounds(ordered))
         if self.kind == "scarf":
             codes = self._lcm[0]
             if len(set(codes)) != len(codes):  # codes and labels are in bijection
@@ -239,6 +216,24 @@ class LabeledComplex:
                             f"and {face.members} share {face.label}"
                         )
                     labels[face.label] = face.members
+
+    @classmethod
+    def _built(
+        cls, ideal: MonomialIdeal, runs: Sequence[Sequence[tuple[int, ...]]], kind: str
+    ) -> LabeledComplex:
+        """A complex from a package builder, unchecked.
+
+        ``runs`` are its nonempty cardinality runs, sizes 1, 2, ... in
+        order, each lexicographic, so their chain is the canonical order.
+        """
+        self = object.__new__(cls)
+        vars(self).update(
+            ideal=ideal,
+            kind=kind,
+            member_tuples=tuple(chain.from_iterable(runs)),
+            _bounds=[0, *accumulate(map(len, runs))],
+        )
+        return self
 
     @cached_property
     def _lcm(self) -> tuple[list[int], list[tuple[int, int, list]]]:
@@ -314,12 +309,12 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
             f"Taylor complex on {r} generators would have 2^{r}-1 faces; "
             f"cap is {TAYLOR_GENERATOR_CAP}"
         )
-    members = [c for s in range(1, r + 1) for c in combinations(range(1, r + 1), s)]
-    return LabeledComplex(ideal=ideal, members=members, kind="taylor")
+    runs = [tuple(combinations(range(1, r + 1), s)) for s in range(1, r + 1)]
+    return LabeledComplex._built(ideal, runs, "taylor")
 
 
-def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Subsets of {1..r} whose lcm label is unique among all subsets.
+def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
+    """Subsets of {1..r} whose lcm label is unique among all subsets, one run per size.
 
     ``ideal`` must be generic: no two generators share a nonzero exponent in
     any coordinate (rank-deformed vectors always qualify).
@@ -357,8 +352,10 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     siblings; the walk goes depth first with an explicit stack, so only the
     sibling groups along one path are held.  A group is one list of
     ``(face, mask, down, owner)`` records.  It meets each size's faces in
-    lexicographic order, so they come out in :class:`LabeledComplex`'s
-    canonical order and its sort has nothing to reorder.
+    lexicographic order, so the nonempty runs it returns, sizes 1, 2, ...,
+    chain into :class:`LabeledComplex`'s canonical order.  That is the
+    precondition of :meth:`LabeledComplex._built`, which takes them as they
+    are.
     """
     gens, le = ideal.generators, ideal.le
     r, d = len(gens), ideal.dimension
@@ -407,7 +404,7 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
             grown.append((face + other[-1:], union, joined, owned))
         if grown:
             stack.append(grown)
-    return [face for level in by_size for face in level]
+    return [level for level in by_size if level]  # closure: the nonempty runs come first
 
 
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
@@ -421,8 +418,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     if witness is not None:
         k, i, j = witness
         raise NotGenericError(k, (i, j), ideal.generators[i - 1][k - 1])
-    members = _scarf_member_tuples(ideal)
-    return LabeledComplex(ideal=ideal, members=members, kind="scarf")
+    return LabeledComplex._built(ideal, _scarf_member_tuples(ideal), "scarf")
 
 
 def scarf_brute_oracle(ideal: MonomialIdeal) -> LabeledComplex:
@@ -516,8 +512,8 @@ def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledCo
     support for the original ideal; repeated labels are allowed here,
     unlike for kind="scarf".
     """
-    members = _scarf_member_tuples(MonomialIdeal(ideal.dimension, deform(ideal, v).deformed))
-    return LabeledComplex(ideal=ideal, members=members, kind="scarf_deformed")
+    runs = _scarf_member_tuples(MonomialIdeal(ideal.dimension, deform(ideal, v).deformed))
+    return LabeledComplex._built(ideal, runs, "scarf_deformed")
 
 
 def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
@@ -526,8 +522,8 @@ def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
     The implicit empty face contributes the constant +1; each face of
     cardinality s contributes (-1)^s x^label.  Terms follow the canonical
     face order.  For kind="scarf" no two terms share an exponent (the
-    alternating sum is cancellation-free): the complex rejects repeated
-    labels, and no label is the constant term's zero exponent unless the
+    alternating sum is cancellation-free): the Scarf builder makes labels
+    unique, the constructor rejects repeated ones, and no label is the constant term's zero exponent unless the
     zero vector is a generator.  That whole-ring ideal is the one exception;
     its numerator is legitimately 1 - x^0, and both terms are kept so the
     pointwise identity still holds.

@@ -284,6 +284,8 @@ def reference_member_checks(ideal, members, kind) -> tuple:
     for ms in ordered:
         if not ms:
             raise ValueError("faces must be nonempty; the empty face is implicit")
+        if any(type(m) is not int for m in ms):
+            raise ValueError(f"face members must be ints: {ms}")
         if not all(a < b for a, b in zip(ms, ms[1:])):
             raise ValueError(f"face members must be strictly ascending: {ms}")
         if ms[0] < 1:

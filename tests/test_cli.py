@@ -186,16 +186,25 @@ class TestBoundsCommand:
     def test_shallow_depth_builds_no_taylor_complex(self, capsys, tmp_path, monkeypatch):
         # r = 20 sits at the Bonferroni cap: the baseline for --depth 1 must
         # come from the 20 singletons, not from a 2^20 - 1 face complex.
+        # Watch both constructors: the checked one and the builders' own.
         taylor_builds = []
-        post_init = LabeledComplex.__post_init__
+        post_init, built = LabeledComplex.__post_init__, LabeledComplex._built.__func__
 
-        def counting(self, members):
-            if self.kind == "taylor":
-                taylor_builds.append(len(self.ideal.generators))
+        def refuse_taylor(ideal, kind):
+            if kind == "taylor":
+                taylor_builds.append(len(ideal.generators))
                 raise RuntimeError("Taylor complex built")
+
+        def checked(self, members):
+            refuse_taylor(self.ideal, self.kind)
             post_init(self, members)
 
-        monkeypatch.setattr(LabeledComplex, "__post_init__", counting)
+        def unchecked(cls, ideal, runs, kind):
+            refuse_taylor(ideal, kind)
+            return built(cls, ideal, runs, kind)
+
+        monkeypatch.setattr(LabeledComplex, "__post_init__", checked)
+        monkeypatch.setattr(LabeledComplex, "_built", classmethod(unchecked))
         points = [[a, b, 9 - a - b] for a in range(10) for b in range(10 - a)][:20]
         spec = {
             "components": [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from operator import eq, le
 
 import pytest
@@ -45,6 +46,8 @@ from helpers import (
 )
 
 PLANAR = MonomialIdeal(2, PLANAR_GENS)
+AXES = MonomialIdeal(2, ((1, 0), (0, 1)))
+AXES_FACES = [(1,), (2,), (1, 2)]
 
 
 def member_sets(cx):
@@ -210,6 +213,14 @@ def _generic_keeping_zeros(ideal):
     return MonomialIdeal(ideal.dimension, [tuple(row) for row in rows])
 
 
+def assert_passes_the_public_check(cx):
+    """A builder's complex equals its rebuild from reversed members through the checked constructor."""
+    checked = LabeledComplex(ideal=cx.ideal, members=cx.member_tuples[::-1], kind=cx.kind)
+    assert checked == cx and hash(checked) == hash(cx)
+    assert checked.faces == cx.faces
+    assert cx._bounds == checked._bounds == complexes._run_bounds(cx.member_tuples)
+
+
 def _assert_local_conditions_complete(gens, faces):
     """Every face meets both local conditions, and so does no one-element extension outside."""
     for members in faces:
@@ -231,15 +242,18 @@ class TestBuilder:
     def test_deformed_generators_match_oracle(self, ideal):
         deformed = MonomialIdeal(ideal.dimension, deform(ideal).deformed)
         oracle = scarf_brute_oracle(deformed)
-        assert scarf_complex(deformed).faces == oracle.faces
-        assert [f.members for f in deform_and_scarf(ideal).faces] == [
-            f.members for f in oracle.faces
-        ]
+        direct, relabeled = scarf_complex(deformed), deform_and_scarf(ideal)
+        assert direct.faces == oracle.faces
+        assert [f.members for f in relabeled.faces] == [f.members for f in oracle.faces]
+        assert_passes_the_public_check(direct)
+        assert_passes_the_public_check(relabeled)
 
     @settings(max_examples=80, deadline=None)
     @given(generic_ideals_with_zeros())
     def test_generic_matches_oracle(self, ideal):
-        assert scarf_complex(ideal).faces == scarf_brute_oracle(ideal).faces
+        cx = scarf_complex(ideal)
+        assert cx.faces == scarf_brute_oracle(ideal).faces
+        assert_passes_the_public_check(cx)
 
     @pytest.mark.parametrize(
         "d, total, cap, r", [(3, 17, 17, 171), (8, 2, 1, 28)], ids=["d3-r171", "d8-r28"]
@@ -247,9 +261,9 @@ class TestBuilder:
     def test_ladder_layer_local_conditions(self, d, total, cap, r):
         ideal = _shuffled_layer(d, total, cap, seed=d)
         assert len(ideal.generators) == r
-        _assert_local_conditions_complete(
-            deform(ideal).deformed, member_sets(deform_and_scarf(ideal))
-        )
+        cx = deform_and_scarf(ideal)
+        _assert_local_conditions_complete(deform(ideal).deformed, member_sets(cx))
+        assert_passes_the_public_check(cx)
 
     @pytest.mark.parametrize(
         "d, total, r", [(3, 10, 66), (4, 5, 56)], ids=["d3-r66", "d4-r56"]
@@ -259,7 +273,9 @@ class TestBuilder:
         ideal = _generic_keeping_zeros(_shuffled_layer(d, total, total, seed=d))
         assert len(ideal.generators) == r and is_generic(ideal)
         assert all(column.count(0) > 1 for column in zip(*ideal.generators))
-        _assert_local_conditions_complete(ideal.generators, member_sets(scarf_complex(ideal)))
+        cx = scarf_complex(ideal)
+        _assert_local_conditions_complete(ideal.generators, member_sets(cx))
+        assert_passes_the_public_check(cx)
 
     # 1, 2, 4, 8, 8 and 16 packed fields: unpadded, padded and above eight.
     @pytest.mark.parametrize("d", [1, 2, 4, 5, 8, 9])
@@ -269,10 +285,23 @@ class TestBuilder:
         ideal = data.draw(ideals_with_zeros(min_d=d, max_d=d))
         deformed = MonomialIdeal(d, deform(ideal).deformed)
         oracle = scarf_brute_oracle(deformed)
-        assert scarf_complex(deformed).faces == oracle.faces
-        assert member_sets(deform_and_scarf(ideal)) == member_sets(oracle)
         generic = data.draw(generic_ideals_with_zeros(min_d=d, max_d=d))
-        assert scarf_complex(generic).faces == scarf_brute_oracle(generic).faces
+        direct, relabeled = scarf_complex(deformed), deform_and_scarf(ideal)
+        cx = scarf_complex(generic)
+        assert direct.faces == oracle.faces
+        assert member_sets(relabeled) == member_sets(oracle)
+        assert cx.faces == scarf_brute_oracle(generic).faces
+        for built in (direct, relabeled, cx):
+            assert_passes_the_public_check(built)
+
+    def test_builders_skip_the_constructor_checks(self, monkeypatch):
+        def checked(self, members):
+            raise AssertionError("builder output re-checked")
+
+        monkeypatch.setattr(LabeledComplex, "__post_init__", checked)
+        assert len(taylor_complex(PLANAR).faces) == 7
+        assert scarf_complex(PLANAR).member_tuples == ((1,), (2,), (3,), (1, 2), (2, 3))
+        assert member_sets(deform_and_scarf(MonomialIdeal(4, MULTI_NINE))) == set(MULTI_NINE_FACES)
 
 
 class TestFacets:
@@ -424,7 +453,11 @@ def assert_checks_match_the_per_face_rule(data, route, groups):
 
 
 class TestRunWiseChecks:
-    """The member checks, a cardinality run at a time, against the per-face rule."""
+    """The constructor's face-by-face member checks against the reference rule.
+
+    Only member lists from callers are checked; the package's builders
+    hand over finished runs, which TestBuilder rebuilds through this check.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -468,6 +501,9 @@ class TestRunWiseChecks:
             ([(1,), (3,), (1, 3), (1, 3)], "duplicate face (1, 3)"),
             ([(1,), (3,)], "singleton {2} is missing"),
             ([], "singleton {1} is missing"),
+            # the int rule comes right after the nonempty rule
+            ([(1,), (2,), (3,), (2.5, 1)], "face members must be ints: (2.5, 1)"),
+            ([(1,), (2,), (3,), (1, 3), (1, 2.0)], "face members must be ints: (1, 2.0)"),
         ],
     )
     def test_first_fault_in_canonical_order(self, members, message):
@@ -614,20 +650,23 @@ class TestComplexValidation:
             LabeledComplex(ideal=ideal, members=[(1,), (1, 2)], kind="scarf")
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "ideal, members, message",
         [
-            ((), "nonempty"),
-            ((2, 1), "strictly ascending"),
-            ((0,), "1-based"),
-            ((3,), "exceeds generator count 2"),
-            ((1, 2), "duplicate face"),
+            (AXES, [*AXES_FACES, ()], "nonempty"),
+            (AXES, [*AXES_FACES, (2, 1)], "strictly ascending"),
+            (AXES, [*AXES_FACES, (0,)], "1-based"),
+            (AXES, [*AXES_FACES, (3,)], "exceeds generator count 2"),
+            (AXES, [*AXES_FACES, (1, 2)], "duplicate face"),
+            # a non-int member would mislabel faces or break ``faces``
+            (PLANAR, [(1,), (2,), (3,), (1.5,)], "face members must be ints: (1.5,)"),
+            (PLANAR, [(1,), (2,), (3,), (1, 2.0)], "face members must be ints: (1, 2.0)"),
+            (PLANAR, [(True,), (2,), (3,)], "face members must be ints: (True,)"),
         ],
-        ids=["empty", "descending", "zero", "above-r", "duplicate"],
+        ids=["empty", "descending", "zero", "above-r", "duplicate", "float", "float-in-pair",
+             "bool"],
     )
-    def test_member_rule(self, extra, message):
-        ideal = MonomialIdeal(2, ((1, 0), (0, 1)))
-        members = [(1,), (2,), (1, 2), extra]
-        with pytest.raises(ValueError, match=message):
+    def test_member_rule(self, ideal, members, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             LabeledComplex(ideal=ideal, members=members, kind="taylor")
 
     @pytest.mark.parametrize("kind", ["scarf", "scarf_deformed"])
@@ -696,6 +735,7 @@ class TestComplexValidation:
             ideal = random_generic_ideal(rng) if build is scarf_complex else random_ideal(rng)
             gens = ideal.generators
             cx = build(ideal)
+            assert_passes_the_public_check(cx)
             for f in cx.faces:
                 expected = list(gens[f.members[0] - 1])
                 for i in f.members[1:]:
