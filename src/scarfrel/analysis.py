@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, _lcm_codes, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
-from .systems import CoherentSystem
+from .systems import CoherentSystem, _axis_minima
 
 STATE_CAP = 10_000_000
 _IDENTITY_TOL = 1e-9
@@ -284,6 +284,14 @@ def _oracle_affordable(system: CoherentSystem) -> bool:
     return math.prod(system.level_counts()) <= STATE_CAP
 
 
+def _check_oracle_cap(system: CoherentSystem) -> int:
+    """The system's state count; ValueError naming it unless the oracle affords the system."""
+    states = math.prod(system.level_counts())
+    if not _oracle_affordable(system):
+        raise ValueError(f"state space has {states} states, above the cap {STATE_CAP}")
+    return states
+
+
 def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> float:
     """Nonfailure probability by enumerating the states of the ideal.
 
@@ -291,49 +299,37 @@ def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> flo
     level reaches the prefix's threshold: the least last coordinate of the
     generators whose first d-1 coordinates lie below the prefix.  That is a
     minimum over the prefix's lower orthant, taken one axis at a time: each
-    generator's last coordinate is seeded at its own prefix, then one
-    running-minimum pass per axis runs as slice assignments over one flat
-    list of thresholds in product order.  Each prefix then contributes
-    P(prefix) * P(X_d = a_d) for every a_d from its threshold on, the
-    prefix product formed in coordinate order from 1.0, and one correctly
-    rounded fsum of exactly the products a full state scan forms gives its
-    value bit for bit.  The products stream into the fsum; no term list is
-    built.  Cost: O(prod_{i<d} L_i * d) for the passes plus one product
-    per state of the ideal; memory: one int per prefix.  Completely
-    independent of the complex machinery, so it serves as the correctness
-    oracle.  Refuses grids larger than ``STATE_CAP``.
+    generator's last coordinate is seeded at its own prefix in one flat
+    list of thresholds in product order, and ``_axis_minima`` (shared with
+    profit extraction) runs over that list as its own source, one
+    running-minimum pass of slice assignments per axis.  Each prefix then
+    contributes P(prefix) * P(X_d = a_d) for every a_d from its threshold
+    on, the prefix product formed in coordinate order from 1.0, and one
+    correctly rounded fsum of exactly the products a full state scan forms
+    gives its value bit for bit.  The products stream into the fsum; no
+    term list is built.  Cost: O(prod_{i<d} L_i * d) for the passes plus
+    one product per state of the ideal; memory: one int per prefix.
+    Completely independent of the complex machinery, so it serves as the
+    correctness oracle.  Refuses grids larger than ``STATE_CAP``.
     """
     if system.dimension != ideal.dimension:
         raise DimensionMismatchError(
             f"system has {system.dimension} components but the ideal is over "
             f"{ideal.dimension} coordinates"
         )
-    total_states = math.prod(system.level_counts())
-    if total_states > STATE_CAP:
-        raise ValueError(f"state space has {total_states} states, above the cap {STATE_CAP}")
+    _check_oracle_cap(system)
     # d = 1 has one prefix; a coordinate of one level with probability 1.0 stands for it
     *tables, last = [c.probs for c in system.components]
     tables = tables or [(1.0,)]
     sizes = [len(table) for table in tables]
     top = len(last)
-    n = math.prod(sizes)
-    need = [top] * n  # per prefix, the least last level in the ideal; top means none
+    need = [top] * math.prod(sizes)  # per prefix, the least last level in the ideal, or top
     for g in ideal.generators:  # an antichain holds at most one generator per prefix
         i = 0
         for size, level in zip(sizes, g[:-1]):
             i = i * size + level
         need[i] = g[-1]
-    stride = n
-    for size in sizes:
-        block, stride = stride, stride // size
-        # one slice per step along the axis, in contiguous runs or stepped, whichever is fewer
-        if n // block <= stride:
-            for lo in range(stride, n, stride):
-                if lo % block:
-                    need[lo:lo + stride] = map(min, need[lo:lo + stride], need[lo - stride:lo])
-        else:
-            for c in range(stride, block):
-                need[c::block] = map(min, need[c::block], need[c - stride::block])
+    _axis_minima(need, need, sizes)
     *outer, inner = tables
     width = len(inner)
 

@@ -13,7 +13,8 @@ evaluates on that result:
   small enough.
 - ``bounds FILE``: truncation bounds per depth, Scarf route next to the
   classical full-subset (Bonferroni) route, flagging the tighter side.
-- ``oracle FILE``: enumeration oracle only (the pipeline stops at the ideal).
+- ``oracle FILE``: enumeration oracle only (the pipeline stops at the ideal,
+  and a grid above the state cap is refused before the ideal is built).
 - ``compare [FILE]``: all routes side by side with the maximum
   discrepancy; without FILE, a seeded randomized self-test corpus whose
   random systems take the same generic-or-deform choice as a spec file.
@@ -52,6 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import (
     STATE_CAP,
+    _check_oracle_cap,
     _oracle_affordable,
     brute_force_reliability,
     build_report,
@@ -200,14 +202,11 @@ def _scarf_route(ideal, v: Optional[int]):
     return deform_and_scarf(ideal, v), v
 
 
-def _load(path: str):
-    """(system, ideal, the spec's deformation_v) for a spec file."""
-    spec = load_spec(path)
+def _ideal(spec):
+    """A loaded spec's ideal: its points minimalized, or its profit grid's minimal states."""
     if spec.points is not None:
-        ideal = minimalize(spec.points)
-    else:
-        ideal = minimal_points_from_profit(spec.profit, spec.system.level_counts())
-    return spec.system, ideal, spec.deformation_v
+        return minimalize(spec.points)
+    return minimal_points_from_profit(spec.profit, spec.system.level_counts())
 
 
 def _pipeline(path: str, v: Optional[int] = None):
@@ -215,8 +214,9 @@ def _pipeline(path: str, v: Optional[int] = None):
 
     ``v`` from the command line wins over the spec's ``deformation_v``.
     """
-    system, ideal, spec_v = _load(path)
-    return (system, ideal, *_scarf_route(ideal, spec_v if v is None else v))
+    spec = load_spec(path)
+    ideal = _ideal(spec)
+    return (spec.system, ideal, *_scarf_route(ideal, spec.deformation_v if v is None else v))
 
 
 def _bonferroni(system, ideal, depth: Optional[int] = None):
@@ -346,8 +346,9 @@ def cmd_bounds(args) -> _Report:
 
 
 def cmd_oracle(args) -> _Report:
-    system, ideal, _ = _load(args.spec)
-    states, value = math.prod(system.level_counts()), brute_force_reliability(system, ideal)
+    spec = load_spec(args.spec)
+    states = _check_oracle_cap(spec.system)  # before the ideal, whose extraction can take seconds
+    value = brute_force_reliability(spec.system, _ideal(spec))
     payload = {"states": states, "reliability": value}
     return payload, lambda: (f"states: {states}", f"reliability: {_fmt(value)}")
 

@@ -131,13 +131,12 @@ def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
 
 
 def _check_faces(faces: Sequence[tuple[int, ...]], r: int, d: int, max_size: int) -> None:
-    """The member rules one face at a time, in canonical order; raises at the first fault."""
+    """The member rules past each entry's type, one face at a time in canonical order;
+    raises at the first fault."""
     seen: set[tuple[int, ...]] = set()
     for ms in faces:
         if not ms:
             raise ValueError("faces must be nonempty; the empty face is implicit")
-        if any(type(m) is not int for m in ms):
-            raise ValueError(f"face members must be ints: {ms}")
         if not all(map(lt, ms, ms[1:])):
             raise ValueError(f"face members must be strictly ascending: {ms}")
         if ms[0] < 1:
@@ -163,13 +162,14 @@ class LabeledComplex:
     """A simplicial complex on generator indices with lcm labels.
 
     Built from ``members``, a sequence of 1-based member tuples.  Each must
-    be nonempty, made of ints, strictly ascending and at most the generator
-    count r; no tuple may repeat, every singleton must be present and the
-    set must be closed under subsets.  Scarf kinds also need every
+    be a tuple of ints, nonempty, strictly ascending and at most the
+    generator count r; no tuple may repeat, every singleton must be present
+    and the set must be closed under subsets.  Scarf kinds also need every
     cardinality at most the dimension, and kind="scarf" needs pairwise
-    distinct labels.  The constructor sorts a caller's members and checks
-    all of this face by face in canonical order, so the fault named is the
-    first in that order.  The package's builders make complexes that meet
+    distinct labels.  The constructor checks that each entry is a tuple of
+    ints in input order, since only those sort, then sorts the members and
+    checks the rest face by face in canonical order, so the fault named is
+    the first in that order.  The package's builders make complexes that meet
     every rule by construction and go through :meth:`_built`, which checks
     nothing.
 
@@ -196,7 +196,13 @@ class LabeledComplex:
         r = len(self.ideal.generators)
         d = self.ideal.dimension
         max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
-        ordered = sorted(members)
+        ordered = list(members)
+        for ms in ordered:  # only tuples of ints sort, so this comes first, in input order
+            if type(ms) is not tuple:
+                raise ValueError(f"faces must be tuples of member ints, got {ms!r}")
+            if any(type(m) is not int for m in ms):
+                raise ValueError(f"face members must be ints: {ms}")
+        ordered.sort()
         ordered.sort(key=len)  # stable: ascending cardinality, then lexicographic
         _check_faces(ordered, r, d, max_size)
         singletons = set(ordered[:r])  # singletons sort first, so all r lie here if present

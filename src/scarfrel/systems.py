@@ -16,8 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
-from operator import mul
+from itertools import compress, product
+from operator import lt
 from typing import Callable, Sequence
 
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, minimalize
@@ -215,27 +215,50 @@ class ProfitSpec:
         return total + sum(c * alpha[i] * alpha[j] for i, j, c in self.interactions)
 
 
+def _axis_minima(dst: list, src: list, sizes: Sequence[int]) -> None:
+    """Along each axis in turn, ``dst[i] = min(dst[i], src[i - stride])`` for
+    every cell i off the axis's level 0, over a grid of ``sizes`` held flat
+    in product order (the axis of ``sizes[k]`` steps by the later sizes'
+    product).
+
+    With ``src is dst`` each pass reads what it wrote, a running minimum,
+    and ``dst`` ends as the minimum over each cell's lower orthant.  With a
+    separate ``src`` it ends as the least ``src`` one step down on any axis
+    (or as it was, at the origin).  A pass is one slice assignment per step
+    along the axis, in contiguous runs or stepped, whichever is fewer.
+    """
+    n = stride = len(dst)
+    for size in sizes:
+        block, stride = stride, stride // size
+        if n // block <= stride:
+            for lo in range(stride, n, stride):
+                if lo % block:
+                    dst[lo:lo + stride] = map(min, dst[lo:lo + stride], src[lo - stride:lo])
+        else:
+            for c in range(stride, block):
+                dst[c::block] = map(min, dst[c::block], src[c - stride::block])
+
+
 def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> MonomialIdeal:
     """Minimal states reaching the cutoff, as a monomial ideal.
 
     The profit is monotone, so above each prefix (a_1..a_{d-1}) the states
     reaching the cutoff are those with a_d >= t(prefix), where t = L_d
-    means none.  The prefixes are walked in rows along a_{d-1}, the rows in
-    product order, so every one-step prefix decrement comes first, and t is
-    at most their least threshold, the ceiling h.  No interaction pairs a
-    coordinate with itself, so above a prefix the profit is
-    base + slope * a_d, and along a row base = b0 + b1 * a_{d-1} and
-    slope = s0 + s1 * a_{d-1}, in the spec's exact numbers.  Each prefix's
-    closed form gives the least a_d reaching the cutoff, and t is that
-    clamped at h.  A row's ceilings are an element-wise minimum against the
-    rows one step down in each outer coordinate, then a running minimum
-    along the row.  The state (prefix, t) is minimal iff the closed form
-    lies below h: every one-step prefix decrement then falls below the
-    cutoff at a_d = t.  Cost: O(prod_{i<d} L_i * d) for the passes plus one
-    closed form per prefix and O(d + |interactions|) exact operations per
-    row; memory: one int per prefix, in one flat list.  Points are emitted
-    sorted by reversed-tuple lexicographic order (last coordinate most
-    significant).
+    means none.  No interaction pairs a coordinate with itself, so above a
+    prefix the profit less the cutoff is base + slope * a_d.  Flat lists
+    over every prefix in product order hold ``base`` and each later
+    coordinate's coefficient, built one coordinate at a time from the
+    spec's exact numbers over their common denominator, so every entry is
+    an int; the last coefficient is the slope.  One closed form per prefix
+    gives t, the least a_d reaching the cutoff, clamped at L_d.  The
+    profit never falls as a coordinate rises, so neither does t, and the
+    state (prefix, t) is minimal iff t lies below the ceiling, the least t
+    one step down on any prefix axis (L_d at the origin), which
+    :func:`_axis_minima` takes.  Cost: O(prod_{i<d} L_i * d) int operations
+    and slice passes; memory: a few lists of one int per prefix, the
+    coefficient lists freed before the ceiling is built.  Points are
+    emitted sorted by reversed-tuple lexicographic order (last coordinate
+    most significant).
     """
     d = len(levels)
     if d != len(spec.linear):
@@ -245,60 +268,32 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     for L in levels:
         if L < 1:
             raise ValueError(f"level counts must be >= 1, got {L}")
-    # d = 1 has one prefix; a coordinate of one level with coefficient 0 stands for it
-    *head, top = levels
-    *linear, last = spec.linear
-    *outer, width = head or [1]
-    *outer_linear, row_linear = linear or [0]
-    k = len(outer)  # the row coordinate; the last coordinate is k + 1
-    cutoff = spec.cutoff
-    outer_pairs, row_pairs, last_pairs, s1 = [], [], [], 0
+    *sizes, top = levels
+    # over one common denominator every number is an int: as exact as a Fraction, and lighter
+    numbers = (*spec.linear, *(c for _, _, c in spec.interactions), spec.cutoff)
+    scale = math.lcm(*(x.denominator for x in numbers))
+    pair = [[0] * d for _ in range(d)]  # [i][j], i < j: the coefficient of a_i * a_j
     for i, j, c in spec.interactions:
-        i, j = sorted((i, j))
-        if j < k:
-            outer_pairs.append((i, j, c))
-        elif i == k:  # the row coordinate with the last
-            s1 += c
-        elif j == k:
-            row_pairs.append((i, c))
-        else:
-            last_pairs.append((i, c))
-    # the row one step down in outer coordinate i lies this many rows back
-    row_strides = [math.prod(outer[i + 1:]) for i in range(k)]
-    threshold = [top] * (math.prod(outer) * width)
-    minimal: list[Exponent] = []
-    for r, prefix in enumerate(product(*map(range, outer))):
-        down = [top] * width
-        for back, a in zip(row_strides, prefix):
-            if a:
-                lo = (r - back) * width
-                down[:] = map(min, down, threshold[lo:lo + width])
-        b0 = sum(map(mul, outer_linear, prefix))
-        b0 += sum(c * prefix[i] * prefix[j] for i, j, c in outer_pairs)
-        b1 = row_linear + sum(c * prefix[i] for i, c in row_pairs)
-        s0 = last + sum(c * prefix[i] for i, c in last_pairs)
-        closed = []
-        for a in range(width):
-            base = b0 + b1 * a
-            slope = s0 + s1 * a
-            if base >= cutoff:
-                closed.append(0)
-            elif slope > 0:
-                closed.append(-((base - cutoff) // slope))  # ceil((cutoff - base) / slope)
-            else:
-                closed.append(top)
-        # ts[a] is the threshold of cell a - 1, and top before the row
-        ts = list(accumulate(map(min, closed, down), min, initial=top))
-        threshold[r * width:(r + 1) * width] = ts[1:]
-        for a, t, h, before in zip(range(width), closed, down, ts):
-            if t < h and t < before:
-                minimal.append((*prefix, a, t))
+        pair[min(i, j)][max(i, j)] += int(c * scale)
+    base = [-int(spec.cutoff * scale)]  # per prefix so far: its coordinates' profit - cutoff
+    coef = [[int(c * scale)] for c in spec.linear]  # per later coordinate, per prefix so far
+    for k, size in enumerate(sizes):
+        steps = range(size)
+        base = [b + c * a for b, c in zip(base, coef[k]) for a in steps]
+        for j in range(k + 1, d):
+            coef[j] = [c + pair[k][j] * a for c in coef[j] for a in steps]
+    # the least a_d with b + s * a_d >= 0 is 0 or ceil(-b / s), which is -(b // s)
+    closed = [0 if b >= 0 else min(top, -(b // s)) if s else top for b, s in zip(base, coef[-1])]
+    del base, coef
+    ceiling = [top] * len(closed)
+    _axis_minima(ceiling, closed, sizes)
+    prefixes = zip(product(*map(range, sizes)), closed)
+    minimal: list[Exponent] = [(*p, t) for p, t in compress(prefixes, map(lt, closed, ceiling))]
+    del closed, ceiling
     if not minimal:
         raise CutoffUnreachableError(
-            f"no state of the grid reaches profit cutoff {float(cutoff)}"
+            f"no state of the grid reaches profit cutoff {float(spec.cutoff)}"
         )
-    if d == 1:
-        minimal = [point[1:] for point in minimal]
     minimal.sort(key=lambda a: a[::-1])
     return MonomialIdeal(dimension=d, generators=tuple(minimal))
 

@@ -231,7 +231,7 @@ class TestOracleCommand:
         assert "states: 256" in out
         assert "reliability: 0.353759765625" in out
 
-    def test_state_cap_exceeded(self, capsys, tmp_path):
+    def test_state_cap_exceeded(self, capsys, monkeypatch, tmp_path):
         data = {
             "components": [
                 {"name": f"c{i}", "levels": 4, "probs": [0.25, 0.25, 0.25, 0.25]}
@@ -239,10 +239,16 @@ class TestOracleCommand:
             ],
             "minimal_nonfailure_points": [[1] + [0] * 11],
         }
-        path = write_spec(tmp_path, data)
-        code, _, err = run(capsys, "oracle", path)
-        assert code == 1
-        assert "cap" in err
+        points = write_spec(tmp_path, data)
+        # 4 components of 64 levels: extracting its 174,784 generators takes seconds
+        profit = str(Path(__file__).resolve().parent / "specs" / "profit_above_cap.json")
+        calls = count_calls(monkeypatch, "minimal_points_from_profit", "minimalize")
+        for path, states in ((points, 4**12), (profit, 64**4)):
+            code, out, err = run(capsys, "oracle", path)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: state space has {states} states, above the cap 10000000\n"
+        assert not calls  # the cap is checked before the ideal is built
 
 
 class TestCompareCommand:

@@ -661,9 +661,14 @@ class TestComplexValidation:
             (PLANAR, [(1,), (2,), (3,), (1.5,)], "face members must be ints: (1.5,)"),
             (PLANAR, [(1,), (2,), (3,), (1, 2.0)], "face members must be ints: (1, 2.0)"),
             (PLANAR, [(True,), (2,), (3,)], "face members must be ints: (True,)"),
+            # a non-tuple entry is named before the sort, which could not compare it
+            (PLANAR, [[1], [2], [3]], "faces must be tuples of member ints, got [1]"),
+            (PLANAR, [(1,), (2,), (3,), [1, 2]],
+             "faces must be tuples of member ints, got [1, 2]"),
+            (PLANAR, [1, 2, 3], "faces must be tuples of member ints, got 1"),
         ],
         ids=["empty", "descending", "zero", "above-r", "duplicate", "float", "float-in-pair",
-             "bool"],
+             "bool", "lists", "list-among-tuples", "ints"],
     )
     def test_member_rule(self, ideal, members, message):
         with pytest.raises(ValueError, match=re.escape(message)):

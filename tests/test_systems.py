@@ -25,6 +25,7 @@ from scarfrel import (
     quantize,
     scarf_complex,
 )
+from scarfrel.systems import _axis_minima
 
 from helpers import (
     MULTI_EXTRA,
@@ -343,14 +344,18 @@ class TestMinimalPointsFromProfit:
     @example((ProfitSpec((1, 0), ((0, 1, 0.5),), 2), (3, 5)))
     # decimal sum hits the cutoff exactly on the last coordinate
     @example((ProfitSpec((0.7, 0.1), (), 0.8), (3, 3)))
-    # coordinates d - 1 and d interact, so the slope grows along each row
+    # coordinates d - 1 and d interact, so the slope grows along the last prefix axis
     @example((ProfitSpec((1, 0.5, 0), ((2, 1, 0.7),), 3.1), (3, 4, 5)))
-    # an outer coordinate and coordinate d - 1 interact, so b1 changes from row to row
+    # two prefix coordinates interact, so base gains a product term
     @example((ProfitSpec((0.5, 0, 1), ((1, 0, 1.5), (0, 2, 0.2)), 4), (3, 4, 3)))
-    # rows of width 1
+    # a prefix axis of size 1
     @example((ProfitSpec((1, 2, 0.5, 1), ((0, 3, 0.3),), 3.5), (3, 2, 1, 4)))
-    # d = 2: one row
+    # d = 2: one prefix axis
     @example((ProfitSpec((1, 0.5), ((0, 1, 0.25),), 2), (4, 5)))
+    # all binary: the ceiling passes run both contiguous and stepped
+    @example((ProfitSpec((1, 1, 1, 1), (), 2), (2, 2, 2, 2)))
+    # one interaction between prefix coordinates, one between a prefix coordinate and a_d
+    @example((ProfitSpec((1, 0.5, 1, 0.2), ((0, 1, 0.7), (1, 3, 0.3)), 3.4), (3, 3, 2, 4)))
     def test_equals_full_grid_scan(self, case):
         spec, levels = case
         expected = full_scan_profit_points(spec, levels)
@@ -410,6 +415,55 @@ class TestMinimalPointsFromProfit:
                 continue
             for alpha in itertools.product(*(range(L) for L in levels)):
                 assert contains(ideal, alpha) == (spec.value(alpha) >= spec.cutoff)
+
+
+def _cells(sizes):
+    """Each cell of a grid of ``sizes`` with its flat index in product order."""
+    return list(enumerate(itertools.product(*map(range, sizes))))
+
+
+@st.composite
+def flat_grids(draw):
+    """A grid shape, with size-1 axes and no axes at all, and two flat int lists over it."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    values = st.lists(st.integers(0, 9), min_size=math.prod(sizes), max_size=math.prod(sizes))
+    return sizes, draw(values), draw(values)
+
+
+class TestAxisMinima:
+    """``_axis_minima`` against a per-cell scan, in both of its modes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flat_grids())
+    @example(([], [3], [1]))
+    @example(([2, 2, 2, 2], list(range(16, 0, -1)), list(range(16))))
+    @example(([1, 3, 1, 2], [5, 4, 3, 2, 1, 0], [0, 1, 2, 3, 4, 5]))
+    def test_running_minimum_over_lower_orthants(self, grid):
+        sizes, values, _ = grid
+        dst = list(values)
+        _axis_minima(dst, dst, sizes)
+        cells = _cells(sizes)
+        for i, cell in cells:
+            below = [values[j] for j, other in cells if all(map(int.__le__, other, cell))]
+            assert dst[i] == min(below)
+
+    @settings(max_examples=200, deadline=None)
+    @given(flat_grids())
+    @example(([], [3], [1]))
+    @example(([2, 2, 2, 2], list(range(16, 0, -1)), list(range(16))))
+    @example(([1, 3, 1, 2], [9] * 6, [5, 4, 3, 2, 1, 0]))
+    def test_one_step_minimum_of_a_separate_source(self, grid):
+        sizes, values, src = grid
+        dst = list(values)
+        _axis_minima(dst, src, sizes)
+        index = {cell: i for i, cell in _cells(sizes)}
+        for cell, i in index.items():
+            steps = [
+                src[index[(*cell[:k], a - 1, *cell[k + 1:])]]
+                for k, a in enumerate(cell)
+                if a
+            ]
+            assert dst[i] == min([values[i], *steps])
 
 
 PROTO_POINTS = (
