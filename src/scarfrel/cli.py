@@ -33,9 +33,11 @@ formatted once per label tuple, which faces with equal labels share.
 
 Exit codes: 0 success; 1 runtime failure or detected disagreement
 (``compare``'s ``"ok": false``); 2 invalid spec file or argument, such as
-``--v`` not above r or a ``--depth`` outside the complex.  A reader that
-closes stdout early (``scarfrel scarf FILE | head -1``) ends the call with
-exit code 1 and no message.
+``--v`` not above r or a ``--depth`` outside the complex, or an ideal whose
+Scarf builder would need more than ``SCARF_PAIR_CAP`` pair tests, refused
+before the complex is built (the oracle's state cap keeps exit 1).  A
+reader that closes stdout early (``scarfrel scarf FILE | head -1``) ends
+the call with exit code 1 and no message.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from .analysis import (
     reliability_identity,
     subset_bounds,
 )
-from .complexes import TAYLOR_GENERATOR_CAP, check_deformation_v, deform_and_scarf, scarf_complex
+from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, check_deformation_v
+from .complexes import deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
 from .specfile import SpecFileError, load_spec
 from .systems import (
@@ -454,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as err:  # noqa: BLE001 - CLI boundary
         # an empty message (MemoryError has one) is named by its type
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
-        return 2 if isinstance(err, (SpecFileError, CutoffUnreachableError)) else 1
+        return 2 if isinstance(err, (SpecFileError, CutoffUnreachableError, ComplexSizeError)) else 1
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from .monomial import (
 )
 
 TAYLOR_GENERATOR_CAP = 20
+SCARF_PAIR_CAP = 1 << 21  # the Scarf builder's size-2 pair tests, r(r - 1)/2: r <= 2,048
 ORACLE_GENERATOR_CAP = 16
 
 _KINDS = ("taylor", "scarf", "scarf_deformed")
@@ -413,13 +414,23 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
     return [level for level in by_size if level]  # closure: the nonempty runs come first
 
 
+def _check_scarf_pairs(ideal: MonomialIdeal) -> None:
+    """Raise :class:`ComplexSizeError` when the builder's r(r - 1)/2 pair tests
+    exceed ``SCARF_PAIR_CAP``; the face count, O(r^(d // 2)), is not bounded."""
+    r = len(ideal.generators)
+    if (pairs := r * (r - 1) // 2) > SCARF_PAIR_CAP:
+        raise ComplexSizeError(f"Scarf complex on {r} generators needs {pairs} pair tests; cap is {SCARF_PAIR_CAP}")
+
+
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """The Scarf complex of a generic ideal.
 
-    Raises :class:`NotGenericError` (naming the offending coordinate and
-    generator pair) when the ideal has an exponent tie; use
-    :func:`deform_and_scarf` for those.
+    Raises :class:`ComplexSizeError` above ``SCARF_PAIR_CAP`` pair tests,
+    before anything else, and :class:`NotGenericError` (naming the
+    offending coordinate and generator pair) when the ideal has an exponent
+    tie; use :func:`deform_and_scarf` for those.
     """
+    _check_scarf_pairs(ideal)
     witness = nongeneric_witness(ideal)
     if witness is not None:
         k, i, j = witness
@@ -516,9 +527,13 @@ def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledCo
     its labels as lcms over its own ideal, here the original generators.
     That is a (possibly non-minimal, but still exact) inclusion-exclusion
     support for the original ideal; repeated labels are allowed here,
-    unlike for kind="scarf".
+    unlike for kind="scarf".  Dense ranks keep every strict coordinate
+    order, so the deformed vectors stay an antichain and their ideal takes
+    them unchecked.  Raises :class:`ComplexSizeError` above
+    ``SCARF_PAIR_CAP`` pair tests, before deforming.
     """
-    runs = _scarf_member_tuples(MonomialIdeal(ideal.dimension, deform(ideal, v).deformed))
+    _check_scarf_pairs(ideal)
+    runs = _scarf_member_tuples(MonomialIdeal._built(ideal.dimension, deform(ideal, v).deformed))
     return LabeledComplex._built(ideal, runs, "scarf_deformed")
 
 

@@ -13,12 +13,21 @@ One divisibility index serves :func:`minimalize`, the antichain check and the
 Scarf builder: ``le[k][t]`` is the bit set (bit i - 1 for vector i) of the
 vectors with exponent <= t in coordinate k, keyed by held exponents only, so
 the divisors of beta, a vector or an lcm of vectors, are AND_k le[k][beta[k]].
+An ideal derives its index on first use, so one that no check or builder
+reads never builds it.
+
+The public :class:`MonomialIdeal` constructor checks the generators a caller
+passes.  Three package routines make their generators a minimal antichain by
+construction and hand them over unchecked: :func:`minimalize` (the survivors
+of its own antichain test), ``systems.minimal_points_from_profit`` (minimal
+staircase states) and ``complexes.deform_and_scarf`` (dense ranks, which
+keep every strict coordinate order and so every antichain).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import and_, getitem, is_
 from typing import Iterable, Optional, Sequence
@@ -84,16 +93,16 @@ class MonomialIdeal:
     """A monomial ideal in d variables, given by its minimal generators.
 
     ``generators`` must already form an antichain under divisibility (no
-    duplicates, no generator dividing another).  Use :func:`minimalize` to
-    build an ideal from an arbitrary generating set; it prunes redundant
-    generators while keeping the survivors in input order.  ``le``, derived
-    once, is the generators' divisibility index (see the module docstring):
-    look up only generators and their lcms.  Equality, hash and repr skip it.
+    duplicates, no generator dividing another); the constructor checks that
+    and every coordinate.  Use :func:`minimalize` to build an ideal from an
+    arbitrary generating set; it prunes redundant generators while keeping
+    the survivors in input order.  The package routines that make minimal
+    generators by construction (see the module docstring) go through
+    :meth:`_built`, which checks nothing.
     """
 
     dimension: int
     generators: tuple[Exponent, ...]
-    le: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -105,22 +114,36 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != self.dimension:
                 raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {self.dimension}")
-        le = _prefix_masks(gens)
-        object.__setattr__(self, "le", le)
         for i, g in enumerate(gens):
-            others = reduce(and_, map(getitem, le, g)) & ~(1 << i)
+            others = reduce(and_, map(getitem, self.le, g)) & ~(1 << i)
             if others:
                 h = gens[(others & -others).bit_length() - 1]
                 if h == g:
                     raise ValueError(f"duplicate generator {g}")
                 raise ValueError(f"generator {g} is redundant: divisible by {h}")
 
+    @classmethod
+    def _built(cls, dimension: int, generators: tuple[Exponent, ...]) -> MonomialIdeal:
+        """An ideal from a package routine whose generators are a minimal antichain
+        of ``dimension``-tuples of plain nonnegative ints, unchecked."""
+        self = object.__new__(cls)
+        vars(self).update(dimension=dimension, generators=generators)
+        return self
+
+    @cached_property
+    def le(self) -> tuple[dict[int, int], ...]:
+        """The generators' divisibility index (see the module docstring), derived
+        on first use: look up only generators and their lcms.  Equality, hash
+        and repr skip it."""
+        return _prefix_masks(self.generators)
+
 
 def minimalize(generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Build an ideal from any generating set, pruning redundant vectors.
 
     A vector is dropped when another generator strictly divides it, or when
-    it repeats an earlier vector.  Survivors keep their input order.
+    it repeats an earlier vector.  Survivors keep their input order; they are
+    an antichain by construction, so the ideal takes them unchecked.
     """
     vs = list(dict.fromkeys(_vector(g) for g in generators))
     if not vs:
@@ -129,9 +152,11 @@ def minimalize(generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     for v in vs:
         if len(v) != d:
             raise DimensionMismatchError(f"cannot compare vectors of length {len(v)} and {d}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     le = _prefix_masks(vs)
     keep = (g for i, g in enumerate(vs) if reduce(and_, map(getitem, le, g)) == 1 << i)
-    return MonomialIdeal(dimension=d, generators=tuple(keep))
+    return MonomialIdeal._built(d, tuple(keep))
 
 
 def contains(ideal: MonomialIdeal, beta: Sequence[int]) -> bool:

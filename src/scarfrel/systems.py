@@ -258,7 +258,8 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     and slice passes; memory: a few lists of one int per prefix, the
     coefficient lists freed before the ceiling is built.  Points are
     emitted sorted by reversed-tuple lexicographic order (last coordinate
-    most significant).
+    most significant).  They are minimal by construction, so the ideal takes
+    them unchecked.
     """
     d = len(levels)
     if d != len(spec.linear):
@@ -295,7 +296,7 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
             f"no state of the grid reaches profit cutoff {float(spec.cutoff)}"
         )
     minimal.sort(key=lambda a: a[::-1])
-    return MonomialIdeal(dimension=d, generators=tuple(minimal))
+    return MonomialIdeal._built(d, tuple(minimal))
 
 
 class GeneralPositionError(ValueError):

@@ -130,6 +130,16 @@ NONNETWORK_FIVE_FACES_REVERSED_TIEBREAK = (
 )
 
 
+def assert_ideal_passes_the_public_check(ideal: MonomialIdeal) -> None:
+    """An ideal a package routine made unchecked equals its rebuild through the
+    checked constructor, divisibility index included, and holds plain ints."""
+    checked = MonomialIdeal(ideal.dimension, ideal.generators)
+    assert checked == ideal and hash(checked) == hash(ideal)
+    assert checked.le == ideal.le
+    assert type(ideal.generators) is tuple
+    assert all(type(g) is tuple and all(type(c) is int for c in g) for g in ideal.generators)
+
+
 def random_ideal(
     rng: random.Random, d: int | None = None, max_coord: int = 6, max_points: int = 8
 ) -> MonomialIdeal:

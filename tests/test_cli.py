@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import scarfrel.analysis as analysis
 import scarfrel.cli as cli
+import scarfrel.complexes as complexes
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
 from scarfrel.complexes import Face, SignedTerm
@@ -499,6 +500,39 @@ class TestCachedParser:
             check=True,
         )
         assert result.stdout == "0\n"
+
+
+class TestScarfPairCap:
+    PROFIT_ABOVE_CAP = str(Path(__file__).resolve().parent / "specs" / "profit_above_cap.json")
+    MESSAGE = "error: Scarf complex on 174784 generators needs 15274635936 pair tests; cap is 2097152\n"
+
+    @pytest.mark.parametrize("command", ["scarf", "reliability", "bounds", "compare"])
+    def test_exit_2_with_the_cap_message(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(complexes, "SCARF_PAIR_CAP", 35)  # the 9 generators of POINTS need 36
+        code, out, err = run(capsys, command, POINTS)
+        message = "error: Scarf complex on 9 generators needs 36 pair tests; cap is 35\n"
+        assert (code, out, err) == (2, "", message)
+
+    def test_repro_refused_under_a_memory_limit(self):
+        # 4 components of 64 levels: 174,784 minimal points.  Without the cap
+        # the builder runs out of memory under this limit instead.
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 800 << 20 if hard == resource.RLIM_INFINITY else min(800 << 20, hard)
+
+        def cap_memory():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        for command in ("scarf", "reliability"):
+            result = subprocess.run(
+                [sys.executable, "-m", "scarfrel.cli", command, self.PROFIT_ABOVE_CAP],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                preexec_fn=cap_memory,
+                timeout=60,
+            )
+            assert (result.returncode, result.stdout, result.stderr) == (2, "", self.MESSAGE)
 
 
 class TestBrokenPipe:

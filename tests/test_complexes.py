@@ -37,6 +37,7 @@ from helpers import (
     NONNETWORK_FIVE,
     NONNETWORK_FIVE_FACES,
     PLANAR_GENS,
+    assert_ideal_passes_the_public_check,
     random_generic_ideal,
     random_ideal,
     reference_faces,
@@ -240,7 +241,8 @@ class TestBuilder:
     @settings(max_examples=80, deadline=None)
     @given(ideals_with_zeros())
     def test_deformed_generators_match_oracle(self, ideal):
-        deformed = MonomialIdeal(ideal.dimension, deform(ideal).deformed)
+        deformed = MonomialIdeal._built(ideal.dimension, deform(ideal).deformed)  # as deform_and_scarf
+        assert_ideal_passes_the_public_check(deformed)
         oracle = scarf_brute_oracle(deformed)
         direct, relabeled = scarf_complex(deformed), deform_and_scarf(ideal)
         assert direct.faces == oracle.faces
@@ -283,7 +285,8 @@ class TestBuilder:
     @given(data=st.data())
     def test_field_count_edges_match_oracle(self, d, data):
         ideal = data.draw(ideals_with_zeros(min_d=d, max_d=d))
-        deformed = MonomialIdeal(d, deform(ideal).deformed)
+        deformed = MonomialIdeal._built(d, deform(ideal).deformed)  # as deform_and_scarf
+        assert_ideal_passes_the_public_check(deformed)
         oracle = scarf_brute_oracle(deformed)
         generic = data.draw(generic_ideals_with_zeros(min_d=d, max_d=d))
         direct, relabeled = scarf_complex(deformed), deform_and_scarf(ideal)
@@ -302,6 +305,42 @@ class TestBuilder:
         assert len(taylor_complex(PLANAR).faces) == 7
         assert scarf_complex(PLANAR).member_tuples == ((1,), (2,), (3,), (1, 2), (2, 3))
         assert member_sets(deform_and_scarf(MonomialIdeal(4, MULTI_NINE))) == set(MULTI_NINE_FACES)
+
+
+class TestScarfPairCap:
+    """Both Scarf routes refuse more than SCARF_PAIR_CAP size-2 pair tests before any work."""
+
+    @staticmethod
+    def staircase(r):
+        """A generic d=2 antichain of r generators."""
+        return minimalize([(i, r - 1 - i) for i in range(r)])
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        ideal = self.staircase(2049)
+
+        def built(*args):
+            raise AssertionError("work done past the cap")
+
+        for name in ("nongeneric_witness", "deform", "_scarf_member_tuples"):
+            monkeypatch.setattr(complexes, name, built)
+        message = r"^Scarf complex on 2049 generators needs 2098176 pair tests; cap is 2097152$"
+        for route in (scarf_complex, deform_and_scarf):
+            with pytest.raises(ComplexSizeError, match=message):
+                route(ideal)
+        assert "le" not in vars(ideal)  # the index was never derived
+
+    def test_admits_2048_generators(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(ideal):
+            raise Reached
+
+        monkeypatch.setattr(complexes, "_scarf_member_tuples", reached)
+        ideal = self.staircase(2048)
+        for route in (scarf_complex, deform_and_scarf):
+            with pytest.raises(Reached):
+                route(ideal)
 
 
 class TestFacets:

@@ -2,15 +2,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scarfrel import (
+    ContinuousSpec,
     DimensionMismatchError,
     MonomialIdeal,
+    ProfitSpec,
     contains,
+    deform_and_scarf,
     divides,
     is_generic,
     lcm,
+    minimal_points_from_profit,
     minimalize,
     nongeneric_witness,
+    quantize,
 )
+
+from helpers import MULTI_NINE, MULTI_NINE_FACES, assert_ideal_passes_the_public_check
 
 
 @st.composite
@@ -175,13 +182,16 @@ class TestMinimalize:
     @given(sets_with_repeats())
     def test_equals_pairwise_reference(self, gens):
         # exact survivors, input order, first duplicate kept
-        assert minimalize(gens).generators == pairwise_minimal(gens)
+        ideal = minimalize(gens)
+        assert ideal.generators == pairwise_minimal(gens)
+        assert_ideal_passes_the_public_check(ideal)
 
     @given(generating_sets())
     def test_idempotent(self, gens):
         once = minimalize(gens)
         twice = minimalize(once.generators)
         assert once.generators == twice.generators
+        assert_ideal_passes_the_public_check(twice)
 
     @given(generating_sets())
     def test_antichain(self, gens):
@@ -190,6 +200,7 @@ class TestMinimalize:
             for j, h in enumerate(ideal.generators):
                 if i != j:
                     assert not divides(g, h)
+        assert_ideal_passes_the_public_check(ideal)
 
     @given(generating_sets())
     def test_same_ideal_generated(self, gens):
@@ -197,6 +208,7 @@ class TestMinimalize:
         ideal = minimalize(gens)
         for g in gens:
             assert contains(ideal, g)
+        assert_ideal_passes_the_public_check(ideal)
 
 
 class TestMonomialIdealValidation:
@@ -236,10 +248,20 @@ class TestMonomialIdealValidation:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1, -1),))
 
-    @pytest.mark.parametrize("dimension", [0, -1])
-    def test_dimension_below_one_rejected(self, dimension):
+    @pytest.mark.parametrize(
+        "build, dimension",
+        [
+            (lambda: MonomialIdeal(0, ((),)), 0),
+            (lambda: MonomialIdeal(-1, ((),)), -1),
+            # the routines that build ideals unchecked meet zero-length vectors first
+            (lambda: minimalize([()]), 0),
+            (lambda: quantize(ContinuousSpec(((),), lambda z: 1.0)), 0),
+        ],
+        ids=["0", "-1", "minimalize", "quantize"],
+    )
+    def test_dimension_below_one_rejected(self, build, dimension):
         with pytest.raises(ValueError) as err:
-            MonomialIdeal(dimension, ((),))
+            build()
         assert str(err.value) == f"dimension must be >= 1, got {dimension}"
 
     def test_no_generators_rejected(self):
@@ -255,6 +277,30 @@ class TestMonomialIdealValidation:
         # the whole-ring ideal: every state is a member
         ideal = MonomialIdeal(2, ((0, 0),))
         assert contains(ideal, (0, 0))
+
+
+class TestTrustedPath:
+    """Routines whose generators are a minimal antichain by construction skip the checks."""
+
+    def test_package_routines_skip_the_constructor_checks(self, monkeypatch):
+        multi = MonomialIdeal(4, MULTI_NINE)
+
+        def checked(self):
+            raise AssertionError("package ideal re-checked")
+
+        monkeypatch.setattr(MonomialIdeal, "__post_init__", checked)
+        assert minimalize([(3, 0), (2, 2), (0, 3), (3, 1)]).generators == ((3, 0), (2, 2), (0, 3))
+        profit = minimal_points_from_profit(ProfitSpec((1, 1), (), 2), (3, 3))
+        assert profit.generators == ((2, 0), (1, 1), (0, 2))
+        assert {f.members for f in deform_and_scarf(multi).faces} == set(MULTI_NINE_FACES)
+        ideal, _ = quantize(ContinuousSpec(((0.5, 2.0), (1.5, 1.0)), lambda z: 1.0))
+        assert ideal.generators == ((0, 1), (1, 0))
+
+    def test_index_is_derived_on_first_use_and_kept(self):
+        ideal = minimalize([(3, 0), (2, 2), (0, 3), (3, 1)])
+        assert "le" not in vars(ideal)
+        assert ideal.le == ({0: 0b100, 2: 0b110, 3: 0b111}, {0: 0b001, 2: 0b011, 3: 0b111})
+        assert ideal.le is ideal.le
 
 
 class TestExponentTypes:

@@ -33,6 +33,7 @@ from helpers import (
     MULTI_PROFIT_CUTOFF,
     MULTI_PROFIT_INTERACTIONS,
     MULTI_PROFIT_LINEAR,
+    assert_ideal_passes_the_public_check,
     full_scan_profit_points,
     random_system,
 )
@@ -363,7 +364,9 @@ class TestMinimalPointsFromProfit:
             with pytest.raises(CutoffUnreachableError):
                 minimal_points_from_profit(spec, levels)
             return
-        assert minimal_points_from_profit(spec, levels).generators == expected
+        ideal = minimal_points_from_profit(spec, levels)
+        assert ideal.generators == expected
+        assert_ideal_passes_the_public_check(ideal)
 
     def test_level_count_validation(self):
         spec = ProfitSpec((1.0, 1.0), (), 1.0)
