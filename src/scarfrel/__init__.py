@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .complexes import (
     ComplexSizeError,
-    DeformationRecord,
     Face,
     LabeledComplex,
     NotGenericError,
@@ -66,7 +65,6 @@ __all__ = [
     "ComplexSizeError",
     "ContinuousSpec",
     "CutoffUnreachableError",
-    "DeformationRecord",
     "DepthBound",
     "DimensionMismatchError",
     "Exponent",

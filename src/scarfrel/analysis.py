@@ -17,11 +17,13 @@ orthant through d table lookups.  The product over the first d // 2
 coordinates is memoized by those coordinates' fields of the code, and the
 rest multiply onto it in order, so an orthant is bit for bit the product
 in coordinate order from 1.0 while codes that share their leading fields
-share that work.  The codes and each evaluated orthant are held in one
-slot on the system, keyed by the ideal, so the Scarf route and the subset
-walk of one call pack once and evaluate each code once between them.  A
-complex keeps one code per face, derived a cardinality run at a time, and
-the fold counts each run's codes; no exponent label is derived.  The
+share that work.  The codes are the ideal's own packing
+(``MonomialIdeal._packed``), derived once per ideal, and each evaluated
+orthant is held in one slot on the system, keyed by the ideal, so the
+Scarf route and the subset walk of one call pack once and evaluate each
+code once between them.  A complex keeps one code per face, derived a
+cardinality run at a time, and the fold counts each run's codes; no
+exponent label is derived.  The
 classical Bonferroni baseline is a level walk over the generator subsets
 of size <= k that builds no complex and holds only one level of ints at a
 time.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .complexes import LabeledComplex, SignedTerm, _lcm_codes, hilbert_numerator
+from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
 from .systems import CoherentSystem, _axis_minima
 
@@ -86,21 +88,17 @@ def check_depth(depth: int, max_card: int) -> None:
         )
 
 
-def _packed_generators(
-    system: CoherentSystem, gens: Sequence[Exponent]
-) -> tuple[list[int], Callable[[int], float]]:
-    """Each generator as one int whose OR over a subset codes the subset's lcm.
+def _packed_generators(system: CoherentSystem, ideal: MonomialIdeal) -> Callable[[int], float]:
+    """The orthant of a code in ``ideal``'s packing (``MonomialIdeal._packed``).
 
-    The codes are :func:`~scarfrel.complexes._lcm_codes`'s.  Also returns
-    the orthant of a code: one table lookup per coordinate, multiplied in
-    coordinate order from 1.0, so it equals ``orthant_prob`` of the decoded
-    label bit for bit.  The product over the first d // 2 coordinates is
-    kept per value of their fields and the others multiply onto it.
+    One table lookup per coordinate, multiplied in coordinate order from
+    1.0, so it equals ``orthant_prob`` of the decoded label bit for bit.
+    The product over the first d // 2 coordinates is kept per value of their
+    fields and the others multiply onto it.
     """
-    codes, lcm_fields = _lcm_codes(gens)
     fields = [  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
         (shift, mask, {(1 << i) - 1: tails[v] for i, v in enumerate(values)})
-        for (shift, mask, values), tails in zip(lcm_fields, system.survival_table)
+        for (shift, mask, values), tails in zip(ideal._packed[1], system.survival_table)
     ]
 
     half = len(fields) // 2
@@ -120,7 +118,7 @@ def _packed_generators(
             p *= table[code >> shift & mask]
         return p
 
-    return codes, orthant
+    return orthant
 
 
 def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
@@ -178,19 +176,18 @@ class _Units(dict):
         return u
 
 
-def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> tuple[list[int], _Units]:
-    """``ideal``'s packed codes and the exact units of their lcms' orthants.
+def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> _Units:
+    """The exact units of the orthants of ``ideal``'s packed lcm codes.
 
     Like ``survival_table`` they live on the system, in one slot that a
     different ideal replaces and that equality, hash and repr skip, so the
-    Scarf and subset routes of one call share one packing and one orthant
-    table, and nothing outlives the system.
+    Scarf and subset routes of one call share one orthant table, and
+    nothing outlives the system.
     """
     slot = vars(system).get("_packed_units")
     if slot is None or slot[0] != ideal:
-        codes, orthant = _packed_generators(system, ideal.generators)
-        slot = vars(system)["_packed_units"] = (ideal, codes, _Units(orthant))
-    return slot[1:]
+        slot = vars(system)["_packed_units"] = (ideal, _Units(_packed_generators(system, ideal)))
+    return slot[1]
 
 
 def _fold_bounds(counts: Iterable[LabelCounts], units: _Units) -> tuple[DepthBound, ...]:
@@ -235,10 +232,9 @@ def depth_bounds(
     complex's face codes, counted a cardinality run at a time; no face label
     is derived."""
     depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
-    _, units = _packed_units(system, complex_.ideal)
-    codes, bounds = complex_._lcm[0], complex_._bounds
+    codes, bounds = complex_._lcm, complex_._bounds
     counts = [Counter(codes[lo:hi]).items() for lo, hi in zip(bounds, bounds[1:depth + 1])]
-    return _fold_bounds(counts, units)
+    return _fold_bounds(counts, _packed_units(system, complex_.ideal))
 
 
 def subset_bounds(
@@ -254,9 +250,8 @@ def subset_bounds(
     cost doubles with each generator.
     """
     depth = _resolved_depth(system, ideal, depth, len(ideal.generators))
-    codes, units = _packed_units(system, ideal)
-    counts = _subset_label_counts(codes, depth)
-    return _fold_bounds([level.items() for level in counts], units)
+    counts = _subset_label_counts(ideal._packed[0], depth)
+    return _fold_bounds([level.items() for level in counts], _packed_units(system, ideal))
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:

@@ -27,9 +27,9 @@ deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
 indent=2, sort_keys=True)``, but fills face, term and int-row lists into
 cached ``%`` templates instead of running that pure-Python encoder.  Items
 of one shape (a complex's faces and terms come a cardinality run at a time)
-share one template, looked up once per run and filled by ``map`` in C, so
-no Python statement runs per item; a face's label or a term's exponent is
-formatted once per label tuple, which faces with equal labels share.
+share one template, which holds a slot for every int of the item, label
+ints included; it is looked up once per run and filled by ``map`` in C, so
+no Python statement runs per item.
 
 Exit codes: 0 success; 1 runtime failure or detected disagreement
 (``compare``'s ``"ok": false``); 2 invalid spec file or argument, such as
@@ -96,28 +96,25 @@ def _slot(pad: str, n: int) -> str:
 
 # The ``%s`` template of an item by kind, from the item's shape: the lengths of
 # its int lists and, for a term, its cardinality and sign, which a run of terms
-# shares.  Faces and terms render as dicts of their fields; their label or
-# exponent fills one ``%s``, from its own "label" template.
+# shares.  Faces and terms render as dicts of their fields, with a slot for each
+# int of their label or exponent.
 _FORMS = {
     "row": lambda n: _slot("    ", n),
-    "label": lambda n: _slot("      ", n),
-    "face": lambda n_members: (
-        f'{{\n      "label": %s,\n      "members": {_slot("      ", n_members)}\n    }}'
+    "face": lambda n_label, n_members: (
+        f'{{\n      "label": {_slot("      ", n_label)},'
+        f'\n      "members": {_slot("      ", n_members)}\n    }}'
     ),
-    "term": lambda cardinality, sign: (
-        f'{{\n      "cardinality": {cardinality},\n      "exponent": %s,'
+    "term": lambda n_exponent, cardinality, sign: (
+        f'{{\n      "cardinality": {cardinality},\n      "exponent": {_slot("      ", n_exponent)},'
         f'\n      "sign": {sign}\n    }}'
     ),
 }
-_TEMPLATES: dict[tuple, str] = {}  # pure memo: a few entries per dimension and face size
 
 
+@functools.cache  # a few entries per dimension and face size
 def _template(kind: str, *shape: int) -> str:
     """The ``%s`` template of a ``kind`` item of this shape."""
-    key = (kind, *shape)
-    if key not in _TEMPLATES:
-        _TEMPLATES[key] = _FORMS[kind](*shape)
-    return _TEMPLATES[key]
+    return _FORMS[kind](*shape)
 
 
 def _filled(kind: str, shapes, args) -> list[str]:
@@ -143,27 +140,16 @@ def _rows(rows) -> list[str]:
     return _filled("row", zip(map(len, rows)), rows)
 
 
-def _labels(labels: list) -> zip:
-    """Each label's text as a 1-tuple, formatted once per label tuple.
-
-    A complex's faces with equal labels share one tuple, so the tuple's
-    ``id`` is the key: an int, hashed in C without reading the label.
-    """
-    by_id = dict(zip(map(id, labels), labels))
-    texts = _filled("label", zip(map(len, by_id.values())), by_id.values())
-    text_of = dict(zip(by_id, texts))
-    return zip(map(text_of.__getitem__, map(id, labels)))
-
-
 def _faces(faces) -> list[str]:
-    members = list(map(_MEMBERS, faces))
-    labels = _labels(list(map(_LABEL, faces)))
-    return _filled("face", zip(map(len, members)), map(tuple.__add__, labels, members))
+    labels, members = list(map(_LABEL, faces)), list(map(_MEMBERS, faces))
+    shapes = zip(map(len, labels), map(len, members))
+    return _filled("face", shapes, map(tuple.__add__, labels, members))
 
 
 def _terms(terms) -> list[str]:
-    shapes = zip(map(_CARDINALITY, terms), map(_SIGN, terms))
-    return _filled("term", shapes, _labels(list(map(_EXPONENT, terms))))
+    exponents = list(map(_EXPONENT, terms))
+    shapes = zip(map(len, exponents), map(_CARDINALITY, terms), map(_SIGN, terms))
+    return _filled("term", shapes, exponents)
 
 
 _SHAPES = {"generators": _rows, "facets": _rows, "faces": _faces, "terms": _terms}

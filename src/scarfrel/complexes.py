@@ -7,13 +7,13 @@ lcm label is unique among all subsets; for generic ideals it supports the
 minimal free resolution, so its alternating sum has no cancellation and is
 usually far smaller.
 
-Non-generic ideals are handled by deformation: break exponent ties by
-replacing, in each coordinate, the exponents with their dense ranks under
-(value, generator index) order.  The deformed ideal is generic by
-construction and its Scarf complex is computed; the member tuples are then
-used as a complex over the original ideal.  The resulting face set does not
-depend on the tie-break magnitude, only on the ordering, so any deformation
-parameter v > r yields the same complex.
+Non-generic ideals are handled by deformation: :func:`deform` breaks
+exponent ties by replacing, in each coordinate, the exponents with their
+dense ranks under (value, generator index) order, and returns the deformed
+ideal.  It is generic by construction and its Scarf complex is computed;
+the member tuples are then used as a complex over the original ideal.
+The resulting face set does not depend on the tie-break magnitude, only on
+the ordering, so any deformation parameter v > r yields the same complex.
 
 Builders hand :class:`LabeledComplex` member tuples only.  The complex
 derives every face label, on first access to its ``faces``, as the lcm of
@@ -29,8 +29,10 @@ facets and the Hilbert numerator's terms, each take one run at a time
 through ``map``, ``zip``, set and ``itertools`` calls in C, so none runs a
 Python statement per face: a run's lcm codes come from the run before, its
 facets from the ``combinations`` of the run after, and its terms share one
-sign.  The complex keeps one list of face codes, which its labels decode
-and the evaluators count.
+sign.  The generator codes and the fields that decode them are the ideal's
+own packing (``MonomialIdeal._packed``), derived once per ideal, so a
+complex and the evaluators over its ideal share them.  The complex keeps
+one list of face codes, which its labels decode and the evaluators count.
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ from itertools import accumulate, chain, combinations, compress, count, cycle, r
 from operator import and_, itemgetter, lt, not_, or_, rshift, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .monomial import (
-    Exponent,
-    MonomialIdeal,
-    divides,
-    lcm,
-    nongeneric_witness,
-)
+from .monomial import Exponent, MonomialIdeal, divides, lcm, nongeneric_witness
 
 TAYLOR_GENERATOR_CAP = 20
 SCARF_PAIR_CAP = 1 << 21  # the Scarf builder's size-2 pair tests, r(r - 1)/2: r <= 2,048
@@ -98,29 +94,6 @@ class SignedTerm(NamedTuple):
 _PREFIX = itemgetter(slice(None, -1))
 _LAST = itemgetter(-1)
 _LABEL = itemgetter(1)
-
-
-def _lcm_codes(gens: Sequence[Exponent]) -> tuple[list[int], list[tuple[int, int, list]]]:
-    """Each generator as one int whose OR over a set of generators codes their lcm.
-
-    Per coordinate, the held values are ranked (rank 0 the smallest) and
-    rank i is a run of i one-bits in that coordinate's field, so the OR of
-    runs is the run of the largest rank; the fields take at most d * (r - 1)
-    bits in all.  Also returns each coordinate's (shift, mask, values): a
-    code's field is ``code >> shift & mask``, and it holds the run of
-    ``values[field.bit_length()]``.
-    """
-    codes = [0] * len(gens)
-    fields = []
-    shift = 0
-    for column in zip(*gens):
-        values = sorted(set(column))
-        runs = {v: (1 << i) - 1 << shift for i, v in enumerate(values)}
-        codes = list(map(or_, codes, map(runs.__getitem__, column)))
-        width = len(values) - 1
-        fields.append((shift, (1 << width) - 1, values))
-        shift += width
-    return codes, fields
 
 
 def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
@@ -176,10 +149,11 @@ class LabeledComplex:
 
     ``member_tuples`` holds the tuples in canonical order (ascending
     cardinality, then lexicographic), and equality and hashing compare it.
-    Each face's lcm code (:func:`_lcm_codes`) is derived once, a run at a
-    time, on first need: by the constructor's kind="scarf" label check,
-    where distinct codes are distinct labels, and otherwise by ``faces`` or
-    the evaluators.
+    Each face's lcm code, the OR of its generators' codes in the ideal's
+    packing (``MonomialIdeal._packed``), is derived once, a run at a time,
+    on first need: by the constructor's kind="scarf" label check, where
+    distinct codes are distinct labels, and otherwise by ``faces`` or the
+    evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
     with the lcm of its generators, decoded from those codes; it is derived
     on first access and kept, so evaluators that need no exponent tuple
@@ -213,7 +187,7 @@ class LabeledComplex:
         object.__setattr__(self, "member_tuples", tuple(ordered))
         object.__setattr__(self, "_bounds", _run_bounds(ordered))
         if self.kind == "scarf":
-            codes = self._lcm[0]
+            codes = self._lcm
             if len(set(codes)) != len(codes):  # codes and labels are in bijection
                 labels: dict[Exponent, tuple[int, ...]] = {}
                 for face in self.faces:
@@ -243,17 +217,17 @@ class LabeledComplex:
         return self
 
     @cached_property
-    def _lcm(self) -> tuple[list[int], list[tuple[int, int, list]]]:
-        """Each face's lcm code in canonical order, and the fields that decode them.
+    def _lcm(self) -> list[int]:
+        """Each face's lcm code in canonical order.
 
-        The codes are :func:`_lcm_codes`'s.  Canonical order puts the faces
-        in runs of one cardinality, and the singletons are the generators in
-        order.  Each later run takes its codes from the run before: a face's
+        The generator codes are the ideal's packing.  Canonical order puts
+        the faces in runs of one cardinality, and the singletons are the
+        generators in order.  Each later run takes its codes from the run before: a face's
         code is its prefix face ``ms[:-1]``'s code OR its last generator's,
         one pass of ``map`` calls in C per run.
         """
         tuples = self.member_tuples
-        gen_codes, fields = _lcm_codes(self.ideal.generators)
+        gen_codes = self.ideal._packed[0]
         by_index = (None, *gen_codes)  # 1-based
         bounds = self._bounds
         codes = list(gen_codes)
@@ -264,24 +238,23 @@ class LabeledComplex:
             grown = list(map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run))))
             codes += grown
             prefix_code = dict(zip(run, grown))
-        return codes, fields
+        return codes
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
 
         Each distinct lcm code is decoded into its label once, a coordinate
-        column at a time, and the faces share that tuple, so no Python
-        statement runs per face.
+        column at a time through the ideal's packing fields, and the faces
+        share that tuple, so no Python statement runs per face.
         """
-        codes, fields = self._lcm
-        distinct = dict.fromkeys(codes)
+        distinct = dict.fromkeys(self._lcm)
         columns = []  # per coordinate, each distinct code's label entry
-        for shift, mask, values in fields:
+        for shift, mask, values in self.ideal._packed[1]:
             runs = map(and_, map(rshift, distinct, repeat(shift)), repeat(mask))
             columns.append(map(values.__getitem__, map(int.bit_length, runs)))
         label_of = dict(zip(distinct, zip(*columns)))
-        labels = map(label_of.__getitem__, codes)
+        labels = map(label_of.__getitem__, self._lcm)
         return tuple(map(tuple.__new__, repeat(Face), zip(self.member_tuples, labels)))
 
     def facets(self) -> tuple[Face, ...]:
@@ -467,73 +440,51 @@ def scarf_brute_oracle(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(ideal=ideal, members=members, kind="scarf")
 
 
-@dataclass(frozen=True)
-class DeformationRecord:
-    """Outcome of the tie-breaking deformation.
-
-    ``deformed[i]`` is the generic replacement for generator i: in each
-    coordinate, the original exponents are replaced by their dense rank
-    (0-based) under (value, generator index) order.  The face set is the
-    same for every admissible perturbation denominator v, so the record
-    does not keep it.
-    """
-
-    deformed: tuple[Exponent, ...]
-
-    def __post_init__(self) -> None:
-        r = len(self.deformed)
-        for k in range(len(self.deformed[0]) if r else 0):
-            column = sorted(g[k] for g in self.deformed)
-            if column != list(range(r)):
-                raise ValueError(
-                    f"deformed coordinate {k + 1} is not a permutation of 0..{r - 1}"
-                )
-
-
 def check_deformation_v(v: int, r: int) -> None:
     """Reject a deformation denominator v that does not exceed the generator count r."""
     if v <= r:
         raise ValueError(f"deformation parameter v must exceed the generator count {r}, got {v}")
 
 
-def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> DeformationRecord:
-    """Replace exponents by per-coordinate dense ranks to force genericity.
+def deform(ideal: MonomialIdeal, v: Optional[int] = None) -> MonomialIdeal:
+    """The generic ideal of per-coordinate dense ranks, generator i for generator i.
 
-    Ties between equal exponents are broken toward the lower generator
-    index, matching a perturbation that adds i/v to generator i's exponents
-    with v > r.  Defaults to v = r + 1; smaller v is rejected.  The
-    descending tie-break is obtained by reversing the input order and
-    mapping member j back to r + 1 - j, as acceptance criterion 5 does.
+    In each coordinate, the exponents are replaced by their 0-based rank
+    under (value, generator index) order, so each coordinate of the result
+    is a permutation of 0..r - 1.  Ties between equal exponents are broken
+    toward the lower generator index, matching a perturbation that adds i/v
+    to generator i's exponents with v > r; the face set is the same for
+    every such v.  Defaults to v = r + 1; smaller v is rejected.  Dense ranks
+    keep every strict coordinate order, so the ranks stay a minimal antichain
+    and the ideal takes them unchecked.  The descending tie-break is obtained
+    by reversing the input order and mapping member j back to r + 1 - j, as
+    acceptance criterion 5 does.
     """
     gens = ideal.generators
     r = len(gens)
     if v is not None:
         check_deformation_v(v, r)
-    d = ideal.dimension
-    ranks = [[0] * d for _ in range(r)]
-    for k in range(d):
-        order = sorted(range(r), key=lambda i: (gens[i][k], i))
-        for pos, i in enumerate(order):
-            ranks[i][k] = pos
-    return DeformationRecord(deformed=tuple(tuple(row) for row in ranks))
+    ranks = []
+    for column in zip(*gens):
+        order = sorted(range(r), key=column.__getitem__)  # stable: (value, index) order
+        ranks.append(sorted(range(r), key=order.__getitem__))  # a permutation's inverse
+    return MonomialIdeal._built(ideal.dimension, tuple(zip(*ranks)))
 
 
 def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledComplex:
     """Scarf complex of the deformed ideal, as a complex over the original.
 
-    The deformed exponent vectors are generic and minimal by construction,
-    so the Scarf route always applies to them.  Its member tuples form a
-    complex over ``ideal``, and like every :class:`LabeledComplex` it takes
-    its labels as lcms over its own ideal, here the original generators.
-    That is a (possibly non-minimal, but still exact) inclusion-exclusion
-    support for the original ideal; repeated labels are allowed here,
-    unlike for kind="scarf".  Dense ranks keep every strict coordinate
-    order, so the deformed vectors stay an antichain and their ideal takes
-    them unchecked.  Raises :class:`ComplexSizeError` above
-    ``SCARF_PAIR_CAP`` pair tests, before deforming.
+    The ideal :func:`deform` returns is generic by construction, so the
+    Scarf route always applies to it.  Its member tuples form a complex over
+    ``ideal``, and like every :class:`LabeledComplex` it takes its labels as
+    lcms over its own ideal, here the original generators.  That is a
+    (possibly non-minimal, but still exact) inclusion-exclusion support for
+    the original ideal; repeated labels are allowed here, unlike for
+    kind="scarf".  Raises :class:`ComplexSizeError` above ``SCARF_PAIR_CAP``
+    pair tests, before deforming.
     """
     _check_scarf_pairs(ideal)
-    runs = _scarf_member_tuples(MonomialIdeal._built(ideal.dimension, deform(ideal, v).deformed))
+    runs = _scarf_member_tuples(deform(ideal, v))
     return LabeledComplex._built(ideal, runs, "scarf_deformed")
 
 

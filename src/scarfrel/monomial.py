@@ -9,19 +9,24 @@ face members, report lines and the deformation tie-break all refer to
 positions in ``MonomialIdeal.generators``, so callers control the labeling
 by controlling the input order.
 
-One divisibility index serves :func:`minimalize`, the antichain check and the
-Scarf builder: ``le[k][t]`` is the bit set (bit i - 1 for vector i) of the
-vectors with exponent <= t in coordinate k, keyed by held exponents only, so
-the divisors of beta, a vector or an lcm of vectors, are AND_k le[k][beta[k]].
-An ideal derives its index on first use, so one that no check or builder
-reads never builds it.
+An ideal owns two views derived from its generators, each on first use, so
+one that nothing reads is never built:
+
+- The divisibility index ``le`` serves :func:`minimalize`, the antichain
+  check and the Scarf builder: ``le[k][t]`` is the bit set (bit i - 1 for
+  vector i) of the vectors with exponent <= t in coordinate k, keyed by held
+  exponents only, so the divisors of beta, a vector or an lcm of vectors,
+  are AND_k le[k][beta[k]].
+- The lcm packing ``_packed`` (:func:`_lcm_codes`) serves the complexes'
+  face codes and labels and the reliability evaluators: each generator is
+  one int, and the OR of a set of them codes the set's lcm.
 
 The public :class:`MonomialIdeal` constructor checks the generators a caller
 passes.  Three package routines make their generators a minimal antichain by
 construction and hand them over unchecked: :func:`minimalize` (the survivors
 of its own antichain test), ``systems.minimal_points_from_profit`` (minimal
-staircase states) and ``complexes.deform_and_scarf`` (dense ranks, which
-keep every strict coordinate order and so every antichain).
+staircase states) and ``complexes.deform`` (dense ranks, which keep every
+strict coordinate order and so every antichain).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
-from operator import and_, getitem, is_
+from operator import and_, getitem, is_, or_
 from typing import Iterable, Optional, Sequence
 
 Exponent = tuple[int, ...]
@@ -88,6 +93,29 @@ def _prefix_masks(vectors: Sequence[Exponent]) -> tuple[dict[int, int], ...]:
     return tuple(le)
 
 
+def _lcm_codes(vectors: Sequence[Exponent]) -> tuple[list[int], list[tuple[int, int, list]]]:
+    """Each vector as one int whose OR over a set of vectors codes their lcm.
+
+    Per coordinate, the held values are ranked (rank 0 the smallest) and
+    rank i is a run of i one-bits in that coordinate's field, so the OR of
+    runs is the run of the largest rank; the fields take at most d * (r - 1)
+    bits in all.  Also returns each coordinate's (shift, mask, values): a
+    code's field is ``code >> shift & mask``, and it holds the run of
+    ``values[field.bit_length()]``.
+    """
+    codes = [0] * len(vectors)
+    fields = []
+    shift = 0
+    for column in zip(*vectors):
+        values = sorted(set(column))
+        runs = {v: (1 << i) - 1 << shift for i, v in enumerate(values)}
+        codes = list(map(or_, codes, map(runs.__getitem__, column)))
+        width = len(values) - 1
+        fields.append((shift, (1 << width) - 1, values))
+        shift += width
+    return codes, fields
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal in d variables, given by its minimal generators.
@@ -136,6 +164,13 @@ class MonomialIdeal:
         on first use: look up only generators and their lcms.  Equality, hash
         and repr skip it."""
         return _prefix_masks(self.generators)
+
+    @cached_property
+    def _packed(self) -> tuple[list[int], list[tuple[int, int, list]]]:
+        """The generators' lcm codes and the fields that decode them
+        (:func:`_lcm_codes`), derived on first use and shared by every complex
+        and evaluator over this ideal."""
+        return _lcm_codes(self.generators)
 
 
 def minimalize(generators: Iterable[Sequence[int]]) -> MonomialIdeal:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable, Sequence
 
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, minimalize
@@ -295,7 +295,7 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
         raise CutoffUnreachableError(
             f"no state of the grid reaches profit cutoff {float(spec.cutoff)}"
         )
-    minimal.sort(key=lambda a: a[::-1])
+    minimal.sort(key=itemgetter(*range(d - 1, -1, -1)))  # last coordinate most significant
     return MonomialIdeal._built(d, tuple(minimal))
 
 

@@ -132,10 +132,12 @@ NONNETWORK_FIVE_FACES_REVERSED_TIEBREAK = (
 
 def assert_ideal_passes_the_public_check(ideal: MonomialIdeal) -> None:
     """An ideal a package routine made unchecked equals its rebuild through the
-    checked constructor, divisibility index included, and holds plain ints."""
+    checked constructor, divisibility index and lcm packing included, and holds
+    plain ints."""
     checked = MonomialIdeal(ideal.dimension, ideal.generators)
     assert checked == ideal and hash(checked) == hash(ideal)
     assert checked.le == ideal.le
+    assert checked._packed == ideal._packed
     assert type(ideal.generators) is tuple
     assert all(type(g) is tuple and all(type(c) is int for c in g) for g in ideal.generators)
 
@@ -160,8 +162,7 @@ def random_generic_ideal(
         return ideal
     # The rank vectors of any minimal ideal form a generic minimal ideal,
     # so deforming is a cheap way to manufacture generic test inputs.
-    record = deform(ideal)
-    return MonomialIdeal(ideal.dimension, record.deformed)
+    return MonomialIdeal(ideal.dimension, deform(ideal).generators)
 
 
 def full_scan_reliability(system, ideal) -> float:

@@ -34,7 +34,7 @@ from scarfrel import (
     taylor_complex,
     tube_bounds,
 )
-from scarfrel.complexes import _lcm_codes
+from scarfrel.monomial import _lcm_codes
 from scarfrel.specfile import load_spec
 
 from helpers import (
@@ -187,14 +187,14 @@ class TestLabelCache:
         calls = []
         packed = analysis._packed_generators
 
-        def counting(sys_, gens):
-            codes, orthant = packed(sys_, gens)
+        def counting(sys_, ideal):
+            orthant = packed(sys_, ideal)
 
             def spy(code):
                 calls.append(code)
                 return orthant(code)
 
-            return codes, spy
+            return spy
 
         monkeypatch.setattr(analysis, "_packed_generators", counting)
         build_report(system, cx)
@@ -471,9 +471,10 @@ def dimension_cases(draw, d):
 def assert_codes_and_orthants_bit_for_bit(system, cx, order):
     """The complex's face codes, each orthant met in ``order`` and every depth bound
     equal their per-face references bit for bit."""
-    codes, orthant = analysis._packed_generators(system, cx.ideal.generators)  # a fresh memo
+    codes = _lcm_codes(cx.ideal.generators)[0]
+    orthant = analysis._packed_generators(system, cx.ideal)  # a fresh memo
     face_codes = reference_face_codes(cx, codes)
-    assert cx._lcm[0] == face_codes
+    assert cx._lcm == face_codes
     label_of = dict(zip(face_codes, (f.label for f in reference_faces(cx))))
     for code in order(list(label_of)):
         assert orthant(code).hex() == orthant_prob(system, label_of[code]).hex()
@@ -509,9 +510,9 @@ class TestSharedCodesAndPrefixMemo:
         spec = load_spec(str(Path(__file__).resolve().parent / "specs" / "deep_d8_r12.json"))
         ideal = minimalize(spec.points)
         cx = deform_and_scarf(ideal)
-        codes, _ = analysis._packed_generators(spec.system, ideal.generators)
+        codes, fields = _lcm_codes(ideal.generators)
         distinct = set(reference_face_codes(cx, codes))
-        low = (1 << _lcm_codes(ideal.generators)[1][4][0]) - 1  # fields 0..3 of 8
+        low = (1 << fields[4][0]) - 1  # fields 0..3 of 8
         assert len({code & low for code in distinct}) < len(distinct)  # memo entries are shared
         for seed in range(3):
             assert_codes_and_orthants_bit_for_bit(
@@ -528,7 +529,7 @@ class TestSubsetBounds:
         system, ideal = case
         taylor = taylor_complex(ideal)
         r = len(ideal.generators)
-        codes, _ = analysis._packed_generators(system, ideal.generators)
+        codes = _lcm_codes(ideal.generators)[0]
         for k in range(1, r + 1):
             assert subset_bounds(system, ideal, k) == depth_bounds(system, taylor, k)
             walked = analysis._subset_label_counts(codes, k)

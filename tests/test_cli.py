@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import scarfrel.analysis as analysis
 import scarfrel.cli as cli
 import scarfrel.complexes as complexes
+import scarfrel.monomial as monomial
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
 from scarfrel.complexes import Face, SignedTerm
@@ -437,7 +438,7 @@ class TestOneOrthantTablePerCall:
         spec = TestLabelFreeCommands.DEEP
         system, ideal, complex_, v_used = cli._pipeline(spec)
         assert v_used is not None  # deformed: its faces repeat labels
-        codes, _ = analysis._packed_generators(system, ideal.generators)
+        codes = ideal._packed[0]
         scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
         subset_depth = len(ideal.generators) if argv == ("compare",) else scarf_depth
         expected = set()
@@ -449,21 +450,44 @@ class TestOneOrthantTablePerCall:
         packs, calls = [], []
         packed = analysis._packed_generators
 
-        def counting(system, gens):
-            codes, orthant = packed(system, gens)
-            packs.append(codes)
+        def counting(system, ideal):
+            orthant = packed(system, ideal)
+            packs.append(ideal)
 
             def spy(code):
                 calls.append(code)
                 return orthant(code)
 
-            return codes, spy
+            return spy
 
         monkeypatch.setattr(analysis, "_packed_generators", counting)
         code, out, err = run(capsys, argv[0], spec, *argv[1:])
         assert (code, err) == (0, "")
-        assert packs == [codes]
+        assert packs == [ideal]
         assert sorted(calls) == sorted(expected)
+
+
+class TestOnePackingPerCall:
+    """The complex and the evaluators of one call read the ideal's one lcm packing:
+    each command packs the generators once, on every bundled spec it completes."""
+
+    BUNDLED = [
+        *sorted(SPECS.glob("*.json")),
+        *(p for p in sorted((Path(__file__).resolve().parent / "specs").glob("*.json"))
+          if p.name != "profit_above_cap.json"),  # refused before any complex is built
+    ]
+
+    @pytest.mark.parametrize("command", ["scarf", "reliability", "bounds", "compare"])
+    @pytest.mark.parametrize("spec", BUNDLED, ids=lambda p: p.stem)
+    def test_each_command_packs_once(self, capsys, monkeypatch, command, spec):
+        packs = []
+        lcm_codes = monomial._lcm_codes
+        monkeypatch.setattr(
+            monomial, "_lcm_codes", lambda vectors: packs.append(vectors) or lcm_codes(vectors)
+        )
+        code, _, err = run(capsys, command, str(spec))
+        assert (code, err) == (0, "")
+        assert len(packs) == 1
 
 
 class TestCachedParser:

@@ -10,7 +10,6 @@ import scarfrel.complexes as complexes
 
 from scarfrel import (
     ComplexSizeError,
-    DeformationRecord,
     Face,
     LabeledComplex,
     MonomialIdeal,
@@ -241,7 +240,7 @@ class TestBuilder:
     @settings(max_examples=80, deadline=None)
     @given(ideals_with_zeros())
     def test_deformed_generators_match_oracle(self, ideal):
-        deformed = MonomialIdeal._built(ideal.dimension, deform(ideal).deformed)  # as deform_and_scarf
+        deformed = deform(ideal)  # the ideal deform_and_scarf builds on
         assert_ideal_passes_the_public_check(deformed)
         oracle = scarf_brute_oracle(deformed)
         direct, relabeled = scarf_complex(deformed), deform_and_scarf(ideal)
@@ -264,7 +263,7 @@ class TestBuilder:
         ideal = _shuffled_layer(d, total, cap, seed=d)
         assert len(ideal.generators) == r
         cx = deform_and_scarf(ideal)
-        _assert_local_conditions_complete(deform(ideal).deformed, member_sets(cx))
+        _assert_local_conditions_complete(deform(ideal).generators, member_sets(cx))
         assert_passes_the_public_check(cx)
 
     @pytest.mark.parametrize(
@@ -285,7 +284,7 @@ class TestBuilder:
     @given(data=st.data())
     def test_field_count_edges_match_oracle(self, d, data):
         ideal = data.draw(ideals_with_zeros(min_d=d, max_d=d))
-        deformed = MonomialIdeal._built(d, deform(ideal).deformed)  # as deform_and_scarf
+        deformed = deform(ideal)  # the ideal deform_and_scarf builds on
         assert_ideal_passes_the_public_check(deformed)
         oracle = scarf_brute_oracle(deformed)
         generic = data.draw(generic_ideals_with_zeros(min_d=d, max_d=d))
@@ -569,13 +568,11 @@ class TestBruteOracle:
 
 class TestDeform:
     def test_multistate_nine_verbatim(self):
-        record = deform(MonomialIdeal(4, MULTI_NINE), 10)
-        assert record.deformed == MULTI_NINE_DEFORMED
+        assert deform(MonomialIdeal(4, MULTI_NINE), 10).generators == MULTI_NINE_DEFORMED
 
     def test_binary_nine_first_coordinate_order(self):
         # zeros rank below ones; ties break toward the lower index
-        record = deform(minimalize(BINARY_NINE), 10)
-        col = [g[0] for g in record.deformed]
+        col = [g[0] for g in deform(minimalize(BINARY_NINE), 10).generators]
         order = sorted(range(1, 10), key=lambda i: col[i - 1])
         assert order == [3, 5, 6, 7, 8, 9, 1, 2, 4]
 
@@ -587,19 +584,14 @@ class TestDeform:
         with pytest.raises(ValueError):
             deform(MonomialIdeal(4, MULTI_NINE), 9)
 
-    def test_record_column_must_be_a_permutation(self):
-        with pytest.raises(ValueError) as err:
-            DeformationRecord(deformed=((0, 1), (0, 0), (2, 2)))
-        assert str(err.value) == "deformed coordinate 1 is not a permutation of 0..2"
-
     def test_preserves_strict_orders_when_generic(self):
         rng = random.Random(44)
         for _ in range(30):
             ideal = random_generic_ideal(rng)
-            record = deform(ideal)
+            deformed = deform(ideal)
             for k in range(ideal.dimension):
                 orig = [g[k] for g in ideal.generators]
-                ranks = [g[k] for g in record.deformed]
+                ranks = [g[k] for g in deformed.generators]
                 for a in range(len(orig)):
                     for b in range(len(orig)):
                         if orig[a] < orig[b]:
@@ -609,9 +601,13 @@ class TestDeform:
         rng = random.Random(45)
         for _ in range(30):
             ideal = random_ideal(rng)
-            record = deform(ideal)
-            deformed = MonomialIdeal(ideal.dimension, record.deformed)
+            deformed = deform(ideal)
+            assert type(deformed) is MonomialIdeal
+            assert_ideal_passes_the_public_check(deformed)  # minimal
             assert is_generic(deformed)
+            r = len(ideal.generators)
+            for column in zip(*deformed.generators):  # dense ranks: a permutation of 0..r - 1
+                assert sorted(column) == list(range(r))
 
 
 class TestDeformAndScarf:
@@ -636,8 +632,7 @@ class TestDeformAndScarf:
         # second route: brute-scan the deformed ideal, then relabel
         for points in (BINARY_NINE, NONNETWORK_FIVE, MULTI_NINE):
             ideal = minimalize(points)
-            record = deform(ideal)
-            deformed = MonomialIdeal(ideal.dimension, record.deformed)
+            deformed = MonomialIdeal(ideal.dimension, deform(ideal).generators)
             oracle_faces = member_sets(scarf_brute_oracle(deformed))
             assert member_sets(deform_and_scarf(ideal)) == oracle_faces
 
