@@ -41,26 +41,30 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, product
-from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
-from .monomial import DimensionMismatchError, Exponent, MonomialIdeal
+from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, _Value
 from .systems import CoherentSystem, _axis_minima
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable, Iterable, Optional, Sequence
+
+    LabelCounts = Iterable[tuple[Any, int]]  # (label, how many faces or subsets carry it)
 
 STATE_CAP = 10_000_000
 _IDENTITY_TOL = 1e-9
 _UNIT = 1 << 1074  # 2**-1074, the least subnormal, divides every float
-LabelCounts = Iterable[tuple[Any, int]]  # (label, how many faces or subsets carry it)
 
 
-@dataclass(frozen=True)
-class DepthBound:
+class DepthBound(_Value):
     """A one-sided truncation bound: faces of cardinality <= depth."""
 
-    depth: int
-    value: float
+    _fields = ("depth", "value")
+
+    def __init__(self, depth: int, value: float) -> None:
+        vars(self).update(depth=depth, value=value)
 
     @property
     def kind(self) -> str:
@@ -68,16 +72,21 @@ class DepthBound:
         return "upper" if self.depth % 2 else "lower"
 
 
-@dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(_Value):
     """Everything the identity route produces for one system."""
 
-    identity_value: float
-    term_count: int
-    terms: tuple[SignedTerm, ...]
-    bounds: tuple[DepthBound, ...]
-    baseline_term_count: int
-    oracle_value: Optional[float]
+    _fields = (
+        "identity_value", "term_count", "terms", "bounds", "baseline_term_count", "oracle_value"
+    )
+
+    def __init__(
+        self, identity_value: float, term_count: int, terms: tuple[SignedTerm, ...],
+        bounds: tuple[DepthBound, ...], baseline_term_count: int, oracle_value: Optional[float],
+    ) -> None:
+        vars(self).update(
+            identity_value=identity_value, term_count=term_count, terms=terms, bounds=bounds,
+            baseline_term_count=baseline_term_count, oracle_value=oracle_value,
+        )
 
 
 def check_depth(depth: int, max_card: int) -> None:

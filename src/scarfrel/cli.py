@@ -47,11 +47,9 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
 
 from .analysis import (
     STATE_CAP,
@@ -75,8 +73,13 @@ from .systems import (
     random_system,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Optional, Sequence
+
+    _Report = tuple[dict, Callable[[], Iterable[str]]]  # a payload and its text lines, built on demand
+
 AGREEMENT_TOL = 1e-9
-_Report = tuple[dict, Callable[[], Iterable[str]]]  # a payload and its text lines, built on demand
 _ROUTES = {"scarf": "identity (scarf)", "taylor": "identity (taylor)", "oracle": "oracle"}
 
 
@@ -373,6 +376,8 @@ def cmd_compare(args) -> _Report:
         count = 25 if args.count is None else args.count
         if count < 1:
             raise SpecFileError(f"--count must be at least 1, got {count}")
+        import random  # only the random self-test needs it
+
         rng = random.Random(seed)
         failures = 0
         worst = 0.0

@@ -38,13 +38,16 @@ one list of face codes, which its labels decode and the evaluators count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
 from operator import and_, itemgetter, lt, not_, or_, rshift, sub
-from typing import NamedTuple, Optional, Sequence
 
-from .monomial import Exponent, MonomialIdeal, divides, lcm, nongeneric_witness
+from .monomial import Exponent, MonomialIdeal, _Value, divides, lcm, nongeneric_witness
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 TAYLOR_GENERATOR_CAP = 20
 SCARF_PAIR_CAP = 1 << 21  # the Scarf builder's size-2 pair tests, r(r - 1)/2: r <= 2,048
@@ -67,7 +70,7 @@ class ComplexSizeError(ValueError):
     """Too many generators for an exponential-size construction."""
 
 
-class Face(NamedTuple):
+class Face(namedtuple("Face", ("members", "label"))):
     """A face of a labeled complex.
 
     ``members`` are 1-based generator indices in ascending order; ``label``
@@ -75,20 +78,17 @@ class Face(NamedTuple):
     Faces are made by :class:`LabeledComplex`, which derives both.
     """
 
-    members: tuple[int, ...]
-    label: Exponent
+    __slots__ = ()
 
     @property
     def cardinality(self) -> int:
         return len(self.members)
 
 
-class SignedTerm(NamedTuple):
+class SignedTerm(namedtuple("SignedTerm", ("sign", "exponent", "cardinality"))):
     """One inclusion-exclusion term: sign * x^exponent from a face of given size."""
 
-    sign: int
-    exponent: Exponent
-    cardinality: int
+    __slots__ = ()
 
 
 _PREFIX = itemgetter(slice(None, -1))
@@ -131,8 +131,7 @@ def _check_faces(faces: Sequence[tuple[int, ...]], r: int, d: int, max_size: int
         seen.add(ms)
 
 
-@dataclass(frozen=True)
-class LabeledComplex:
+class LabeledComplex(_Value):
     """A simplicial complex on generator indices with lcm labels.
 
     Built from ``members``, a sequence of 1-based member tuples.  Each must
@@ -160,17 +159,14 @@ class LabeledComplex:
     never build one.
     """
 
-    ideal: MonomialIdeal
-    members: InitVar[Sequence[tuple[int, ...]]]
-    kind: str
-    member_tuples: tuple[tuple[int, ...], ...] = field(init=False)
+    _fields = ("ideal", "kind", "member_tuples")
 
-    def __post_init__(self, members: Sequence[tuple[int, ...]]) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown complex kind {self.kind!r}")
-        r = len(self.ideal.generators)
-        d = self.ideal.dimension
-        max_size = r if self.kind == "taylor" else d  # r never binds: members are distinct
+    def __init__(self, ideal: MonomialIdeal, members: Sequence[tuple[int, ...]], kind: str) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown complex kind {kind!r}")
+        r = len(ideal.generators)
+        d = ideal.dimension
+        max_size = r if kind == "taylor" else d  # r never binds: members are distinct
         ordered = list(members)
         for ms in ordered:  # only tuples of ints sort, so this comes first, in input order
             if type(ms) is not tuple:
@@ -184,9 +180,10 @@ class LabeledComplex:
         for i in range(1, r + 1):
             if (i,) not in singletons:
                 raise ValueError(f"singleton {{{i}}} is missing")
-        object.__setattr__(self, "member_tuples", tuple(ordered))
-        object.__setattr__(self, "_bounds", _run_bounds(ordered))
-        if self.kind == "scarf":
+        vars(self).update(
+            ideal=ideal, kind=kind, member_tuples=tuple(ordered), _bounds=_run_bounds(ordered)
+        )
+        if kind == "scarf":
             codes = self._lcm
             if len(set(codes)) != len(codes):  # codes and labels are in bijection
                 labels: dict[Exponent, tuple[int, ...]] = {}

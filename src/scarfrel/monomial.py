@@ -31,11 +31,13 @@ strict coordinate order and so every antichain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import and_, getitem, is_, or_
-from typing import Iterable, Optional, Sequence
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Optional, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -116,8 +118,45 @@ def _lcm_codes(vectors: Sequence[Exponent]) -> tuple[list[int], list[tuple[int, 
     return codes, fields
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _Value:
+    """Equality, hash, repr and immutability from the fields named in ``_fields``.
+
+    A value equals only an instance of its own class with equal fields,
+    hashes as the tuple of its fields and prints as ``Name(field=value,
+    ...)``, in ``_fields`` order, as a frozen dataclass does.  Anything else
+    in its ``__dict__``, such as a view derived on first use, stays out of
+    all three.  Every attribute assignment or deletion raises
+    AttributeError, so a constructor stores its fields with
+    ``vars(self).update``.  The package's value classes are plain classes on
+    this base because the ``dataclasses`` import and decorator calls used to
+    take about a third of ``import scarfrel.cli``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = map("{}={!r}".format, self._fields, self._key())
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonomialIdeal(_Value):
     """A monomial ideal in d variables, given by its minimal generators.
 
     ``generators`` must already form an antichain under divisibility (no
@@ -129,19 +168,18 @@ class MonomialIdeal:
     :meth:`_built`, which checks nothing.
     """
 
-    dimension: int
-    generators: tuple[Exponent, ...]
+    _fields = ("dimension", "generators")
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        gens = tuple(_vector(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, dimension: int, generators: tuple[Exponent, ...]) -> None:
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        gens = tuple(_vector(g) for g in generators)
+        vars(self).update(dimension=dimension, generators=gens)
         if not gens:
             raise ValueError("a monomial ideal needs at least one generator")
         for g in gens:
-            if len(g) != self.dimension:
-                raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {self.dimension}")
+            if len(g) != dimension:
+                raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {dimension}")
         for i, g in enumerate(gens):
             others = reduce(and_, map(getitem, self.le, g)) & ~(1 << i)
             if others:

@@ -23,32 +23,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import is_, lt
-from pathlib import Path
-from typing import Optional
 
-from .monomial import Exponent
+from .monomial import Exponent, _Value
 from .systems import CoherentSystem, Component, ProfitSpec
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Optional
 
 
 class SpecFileError(ValueError):
     """The spec file is unreadable or violates the schema."""
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    system: CoherentSystem
-    points: Optional[tuple[Exponent, ...]]
-    profit: Optional[ProfitSpec]
-    deformation_v: Optional[int]
+class SystemSpec(_Value):
+    _fields = ("system", "points", "profit", "deformation_v")
+
+    def __init__(
+        self, system: CoherentSystem, points: Optional[tuple[Exponent, ...]],
+        profit: Optional[ProfitSpec], deformation_v: Optional[int],
+    ) -> None:
+        vars(self).update(system=system, points=points, profit=profit, deformation_v=deformation_v)
 
 
 def load_spec(path: str | Path) -> SystemSpec:
-    p = Path(path)
+    from pathlib import Path
+
+    p = str(Path(path))
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(p, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as err:
         raise SpecFileError(f"{p}: cannot read spec file: {err}") from err
     try:
@@ -60,7 +67,7 @@ def load_spec(path: str | Path) -> SystemSpec:
     # an integer literal beyond Python's digit limit, or nesting beyond its recursion limit
     except (ValueError, RecursionError) as err:
         raise SpecFileError(f"{p}: invalid JSON: {err}") from err
-    return parse_spec(data, source=str(p))
+    return parse_spec(data, source=p)
 
 
 def _require(condition: bool, message: str) -> None:

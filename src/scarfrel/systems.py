@@ -13,30 +13,30 @@ the 1-based indices appear only in faces and rendered diagnostics.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 from operator import itemgetter, lt
-from typing import Callable, Sequence
 
-from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, minimalize
+from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, _Value, minimalize
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from typing import Callable, Sequence
 
 PROB_TOL = 1e-9
 _DYADIC_DENOM = 64
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Value):
     """One component: ``probs[j]`` is the probability of sitting at level j."""
 
-    name: str
-    levels: int
-    probs: tuple[float, ...]
+    _fields = ("name", "levels", "probs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", str(self.name).strip())
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+    def __init__(self, name: str, levels: int, probs: tuple[float, ...]) -> None:
+        vars(self).update(
+            name=str(name).strip(), levels=levels, probs=tuple(float(p) for p in probs)
+        )
         if not self.name:
             raise ValueError("component name must be nonempty")
         if self.levels < 2:
@@ -73,12 +73,11 @@ class _SuffixSums(dict):
         return value
 
 
-@dataclass(frozen=True)
-class CoherentSystem:
-    components: tuple[Component, ...]
+class CoherentSystem(_Value):
+    _fields = ("components",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: tuple[Component, ...]) -> None:
+        vars(self).update(components=tuple(components))
         if not self.components:
             raise ValueError("a system needs at least one component")
 
@@ -165,8 +164,7 @@ def _exact(x):
     return Fraction(repr(x))
 
 
-@dataclass(frozen=True)
-class ProfitSpec:
+class ProfitSpec(_Value):
     """A monotone profit function: sum of linear terms plus pairwise products.
 
     ``linear[i]`` multiplies level alpha_i; ``interactions`` holds
@@ -178,18 +176,16 @@ class ProfitSpec:
     arithmetic reaches it.
     """
 
-    linear: tuple[float, ...]
-    interactions: tuple[tuple[int, int, float], ...]
-    cutoff: float
+    _fields = ("linear", "interactions", "cutoff")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "linear", tuple(map(_exact, self.linear)))
-        object.__setattr__(
-            self,
-            "interactions",
-            tuple((int(i), int(j), _exact(c)) for i, j, c in self.interactions),
+    def __init__(
+        self, linear: tuple[float, ...], interactions: tuple[tuple[int, int, float], ...], cutoff: float
+    ) -> None:
+        vars(self).update(
+            linear=tuple(map(_exact, linear)),
+            interactions=tuple((int(i), int(j), _exact(c)) for i, j, c in interactions),
+            cutoff=_exact(cutoff),
         )
-        object.__setattr__(self, "cutoff", _exact(self.cutoff))
         if not self.linear:
             raise ValueError("profit needs at least one linear coefficient")
         d = len(self.linear)
@@ -246,17 +242,18 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
     reaching the cutoff are those with a_d >= t(prefix), where t = L_d
     means none.  No interaction pairs a coordinate with itself, so above a
     prefix the profit less the cutoff is base + slope * a_d.  Flat lists
-    over every prefix in product order hold ``base`` and each later
-    coordinate's coefficient, built one coordinate at a time from the
-    spec's exact numbers over their common denominator, so every entry is
-    an int; the last coefficient is the slope.  One closed form per prefix
-    gives t, the least a_d reaching the cutoff, clamped at L_d.  The
+    over every prefix of the first d - 2 coordinates, in product order, hold
+    ``base`` and each later coordinate's coefficient, built one coordinate
+    at a time from the spec's exact numbers over their common denominator,
+    so every entry is an int; the last coefficient is the slope.  One
+    closed form per prefix (a_1..a_{d-1}), which adds a_{d-1}'s terms as
+    it goes, gives t, the least a_d reaching the cutoff, clamped at L_d.  The
     profit never falls as a coordinate rises, so neither does t, and the
     state (prefix, t) is minimal iff t lies below the ceiling, the least t
     one step down on any prefix axis (L_d at the origin), which
     :func:`_axis_minima` takes.  Cost: O(prod_{i<d} L_i * d) int operations
-    and slice passes; memory: a few lists of one int per prefix, the
-    coefficient lists freed before the ceiling is built.  Points are
+    and slice passes; memory: two lists of one int per prefix, the closed
+    forms and the ceiling.  Points are
     emitted sorted by reversed-tuple lexicographic order (last coordinate
     most significant).  They are minimal by construction, so the ideal takes
     them unchecked.
@@ -278,13 +275,20 @@ def minimal_points_from_profit(spec: ProfitSpec, levels: Sequence[int]) -> Monom
         pair[min(i, j)][max(i, j)] += int(c * scale)
     base = [-int(spec.cutoff * scale)]  # per prefix so far: its coordinates' profit - cutoff
     coef = [[int(c * scale)] for c in spec.linear]  # per later coordinate, per prefix so far
-    for k, size in enumerate(sizes):
+    for k, size in enumerate(sizes[:-1]):
         steps = range(size)
         base = [b + c * a for b, c in zip(base, coef[k]) for a in steps]
         for j in range(k + 1, d):
             coef[j] = [c + pair[k][j] * a for c in coef[j] for a in steps]
+    # The last prefix axis a folds into the closed forms, so no list over every
+    # prefix holds base or slope.  For d = 1 the one prefix is empty: a = 0 alone.
+    steps = range(sizes[-1] if sizes else 1)
+    lift, bend = (coef[-2], pair[-2][-1]) if sizes else ([0], 0)
     # the least a_d with b + s * a_d >= 0 is 0 or ceil(-b / s), which is -(b // s)
-    closed = [0 if b >= 0 else min(top, -(b // s)) if s else top for b, s in zip(base, coef[-1])]
+    closed = [
+        0 if (b := b0 + c * a) >= 0 else min(top, -(b // s)) if (s := s0 + bend * a) else top
+        for b0, c, s0 in zip(base, lift, coef[-1]) for a in steps
+    ]
     del base, coef
     ceiling = [top] * len(closed)
     _axis_minima(ceiling, closed, sizes)
@@ -303,8 +307,7 @@ class GeneralPositionError(ValueError):
     """Two critical points share a coordinate value, so ranks are ambiguous."""
 
 
-@dataclass(frozen=True)
-class ContinuousSpec:
+class ContinuousSpec(_Value):
     """Continuous-state system data for quantization.
 
     ``critical_points`` are the minimal nonfailure points in real
@@ -313,12 +316,13 @@ class ContinuousSpec:
     the product of marginal survivals.
     """
 
-    critical_points: tuple[tuple[float, ...], ...]
-    survival: Callable[[tuple[float, ...]], float]
+    _fields = ("critical_points", "survival")
 
-    def __post_init__(self) -> None:
-        pts = tuple(tuple(float(x) for x in p) for p in self.critical_points)
-        object.__setattr__(self, "critical_points", pts)
+    def __init__(
+        self, critical_points: tuple[tuple[float, ...], ...], survival: Callable[[tuple[float, ...]], float]
+    ) -> None:
+        pts = tuple(tuple(float(x) for x in p) for p in critical_points)
+        vars(self).update(critical_points=pts, survival=survival)
         if not pts:
             raise ValueError("at least one critical point is required")
         d = len(pts[0])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -594,7 +593,7 @@ class TestSubsetBounds:
 
 class TestDepthBound:
     def test_constructor_takes_no_side(self):
-        assert [f.name for f in dataclasses.fields(DepthBound)] == ["depth", "value"]
+        assert DepthBound._fields == ("depth", "value")
         with pytest.raises(TypeError):
             DepthBound(depth=1, value=0.5, kind="upper")
         assert [DepthBound(k, 0.5).kind for k in (1, 2, 3, 4)] == [

@@ -15,6 +15,7 @@ import scarfrel.analysis as analysis
 import scarfrel.cli as cli
 import scarfrel.complexes as complexes
 import scarfrel.monomial as monomial
+import scarfrel.specfile as specfile
 from scarfrel import LabeledComplex
 from scarfrel.cli import main
 from scarfrel.complexes import Face, SignedTerm
@@ -190,22 +191,22 @@ class TestBoundsCommand:
         # come from the 20 singletons, not from a 2^20 - 1 face complex.
         # Watch both constructors: the checked one and the builders' own.
         taylor_builds = []
-        post_init, built = LabeledComplex.__post_init__, LabeledComplex._built.__func__
+        init, built = LabeledComplex.__init__, LabeledComplex._built.__func__
 
         def refuse_taylor(ideal, kind):
             if kind == "taylor":
                 taylor_builds.append(len(ideal.generators))
                 raise RuntimeError("Taylor complex built")
 
-        def checked(self, members):
-            refuse_taylor(self.ideal, self.kind)
-            post_init(self, members)
+        def checked(self, ideal, members, kind):
+            refuse_taylor(ideal, kind)
+            init(self, ideal, members, kind)
 
         def unchecked(cls, ideal, runs, kind):
             refuse_taylor(ideal, kind)
             return built(cls, ideal, runs, kind)
 
-        monkeypatch.setattr(LabeledComplex, "__post_init__", checked)
+        monkeypatch.setattr(LabeledComplex, "__init__", checked)
         monkeypatch.setattr(LabeledComplex, "_built", classmethod(unchecked))
         points = [[a, b, 9 - a - b] for a in range(10) for b in range(10 - a)][:20]
         spec = {
@@ -526,6 +527,25 @@ class TestCachedParser:
         assert result.stdout == "0\n"
 
 
+class TestImportFloor:
+    # Heavy standard modules the CLI does not need at import.  The interpreter
+    # runs with -S, since a site hook (a .pth file) may import some of them itself.
+    HEAVY = {"dataclasses", "inspect", "ast", "typing", "pathlib", "random"}
+
+    def test_import_loads_no_heavy_module(self):
+        code = "import sys, scarfrel.cli; print(' '.join(sorted(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            check=True,
+        )
+        loaded = set(result.stdout.split())
+        assert "scarfrel.cli" in loaded
+        assert self.HEAVY & loaded == set()
+
+
 class TestScarfPairCap:
     PROFIT_ABOVE_CAP = str(Path(__file__).resolve().parent / "specs" / "profit_above_cap.json")
     MESSAGE = "error: Scarf complex on 174784 generators needs 15274635936 pair tests; cap is 2097152\n"
@@ -597,6 +617,12 @@ class TestSpecErrors:
         code, _, err = run(capsys, "scarf", "/nonexistent/spec.json")
         assert code == 2
         assert "cannot read" in err
+
+    def test_missing_file_is_named_in_normal_form(self):
+        message = "nope.json: cannot read spec file: [Errno 2] No such file or directory: 'nope.json'"
+        with pytest.raises(specfile.SpecFileError) as caught:
+            load_spec("./nope.json")
+        assert str(caught.value) == message
 
     def test_invalid_json(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
