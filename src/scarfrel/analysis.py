@@ -21,12 +21,27 @@ share that work.  The codes are the ideal's own packing
 (``MonomialIdeal._packed``), derived once per ideal, and each evaluated
 orthant is held in one slot on the system, keyed by the ideal, so the
 Scarf route and the subset walk of one call pack once and evaluate each
-code once between them.  A complex keeps one code per face, derived a
-cardinality run at a time, and the fold counts each run's codes; no
-exponent label is derived.  The
-classical Bonferroni baseline is a level walk over the generator subsets
-of size <= k that builds no complex and holds only one level of ints at a
-time.
+code once between them.  A complex keeps one code per face, which the
+Scarf walk hands it (other complexes derive them a cardinality run at a
+time), and the fold counts each run's codes; no exponent label is
+derived.  The fold also takes the per-size code lists straight from the
+Scarf walk (``complexes._scarf_walk``), so ``bounds`` sums codes with no
+complex.  The classical Bonferroni baseline is a level walk over the
+generator subsets of size <= k that builds no complex and holds only one
+level of ints at a time.
+The identity alone needs less than every depth.  Its alternating sum,
+collected label by label, is the numerator of the ideal's multigraded
+Hilbert series (its K-polynomial), and that polynomial is the same for
+every labeled complex that supports a free resolution of the ideal:
+Taylor, Scarf or deformed Scarf (Bayer, Peeva and Sturmfels, Math. Res.
+Lett. 1998; Miller and Sturmfels, *Combinatorial Commutative Algebra*,
+ch. 6).  So a code's net coefficient, the signed count of its faces of
+odd size less those of even size, belongs to the ideal, not to the
+complex: the identity routes (``reliability_identity`` and ``compare``'s
+Scarf and Taylor values) fold those net counts first and evaluate an
+orthant only where one is nonzero, the same codes for every route.  The
+exact integer sum is the deepest bound's own, so the value is bit for bit
+that bound.
 Only ``inclusion_exclusion``, which takes a caller's label evaluator,
 reads the labels, and it counts them a cardinality run at a time too.
 The fold keeps each orthant as an exact integer count of 2**-1074
@@ -229,9 +244,43 @@ def inclusion_exclusion(
     return _fold_bounds(counts, _Units(orthant))[-1].value
 
 
+def _identity(system: CoherentSystem, ideal: MonomialIdeal, levels: list) -> float:
+    """The identity from ``levels``, per cardinality 1, 2, ... the lcm codes
+    (a list, or a Counter of code counts) of a support's faces in ``ideal``'s
+    packing, such as a complex's runs or the subset walk's levels.
+
+    Bit for bit the deepest bound of the same levels: each code's signed
+    net count is folded first, and only a code whose net count is nonzero
+    has its orthant evaluated.
+    """
+    _resolved_depth(system, ideal, None, len(levels))
+    net: Counter = Counter()
+    for k, level in enumerate(levels):
+        (net.subtract if k % 2 else net.update)(level)
+    units = _packed_units(system, ideal)
+    return sum(n * units[code] for code, n in net.items() if n) / _UNIT
+
+
+def _code_runs(complex_: LabeledComplex) -> list[list[int]]:
+    """The complex's face codes, one list per cardinality 1, 2, ..."""
+    codes, bounds = complex_._lcm, complex_._bounds
+    return [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
-    """Exact nonfailure probability via the complex's alternating sum: the deepest bound."""
-    return depth_bounds(system, complex_)[-1].value
+    """Exact nonfailure probability via the complex's alternating sum: bit for bit the
+    deepest bound, from the net count of each distinct face code."""
+    return _identity(system, complex_.ideal, _code_runs(complex_))
+
+
+def _code_bounds(
+    system: CoherentSystem, ideal: MonomialIdeal, runs: list[list[int]], depth: Optional[int] = None
+) -> tuple[DepthBound, ...]:
+    """Truncation bounds at depths 1..depth (default: every depth) from per-cardinality
+    lists of face codes in ``ideal``'s packing, each list counted once."""
+    depth = _resolved_depth(system, ideal, depth, len(runs))
+    counts = [Counter(run).items() for run in runs[:depth]]
+    return _fold_bounds(counts, _packed_units(system, ideal))
 
 
 def depth_bounds(
@@ -240,10 +289,7 @@ def depth_bounds(
     """Truncation bounds at depths 1..depth (default: every depth) from the
     complex's face codes, counted a cardinality run at a time; no face label
     is derived."""
-    depth = _resolved_depth(system, complex_.ideal, depth, complex_.max_cardinality())
-    codes, bounds = complex_._lcm, complex_._bounds
-    counts = [Counter(codes[lo:hi]).items() for lo, hi in zip(bounds, bounds[1:depth + 1])]
-    return _fold_bounds(counts, _packed_units(system, complex_.ideal))
+    return _code_bounds(system, complex_.ideal, _code_runs(complex_), depth)
 
 
 def subset_bounds(

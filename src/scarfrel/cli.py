@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Every subcommand takes one pipeline: load the spec, extract its minimal
-nonfailure points (explicit list or profit grid scan), check genericity
-once, then build the Scarf complex or, for a non-generic ideal, the Scarf
-complex of its deformation.  Each subcommand only picks the routes it
-evaluates on that result:
+nonfailure points (explicit list or profit grid scan) and check
+genericity once.  The Scarf route then runs on the ideal or, for a
+non-generic ideal, on its deformation.  ``scarf`` and ``reliability``,
+which print faces, build the complex; ``bounds`` and ``compare``, which
+only sum, take the Scarf walk's lcm codes per face size and build no
+complex and no member tuple (``bounds`` walks only as deep as its deepest
+``--depth``).  Each subcommand only picks the routes it evaluates on that
+result:
 
 - ``scarf FILE``: generators, genericity, deformation, full face list
   with lcm labels, facets and face count.
@@ -51,19 +55,11 @@ import sys
 from itertools import groupby, islice
 from operator import itemgetter
 
-from .analysis import (
-    STATE_CAP,
-    _check_oracle_cap,
-    _oracle_affordable,
-    brute_force_reliability,
-    build_report,
-    check_depth,
-    depth_bounds,
-    reliability_identity,
-    subset_bounds,
-)
+from .analysis import STATE_CAP, _check_oracle_cap, _code_bounds, _identity, _oracle_affordable
+from .analysis import _subset_label_counts, brute_force_reliability, build_report, check_depth
+from .analysis import subset_bounds
 from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, check_deformation_v
-from .complexes import deform_and_scarf, scarf_complex
+from .complexes import _scarf_codes, deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
 from .specfile import SpecFileError, load_spec
 from .systems import (
@@ -184,14 +180,15 @@ def _checked(check, *args) -> None:
         raise SpecFileError(str(err)) from err
 
 
-def _scarf_route(ideal, v: Optional[int]):
-    """(complex, v used): Scarf when generic (v None), else deformed with v (default r + 1)."""
+def _route(ideal, v: Optional[int]) -> Optional[int]:
+    """The deformation v to use: None when the ideal is generic, else v (default r + 1).
+
+    v is checked against r either way, also when the ideal is generic and v goes unused.
+    """
     r = len(ideal.generators)
     v = r + 1 if v is None else v
-    _checked(check_deformation_v, v, r)  # also when the ideal is generic and v goes unused
-    if is_generic(ideal):
-        return scarf_complex(ideal), None
-    return deform_and_scarf(ideal, v), v
+    _checked(check_deformation_v, v, r)
+    return None if is_generic(ideal) else v
 
 
 def _ideal(spec):
@@ -202,35 +199,38 @@ def _ideal(spec):
 
 
 def _pipeline(path: str, v: Optional[int] = None):
-    """(system, ideal, complex, v used) for a spec file.
+    """(system, ideal, v used) for a spec file; v used is None for a generic ideal.
 
-    ``v`` from the command line wins over the spec's ``deformation_v``.
+    ``v`` from the command line wins over the spec's ``deformation_v``.  The
+    commands then take one Scarf route on the ideal: the complex
+    (:func:`_complex`) for the reports that print faces, or only the faces'
+    lcm codes (``complexes._scarf_codes``) for ``bounds`` and ``compare``,
+    which sum them and build no complex.
     """
     spec = load_spec(path)
     ideal = _ideal(spec)
-    return (spec.system, ideal, *_scarf_route(ideal, spec.deformation_v if v is None else v))
+    return spec.system, ideal, _route(ideal, spec.deformation_v if v is None else v)
 
 
-def _bonferroni(system, ideal, depth: Optional[int] = None):
-    """Bonferroni bounds at depths 1..depth, or () above TAYLOR_GENERATOR_CAP generators."""
-    if len(ideal.generators) > TAYLOR_GENERATOR_CAP:
-        return ()
-    return subset_bounds(system, ideal, depth)
+def _complex(ideal, v_used: Optional[int]):
+    """The Scarf complex of a generic ideal (v_used None), else of its deformation."""
+    return scarf_complex(ideal) if v_used is None else deform_and_scarf(ideal, v_used)
 
 
-def _cross_check(system, ideal, complex_) -> dict[str, float]:
-    """Identity on the complex, over every subset and by the oracle, each where its cap allows."""
-    values = {"scarf": reliability_identity(system, complex_)}
-    bonferroni = _bonferroni(system, ideal)
-    if bonferroni:
-        values["taylor"] = bonferroni[-1].value
+def _cross_check(system, ideal, runs) -> dict[str, float]:
+    """Identity from the Scarf walk's code lists, over every subset and by the oracle,
+    each where its cap allows."""
+    values = {"scarf": _identity(system, ideal, runs)}
+    if (r := len(ideal.generators)) <= TAYLOR_GENERATOR_CAP:
+        values["taylor"] = _identity(system, ideal, _subset_label_counts(ideal._packed[0], r))
     if _oracle_affordable(system):
         values["oracle"] = brute_force_reliability(system, ideal)
     return values
 
 
 def cmd_scarf(args) -> _Report:
-    _, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+    _, ideal, v_used = _pipeline(args.spec, args.v)
+    complex_ = _complex(ideal, v_used)
     faces, facets = complex_.faces, [f.members for f in complex_.facets()]
     payload = {
         "generators": ideal.generators,
@@ -257,7 +257,8 @@ def cmd_scarf(args) -> _Report:
 
 
 def cmd_reliability(args) -> _Report:
-    system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
+    system, ideal, v_used = _pipeline(args.spec, args.v)
+    complex_ = _complex(ideal, v_used)
     report = build_report(system, complex_)
     oracle = report.oracle_value
     discrepancy = None if oracle is None else abs(report.identity_value - oracle)
@@ -320,11 +321,18 @@ def _row(b, bonf: Optional[float]) -> dict:
 
 
 def cmd_bounds(args) -> _Report:
-    system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
-    depths = _parse_depths(args.depth, complex_.max_cardinality())
-    scarf = depth_bounds(system, complex_, max(depths))
+    system, ideal, v_used = _pipeline(args.spec, args.v)
+    try:  # the walk stops at the deepest entry when each entry lies in 1..d
+        deepest = max(_parse_depths(args.depth, ideal.dimension))
+    except SpecFileError:  # else it walks every size, so the error names the true maximum
+        deepest = None
+    runs = _scarf_codes(ideal, v_used, deepest)
+    depths = _parse_depths(args.depth, len(runs))
+    scarf = _code_bounds(system, ideal, runs, max(depths))
     # depths never exceed r; the subset walk stops at max(depths)
-    bonferroni = [b.value for b in _bonferroni(system, ideal, max(depths))] or [None] * len(scarf)
+    bonferroni = [None] * len(scarf)
+    if len(ideal.generators) <= TAYLOR_GENERATOR_CAP:
+        bonferroni = [b.value for b in subset_bounds(system, ideal, max(depths))]
     rows = [_row(scarf[depth - 1], bonferroni[depth - 1]) for depth in depths]
 
     def text():
@@ -355,8 +363,8 @@ def cmd_compare(args) -> _Report:
         if value is not None:
             raise SpecFileError(f"{flag} applies only to {needs}")
     if args.spec is not None:
-        system, ideal, complex_, v_used = _pipeline(args.spec, args.v)
-        values = _cross_check(system, ideal, complex_)
+        system, ideal, v_used = _pipeline(args.spec, args.v)
+        values = _cross_check(system, ideal, _scarf_codes(ideal, v_used))
         worst = max(values.values()) - min(values.values())
         ok = worst <= AGREEMENT_TOL
         payload = {
@@ -384,7 +392,7 @@ def cmd_compare(args) -> _Report:
         for _ in range(count):
             system = random_system(rng)
             ideal = minimalize(random_points_for(rng, system))
-            values = _cross_check(system, ideal, _scarf_route(ideal, None)[0]).values()
+            values = _cross_check(system, ideal, _scarf_codes(ideal, _route(ideal, None))).values()
             spread = max(values) - min(values)
             worst = max(worst, spread)
             failures += spread > AGREEMENT_TOL

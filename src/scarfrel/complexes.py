@@ -11,26 +11,36 @@ Non-generic ideals are handled by deformation: :func:`deform` breaks
 exponent ties by replacing, in each coordinate, the exponents with their
 dense ranks under (value, generator index) order, and returns the deformed
 ideal.  It is generic by construction and its Scarf complex is computed;
-the member tuples are then used as a complex over the original ideal.
+the faces are then used as a complex over the original ideal.
 The resulting face set does not depend on the tie-break magnitude, only on
 the ordering, so any deformation parameter v > r yields the same complex.
 
-Builders hand :class:`LabeledComplex` member tuples only.  The complex
-derives every face label, on first access to its ``faces``, as the lcm of
-the member generators of its own ideal, so a label can never disagree with
-its face and evaluators that need no exponent tuple never build one.
+One depth-first walker (``_scarf_walk``) makes every Scarf face.  It runs
+the Scarf tests on the generic ideal it walks, plain or deformed, and
+carries each face's lcm code in the original ideal's packing
+(``MonomialIdeal._packed``), the OR of its two parents' codes, so a
+deformed walk yields the original labels.  It can stop at a given size
+and can leave the member tuples out.  :func:`scarf_complex` and
+:func:`deform_and_scarf` take its member runs and code runs and hand both
+to :class:`LabeledComplex`; the reports that only sum (``bounds`` and
+``compare``) take its code runs alone, so they hold no member tuple and
+build no complex.
 
 Canonical order (ascending cardinality, then lexicographic) puts the faces
 in runs of one cardinality.  The package's builders are trusted: they make
 their faces run by run in that order and hand the complex the runs, which
-it takes unchecked.  A member list from a caller is sorted and checked
-face by face at construction.  The per-face passes, lcm codes, labels,
-facets and the Hilbert numerator's terms, each take one run at a time
-through ``map``, ``zip``, set and ``itertools`` calls in C, so none runs a
-Python statement per face: a run's lcm codes come from the run before, its
-facets from the ``combinations`` of the run after, and its terms share one
-sign.  The generator codes and the fields that decode them are the ideal's
-own packing (``MonomialIdeal._packed``), derived once per ideal, so a
+it takes unchecked, with the Scarf builders' codes.  A member list from a
+caller is sorted and checked face by face at construction, and the
+complex derives its codes itself, as it does for the Taylor builder's
+runs: a run's lcm codes come from the run before.  The per-face passes,
+lcm codes, labels, facets and the Hilbert numerator's terms, each take
+one run at a time through ``map``, ``zip``, set and ``itertools`` calls
+in C, so none runs a Python statement per face: a run's facets come from
+the ``combinations`` of the run after, and its terms share one sign.
+Labels are derived on first access to ``faces``, decoded from the codes,
+so a label can never disagree with its face and evaluators that need no
+exponent tuple never build one.  The generator codes and the fields that
+decode them are the ideal's own packing, derived once per ideal, so a
 complex and the evaluators over its ideal share them.  The complex keeps
 one list of face codes, which its labels decode and the evaluators count.
 """
@@ -148,11 +158,12 @@ class LabeledComplex(_Value):
 
     ``member_tuples`` holds the tuples in canonical order (ascending
     cardinality, then lexicographic), and equality and hashing compare it.
-    Each face's lcm code, the OR of its generators' codes in the ideal's
-    packing (``MonomialIdeal._packed``), is derived once, a run at a time,
-    on first need: by the constructor's kind="scarf" label check, where
-    distinct codes are distinct labels, and otherwise by ``faces`` or the
-    evaluators.
+    Each face's lcm code is the OR of its generators' codes in the ideal's
+    packing (``MonomialIdeal._packed``).  The Scarf builders hand the codes
+    over with the runs, from the walk that made the faces.  Otherwise they
+    are derived once, a run at a time, on first need: by the constructor's
+    kind="scarf" label check, where distinct codes are distinct labels, or
+    by ``faces`` or the evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
     with the lcm of its generators, decoded from those codes; it is derived
     on first access and kept, so evaluators that need no exponent tuple
@@ -197,12 +208,15 @@ class LabeledComplex(_Value):
 
     @classmethod
     def _built(
-        cls, ideal: MonomialIdeal, runs: Sequence[Sequence[tuple[int, ...]]], kind: str
+        cls, ideal: MonomialIdeal, kind: str, runs: Sequence[Sequence[tuple[int, ...]]],
+        codes: Optional[Sequence[Sequence[int]]] = None,
     ) -> LabeledComplex:
         """A complex from a package builder, unchecked.
 
         ``runs`` are its nonempty cardinality runs, sizes 1, 2, ... in
         order, each lexicographic, so their chain is the canonical order.
+        ``codes``, when given, are the same runs' lcm codes face for face,
+        which the complex then keeps instead of deriving them.
         """
         self = object.__new__(cls)
         vars(self).update(
@@ -211,30 +225,29 @@ class LabeledComplex(_Value):
             member_tuples=tuple(chain.from_iterable(runs)),
             _bounds=[0, *accumulate(map(len, runs))],
         )
+        if codes is not None:
+            vars(self)["_lcm"] = list(chain.from_iterable(codes))
         return self
 
     @cached_property
     def _lcm(self) -> list[int]:
-        """Each face's lcm code in canonical order.
+        """Each face's lcm code in canonical order, for a complex built without codes.
 
         The generator codes are the ideal's packing.  Canonical order puts
-        the faces in runs of one cardinality, and the singletons are the
-        generators in order.  Each later run takes its codes from the run before: a face's
-        code is its prefix face ``ms[:-1]``'s code OR its last generator's,
-        one pass of ``map`` calls in C per run.
+        the faces in runs of one cardinality, and each run takes its codes
+        from the run before: a face's code is its prefix face ``ms[:-1]``'s
+        code (the empty face's is 0) OR its last generator's, one pass of
+        ``map`` calls in C per run.
         """
-        tuples = self.member_tuples
-        gen_codes = self.ideal._packed[0]
-        by_index = (None, *gen_codes)  # 1-based
-        bounds = self._bounds
-        codes = list(gen_codes)
-        prefix_code = dict(zip(tuples, gen_codes))  # the singleton run
-        for lo, hi in zip(bounds[1:], bounds[2:]):
+        tuples, bounds = self.member_tuples, self._bounds
+        by_index = (None, *self.ideal._packed[0])  # 1-based
+        codes: list[int] = []
+        prefix_code = {(): 0}
+        for lo, hi in zip(bounds, bounds[1:]):
             run = tuples[lo:hi]
             prefixes = map(prefix_code.__getitem__, map(_PREFIX, run))
-            grown = list(map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run))))
-            codes += grown
-            prefix_code = dict(zip(run, grown))
+            codes += map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run)))
+            prefix_code = dict(zip(run, codes[lo:]))
         return codes
 
     @cached_property
@@ -287,14 +300,25 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
             f"cap is {TAYLOR_GENERATOR_CAP}"
         )
     runs = [tuple(combinations(range(1, r + 1), s)) for s in range(1, r + 1)]
-    return LabeledComplex._built(ideal, runs, "taylor")
+    return LabeledComplex._built(ideal, "taylor", runs)
 
 
-def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
-    """Subsets of {1..r} whose lcm label is unique among all subsets, one run per size.
+def _scarf_walk(
+    ideal: MonomialIdeal, walked: MonomialIdeal, depth: Optional[int] = None, members: bool = False
+) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
+    """The Scarf complex of ``walked``, which is ``ideal`` or its deformation, size by size.
 
-    ``ideal`` must be generic: no two generators share a nonzero exponent in
-    any coordinate (rank-deformed vectors always qualify).
+    Returns the faces' member tuples, kept only with ``members``, and their
+    lcm codes in ``ideal``'s packing (``MonomialIdeal._packed``): the
+    nonempty runs of sizes 1, 2, ..., each lexicographic.  The walk stops
+    descending at size ``depth`` (default: every size).  A deformed walk
+    thus carries the original ideal's labels, and a walk without
+    ``members`` keeps no member tuple, only the codes that the evaluators
+    count.
+
+    ``walked`` must be generic: no two generators share a nonzero exponent in
+    any coordinate (rank-deformed vectors always qualify).  A subset of
+    {1..r} is a face when its lcm label is unique among all subsets.
 
     A subset I of size >= 2 qualifies iff (a) dropping any member strictly
     shrinks lcm(I) and (b) no generator outside I divides lcm(I).  The two
@@ -306,7 +330,7 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
 
     A face is held as its member mask (bit i - 1 for generator i) and two
     ints of n = 2**ceil(log2 d) fields of r + 1 bits, field k at bit
-    k * (r + 1).  In ``down``, field k is ``ideal.le[k][label[k]]``, the
+    k * (r + 1).  In ``down``, field k is ``walked.le[k][label[k]]``, the
     generators at or below the label in coordinate k, and padding fields
     are all ones.  These sets are nested in k's exponent order, so the
     union of two faces has ``down`` the OR of theirs, and field k of one
@@ -321,21 +345,23 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
     takes face a's owner on the fields of ``down_a & ~down_b`` that are
     nonzero, found for all fields at once by carrying each into its spare
     top bit, and face b's owner elsewhere (equal entries have equal owners).
+    Its code is the OR of the two faces' codes.
 
     Uniqueness passes down to subsets, so a face of size s + 1 is the union
     of two faces of size s that share their first s - 1 members, and every
     union that passes (a) and (b) has all its other subsets in the complex
     already.  A face's children are its accepted unions with its later
     siblings; the walk goes depth first with an explicit stack, so only the
-    sibling groups along one path are held.  A group is one list of
-    ``(face, mask, down, owner)`` records.  It meets each size's faces in
-    lexicographic order, so the nonempty runs it returns, sizes 1, 2, ...,
-    chain into :class:`LabeledComplex`'s canonical order.  That is the
-    precondition of :meth:`LabeledComplex._built`, which takes them as they
-    are.
+    sibling groups along one path are held, and the stack's height is the
+    size of the faces in its top group.  A group is one list of
+    ``(code, mask, down, owner, face)`` records.  It meets each size's faces
+    in lexicographic order, so the member runs chain into
+    :class:`LabeledComplex`'s canonical order, and the code runs follow them
+    face for face.  That is the precondition of :meth:`LabeledComplex._built`,
+    which takes both as they are.
     """
-    gens, le = ideal.generators, ideal.le
-    r, d = len(gens), ideal.dimension
+    gens, le = walked.generators, walked.le
+    r, d = len(gens), walked.dimension
     width = r + 1
     n = 1 << (d - 1).bit_length()
     full = (1 << r) - 1
@@ -350,20 +376,25 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
             if g[k]:
                 owner[i] |= 1 << (i + shift)
     shifts = [width * (n >> s) for s in range(1, n.bit_length())]
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(d)]  # (a) bounds sizes by d
-    # Each group is one list of (face, mask, down, owner) records in descending
-    # order, so pop() takes its first face and the records left in the list are
-    # that face's later siblings.
-    stack = [[((i + 1,), 1 << i, down[i], owner[i]) for i in reversed(range(r))]]
+    faces, codes = [[] for _ in range(d)], [[] for _ in range(d)]  # per size: (a) bounds it by d
+    # Each group is one list of records in descending order, so pop() takes
+    # its first face and the records left in the list are that face's later siblings.
+    gen = zip(ideal._packed[0], down, owner)
+    stack = [[(c, 1 << i, dn, ow, (i + 1,)) for i, (c, dn, ow) in enumerate(gen)][::-1]]
     while stack:
         group = stack[-1]
         if not group:
             stack.pop()
             continue
-        face, mask, down_a, owner_a = group.pop()
-        by_size[len(face) - 1].append(face)
+        code, mask, down_a, owner_a, face = group.pop()
+        size = len(stack)
+        codes[size - 1].append(code)
+        if members:
+            faces[size - 1].append(face)
+        if size == depth:
+            continue
         grown = []
-        for other, mask_b, down_b, owner_b in group:
+        for code_b, mask_b, down_b, owner_b, other in group:
             union = mask | mask_b
             joined = down_a | down_b
             fold = joined
@@ -378,10 +409,11 @@ def _scarf_member_tuples(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
                 fold |= fold >> s
             if fold & full != union:
                 continue
-            grown.append((face + other[-1:], union, joined, owned))
+            grown.append((code | code_b, union, joined, owned, face + other[-1:]))
         if grown:
             stack.append(grown)
-    return [level for level in by_size if level]  # closure: the nonempty runs come first
+    # closure: the nonempty runs come first
+    return [run for run in faces if run], [run for run in codes if run]
 
 
 def _check_scarf_pairs(ideal: MonomialIdeal) -> None:
@@ -405,7 +437,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     if witness is not None:
         k, i, j = witness
         raise NotGenericError(k, (i, j), ideal.generators[i - 1][k - 1])
-    return LabeledComplex._built(ideal, _scarf_member_tuples(ideal), "scarf")
+    return LabeledComplex._built(ideal, "scarf", *_scarf_walk(ideal, ideal, members=True))
 
 
 def scarf_brute_oracle(ideal: MonomialIdeal) -> LabeledComplex:
@@ -472,17 +504,30 @@ def deform_and_scarf(ideal: MonomialIdeal, v: Optional[int] = None) -> LabeledCo
     """Scarf complex of the deformed ideal, as a complex over the original.
 
     The ideal :func:`deform` returns is generic by construction, so the
-    Scarf route always applies to it.  Its member tuples form a complex over
+    Scarf route always applies to it.  Its faces form a complex over
     ``ideal``, and like every :class:`LabeledComplex` it takes its labels as
-    lcms over its own ideal, here the original generators.  That is a
+    lcms over its own ideal, here the original generators, whose codes the
+    walk carries.  That is a
     (possibly non-minimal, but still exact) inclusion-exclusion support for
     the original ideal; repeated labels are allowed here, unlike for
     kind="scarf".  Raises :class:`ComplexSizeError` above ``SCARF_PAIR_CAP``
     pair tests, before deforming.
     """
     _check_scarf_pairs(ideal)
-    runs = _scarf_member_tuples(deform(ideal, v))
-    return LabeledComplex._built(ideal, runs, "scarf_deformed")
+    walk = _scarf_walk(ideal, deform(ideal, v), members=True)
+    return LabeledComplex._built(ideal, "scarf_deformed", *walk)
+
+
+def _scarf_codes(ideal: MonomialIdeal, v: Optional[int], depth: Optional[int] = None) -> list:
+    """The face codes of ``scarf_complex(ideal)``, or of ``deform_and_scarf(ideal, v)``
+    when ``v`` is given, one list per size up to ``depth`` (default every size).
+
+    The same walk as theirs, after the same pair cap, but it keeps no member
+    tuple and makes no complex.  The caller has chosen the route: the ideal's
+    genericity is not checked again.
+    """
+    _check_scarf_pairs(ideal)
+    return _scarf_walk(ideal, ideal if v is None else deform(ideal, v), depth)[1]
 
 
 def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:

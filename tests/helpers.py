@@ -6,10 +6,13 @@ both the unit tests and the acceptance suite, so it lives in one place.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 from scarfrel import (
     DepthBound,
@@ -281,6 +284,16 @@ def reference_face_code_counts(complex_, codes, depth) -> list:
     return [Counter(level) for level in levels]
 
 
+def reference_net_counts(levels) -> dict:
+    """Each code's net coefficient over per-cardinality code counts, size 1 first:
+    + for odd sizes, - for even ones; only nonzero nets are kept."""
+    net = Counter()
+    for s, level in enumerate(levels, start=1):
+        for code, n in level.items():
+            net[code] += n if s % 2 else -n
+    return {code: n for code, n in net.items() if n}
+
+
 def reference_member_checks(ideal, members, kind) -> tuple:
     """Reference member checks, one face at a time in canonical order.
 
@@ -320,3 +333,21 @@ def reference_member_checks(ideal, members, kind) -> tuple:
         if (i,) not in seen:
             raise ValueError(f"singleton {{{i}}} is missing")
     return tuple(ordered)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_corpus_specs(directory, seeds=(1, 7)) -> list:
+    """The spec files the benchmark's corpus generator writes under ``directory``,
+    for every workload and seed: the bench runs exactly these inputs."""
+    module_spec = importlib.util.spec_from_file_location("bench_corpus", BENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = corpus  # its dataclasses look their module up
+    module_spec.loader.exec_module(corpus)
+    paths = []
+    for workload in corpus.WORKLOADS:
+        for seed in seeds:
+            specs = corpus.build(workload, seed, Path(directory) / f"{workload}-{seed}")
+            paths += [spec.path for spec in specs]
+    return paths

@@ -33,6 +33,8 @@ from scarfrel import (
     taylor_complex,
     tube_bounds,
 )
+from scarfrel.cli import _ideal
+from scarfrel.complexes import _scarf_codes
 from scarfrel.monomial import _lcm_codes
 from scarfrel.specfile import load_spec
 
@@ -41,10 +43,12 @@ from helpers import (
     MULTI_EXTRA,
     MULTI_NINE,
     PLANAR_GENS,
+    bench_corpus_specs,
     full_scan_reliability,
     reference_face_code_counts,
     reference_face_codes,
     reference_faces,
+    reference_net_counts,
     random_points_for,
     random_system,
     tuple_walk_bounds,
@@ -760,3 +764,66 @@ class TestBoundsCorpus:
                     assert tube.value <= bonf.value + 1e-12
                 else:
                     assert tube.value >= bonf.value - 1e-12
+
+
+def assert_net_identity_bit_for_bit(system, ideal, taylor_cap=14):
+    """The identity from net coefficients equals the deepest depth bound of the
+    complex and, up to ``taylor_cap`` generators, the deepest subset bound, bit
+    for bit; the Scarf walk and the subset levels have one net map."""
+    generic = is_generic(ideal)
+    v = None if generic else len(ideal.generators) + 1
+    cx = scarf_complex(ideal) if generic else deform_and_scarf(ideal, v)
+    runs = _scarf_codes(ideal, v)
+    value = analysis._identity(system, ideal, runs).hex()
+    assert value == depth_bounds(system, cx)[-1].value.hex()
+    assert value == reliability_identity(system, cx).hex()
+    r = len(ideal.generators)
+    if r <= taylor_cap:
+        levels = analysis._subset_label_counts(ideal._packed[0], r)
+        assert reference_net_counts(levels) == reference_net_counts(map(Counter, runs))
+        assert analysis._identity(system, ideal, levels).hex() == value
+        assert subset_bounds(system, ideal)[-1].value.hex() == value
+
+
+class TestNetIdentity:
+    """Identity routes fold each code's signed net count and evaluate only the
+    codes whose net count is nonzero: the Hilbert numerator, which every
+    supporting complex shares label by label."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_walk_cases())
+    def test_equals_the_deepest_bounds(self, case):
+        assert_net_identity_bit_for_bit(*case)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_deepest_bounds_by_dimension(self, d, data):
+        assert_net_identity_bit_for_bit(*data.draw(dimension_cases(d)))
+
+    def test_bench_corpora(self, tmp_path):
+        for path in bench_corpus_specs(tmp_path):
+            spec = load_spec(str(path))
+            assert_net_identity_bit_for_bit(spec.system, _ideal(spec))
+
+    def test_evaluates_only_nonzero_net_codes(self, monkeypatch):
+        # {1, 3} and {1, 2, 3} of PLANAR share the label (3, 3): its net count is 0
+        system, taylor = planar_system(), taylor_complex(PLANAR)
+        calls = []
+        packed = analysis._packed_generators
+
+        def counting(system, ideal):
+            orthant = packed(system, ideal)
+            return lambda code: calls.append(code) or orthant(code)
+
+        monkeypatch.setattr(analysis, "_packed_generators", counting)
+        assert reliability_identity(system, taylor) == reliability_identity(
+            system, scarf_complex(PLANAR)
+        )
+        codes = PLANAR._packed[0]
+        assert sorted(calls) == sorted({codes[0], codes[1], codes[2], codes[0] | codes[1], codes[1] | codes[2]})
+
+    def test_dimension_mismatch(self):
+        system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
+        with pytest.raises(DimensionMismatchError):
+            analysis._identity(system, PLANAR, [[0]])

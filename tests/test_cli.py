@@ -22,7 +22,7 @@ from scarfrel.complexes import Face, SignedTerm
 from scarfrel.specfile import load_spec
 from scarfrel.systems import random_points_for, random_system
 
-from helpers import reference_face_code_counts
+from helpers import reference_face_code_counts, reference_net_counts
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BINARY = str(SPECS / "binary_network.json")
@@ -186,6 +186,42 @@ class TestBoundsCommand:
         assert code == 0
         assert [row["kind"] for row in payload["rows"]] == ["upper", "lower", "upper"]
 
+    @staticmethod
+    def walk_depths(monkeypatch):
+        """The size each Scarf walk stops at, d = 8 for a walk over every size."""
+        depths = []
+        walk = complexes._scarf_walk
+
+        def spy(ideal, walked, depth=None, members=False):
+            depths.append(walked.dimension if depth is None else min(depth, walked.dimension))
+            return walk(ideal, walked, depth, members)
+
+        monkeypatch.setattr(complexes, "_scarf_walk", spy)
+        return depths
+
+    @pytest.mark.parametrize(
+        "depths, bad", [("0,3", 0), ("3,8", 8), ("3,9", 9), ("-1", -1), ("7,x", None)]
+    )
+    def test_a_bad_entry_names_the_complex_true_depth(self, capsys, monkeypatch, depths, bad):
+        # The deformed complex of deep_d8_r12 reaches size 7 of d = 8: an entry
+        # outside 1..7 is named against 7, so the walk went to every size.
+        walks = self.walk_depths(monkeypatch)
+        code, out, err = run(capsys, "bounds", TestLabelFreeCommands.DEEP, "--depth", depths)
+        message = "must be integers, got 'x'" if bad is None else f"1..7 for this complex, got {bad}"
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert walks == [8]
+
+    @pytest.mark.parametrize("depths, deepest", [("1", 1), ("2,1", 2), (" 3, 1", 3), ("7", 7)])
+    def test_the_walk_stops_at_the_deepest_entry(self, capsys, monkeypatch, depths, deepest):
+        walks = self.walk_depths(monkeypatch)
+        full = run(capsys, "bounds", TestLabelFreeCommands.DEEP)[1].splitlines()
+        code, out, err = run(capsys, "bounds", TestLabelFreeCommands.DEEP, "--depth", depths)
+        assert (code, err) == (0, "")
+        wanted = [int(piece) for piece in depths.split(",")]
+        assert out.splitlines() == [full[0], *(full[depth] for depth in wanted)]
+        assert walks == [8, deepest]
+
     def test_shallow_depth_builds_no_taylor_complex(self, capsys, tmp_path, monkeypatch):
         # r = 20 sits at the Bonferroni cap: the baseline for --depth 1 must
         # come from the 20 singletons, not from a 2^20 - 1 face complex.
@@ -202,9 +238,9 @@ class TestBoundsCommand:
             refuse_taylor(ideal, kind)
             init(self, ideal, members, kind)
 
-        def unchecked(cls, ideal, runs, kind):
+        def unchecked(cls, ideal, kind, runs, codes=None):
             refuse_taylor(ideal, kind)
-            return built(cls, ideal, runs, kind)
+            return built(cls, ideal, kind, runs, codes)
 
         monkeypatch.setattr(LabeledComplex, "__init__", checked)
         monkeypatch.setattr(LabeledComplex, "_built", classmethod(unchecked))
@@ -316,10 +352,17 @@ class TestCompareCommand:
         assert json.loads(out)["deformation_v"] == 12
 
     def test_self_test_takes_both_routes(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "scarf_complex", "deform_and_scarf")
+        routes = Counter()
+        walk = cli._scarf_codes
+
+        def counted(ideal, v, depth=None):
+            routes["deformed" if v else "generic"] += 1
+            return walk(ideal, v, depth)
+
+        monkeypatch.setattr(cli, "_scarf_codes", counted)
         code, _, _ = run(capsys, "compare", "--seed", "3", "--count", "25")
         assert code == 0
-        assert calls == {"scarf_complex": 17, "deform_and_scarf": 8}
+        assert routes == {"generic": 17, "deformed": 8}
 
     def offset_oracle(self, monkeypatch):
         oracle = cli.brute_force_reliability
@@ -429,7 +472,9 @@ class TestLabelFreeCommands:
 
 class TestOneOrthantTablePerCall:
     """The Scarf route and the subset walk of one call share one packing and
-    evaluate each distinct lcm code's orthant once between them."""
+    evaluate each distinct lcm code's orthant once between them; ``compare``,
+    which needs only the identities, evaluates only the codes whose net
+    coefficient is nonzero."""
 
     @pytest.mark.parametrize(
         "argv", [("bounds",), ("bounds", "--depth", "3,1"), ("compare",)],
@@ -437,16 +482,23 @@ class TestOneOrthantTablePerCall:
     )
     def test_each_code_evaluated_once(self, capsys, monkeypatch, argv):
         spec = TestLabelFreeCommands.DEEP
-        system, ideal, complex_, v_used = cli._pipeline(spec)
+        system, ideal, v_used = cli._pipeline(spec)
         assert v_used is not None  # deformed: its faces repeat labels
+        complex_ = complexes.deform_and_scarf(ideal, v_used)
         codes = ideal._packed[0]
-        scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
-        subset_depth = len(ideal.generators) if argv == ("compare",) else scarf_depth
-        expected = set()
-        for level in reference_face_code_counts(complex_, codes, scarf_depth):
-            expected |= set(level)
-        for level in analysis._subset_label_counts(codes, subset_depth):
-            expected |= set(level)
+        if argv == ("compare",):
+            scarf_levels = reference_face_code_counts(complex_, codes, complex_.max_cardinality())
+            subset_levels = analysis._subset_label_counts(codes, len(ideal.generators))
+            expected = reference_net_counts(scarf_levels)
+            assert reference_net_counts(subset_levels) == expected
+            assert len(expected) < len(set().union(*subset_levels))  # some codes cancel
+        else:
+            scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
+            expected = set()
+            for level in reference_face_code_counts(complex_, codes, scarf_depth):
+                expected |= set(level)
+            for level in analysis._subset_label_counts(codes, scarf_depth):
+                expected |= set(level)
 
         packs, calls = [], []
         packed = analysis._packed_generators
@@ -468,6 +520,36 @@ class TestOneOrthantTablePerCall:
         assert sorted(calls) == sorted(expected)
 
 
+class TestSummingCommandsBuildNoComplex:
+    """``bounds`` and ``compare`` sum the Scarf walk's codes: no LabeledComplex is made."""
+
+    DEEP = TestLabelFreeCommands.DEEP
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", POINTS), ("bounds", PROFIT), ("bounds", DEEP),
+            ("bounds", DEEP, "--depth", "3,1"), ("compare", POINTS), ("compare", PROFIT),
+            ("compare", DEEP), ("compare", BINARY, "--v", "12"),
+            ("compare", "--seed", "3", "--count", "25"),
+        ],
+        ids=[
+            "bounds_points", "bounds_profit", "bounds_deep", "bounds_depth3_1", "compare_points",
+            "compare_profit", "compare_deep", "compare_v", "compare_random",
+        ],
+    )
+    @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+    def test_no_complex_constructed(self, capsys, monkeypatch, argv, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LabeledComplex constructed")
+
+        monkeypatch.setattr(LabeledComplex, "__init__", refuse)
+        monkeypatch.setattr(LabeledComplex, "_built", classmethod(refuse))
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestOnePackingPerCall:
     """The complex and the evaluators of one call read the ideal's one lcm packing:
     each command packs the generators once, on every bundled spec it completes."""
@@ -475,7 +557,8 @@ class TestOnePackingPerCall:
     BUNDLED = [
         *sorted(SPECS.glob("*.json")),
         *(p for p in sorted((Path(__file__).resolve().parent / "specs").glob("*.json"))
-          if p.name != "profit_above_cap.json"),  # refused before any complex is built
+          # refused before any complex is built, and a complex too big to build in full
+          if p.name not in ("profit_above_cap.json", "deep_d8_r96.json")),
     ]
 
     @pytest.mark.parametrize("command", ["scarf", "reliability", "bounds", "compare"])
@@ -577,6 +660,41 @@ class TestScarfPairCap:
                 timeout=60,
             )
             assert (result.returncode, result.stdout, result.stderr) == (2, "", self.MESSAGE)
+
+
+class TestDeepRepro:
+    """d = 8, r = 96: the deformed complex has 1,628,633 faces, but the 4,118
+    faces of sizes 1 and 2 are all that ``bounds --depth 2`` walks."""
+
+    SPEC = str(Path(__file__).resolve().parent / "specs" / "deep_d8_r96.json")
+
+    def test_shallow_bounds_under_a_memory_limit(self):
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 200 << 20 if hard == resource.RLIM_INFINITY else min(200 << 20, hard)
+
+        def cap_memory():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "scarfrel.cli", "bounds", self.SPEC, "--depth", "2", "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            preexec_fn=cap_memory,
+            timeout=10,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        payload = json.loads(result.stdout)
+        assert payload["deformation_v"] == 97
+        [row] = payload["rows"]
+        assert (row["depth"], row["kind"], row["bonferroni"], row["tighter"]) == (2, "lower", None, "n/a")
+        assert row["scarf"] == -737.1686817284739
+
+    def test_the_walk_stops_at_size_2(self):
+        system, ideal, v_used = cli._pipeline(self.SPEC)
+        runs = complexes._scarf_codes(ideal, v_used, 2)
+        assert [len(run) for run in runs] == [96, 4022]  # 4,045 pair tests pass (b)
 
 
 class TestBrokenPipe:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from operator import eq, le
 
 import pytest
@@ -37,6 +38,7 @@ from helpers import (
     NONNETWORK_FIVE_FACES,
     PLANAR_GENS,
     assert_ideal_passes_the_public_check,
+    bench_corpus_specs,
     random_generic_ideal,
     random_ideal,
     reference_faces,
@@ -175,6 +177,49 @@ def generic_ideals_with_zeros(draw, min_d=1, max_d=6, max_points=12):
         zeros = draw(st.lists(st.booleans(), min_size=r, max_size=r))
         columns.append([0 if z else e for z, e in zip(zeros, exponents)])
     return minimalize(zip(*columns))
+
+
+def assert_walk_matches_the_complex(ideal):
+    """The walker's code runs are the complex's lcm codes, size for size, and a
+    shallow or member-free walk is a prefix of the full one."""
+    generic = is_generic(ideal)
+    walked = ideal if generic else deform(ideal)
+    cx = scarf_complex(ideal) if generic else deform_and_scarf(ideal)
+    faces, codes = complexes._scarf_walk(ideal, walked, members=True)
+    assert list(itertools.chain(*faces)) == list(cx.member_tuples)
+    checked = LabeledComplex(ideal, cx.member_tuples, "scarf_deformed")  # derives its own codes
+    assert checked._lcm == cx._lcm == list(itertools.chain(*codes))
+    bounds = checked._bounds
+    runs = [checked._lcm[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert list(map(Counter, codes)) == list(map(Counter, runs))
+    v = None if generic else len(ideal.generators) + 1
+    for depth in range(1, ideal.dimension + 1):
+        assert complexes._scarf_walk(ideal, walked, depth) == ([], codes[:depth])
+        assert complexes._scarf_codes(ideal, v, depth) == codes[:depth]
+
+
+class TestWalker:
+    """One depth-first walker makes every Scarf face, with its code in the
+    original ideal's packing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ideals_with_zeros(max_points=10))
+    def test_code_runs_are_the_complex_runs(self, ideal):
+        assert_walk_matches_the_complex(ideal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generic_ideals_with_zeros(max_points=10))
+    def test_generic_code_runs_are_the_complex_runs(self, ideal):
+        assert_walk_matches_the_complex(ideal)
+
+    def test_bench_corpora(self, tmp_path):
+        from scarfrel.cli import _ideal
+        from scarfrel.specfile import load_spec
+
+        paths = bench_corpus_specs(tmp_path)
+        assert len(paths) == 90
+        for path in paths:
+            assert_walk_matches_the_complex(_ideal(load_spec(str(path))))
 
 
 def _local_scarf_conditions(gens, members):
@@ -320,7 +365,7 @@ class TestScarfPairCap:
         def built(*args):
             raise AssertionError("work done past the cap")
 
-        for name in ("nongeneric_witness", "deform", "_scarf_member_tuples"):
+        for name in ("nongeneric_witness", "deform", "_scarf_walk"):
             monkeypatch.setattr(complexes, name, built)
         message = r"^Scarf complex on 2049 generators needs 2098176 pair tests; cap is 2097152$"
         for route in (scarf_complex, deform_and_scarf):
@@ -332,10 +377,10 @@ class TestScarfPairCap:
         class Reached(Exception):
             pass
 
-        def reached(ideal):
+        def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(complexes, "_scarf_member_tuples", reached)
+        monkeypatch.setattr(complexes, "_scarf_walk", reached)
         ideal = self.staircase(2048)
         for route in (scarf_complex, deform_and_scarf):
             with pytest.raises(Reached):
