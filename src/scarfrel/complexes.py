@@ -16,8 +16,11 @@ The resulting face set does not depend on the tie-break magnitude, only on
 the ordering, so any deformation parameter v > r yields the same complex.
 
 One depth-first walker (``_scarf_walk``) makes every Scarf face.  It runs
-the Scarf tests on the generic ideal it walks, plain or deformed, and
-carries each face's lcm code in the original ideal's packing
+the Scarf tests on the generic ideal it walks, plain or deformed.  It
+settles the edges first, testing every pair or, in three variables, only
+the at most 3r pairs a staircase sweep proposes, and then drops every
+deeper union whose two newest members are not an edge.  It carries each
+face's lcm code in the original ideal's packing
 (``MonomialIdeal._packed``), the OR of its two parents' codes, so a
 deformed walk yields the original labels.  It can stop at a given size
 and can leave the member tuples out.  :func:`scarf_complex` and
@@ -47,7 +50,7 @@ one list of face codes, which its labels decode and the evaluators count.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
@@ -60,7 +63,7 @@ if TYPE_CHECKING:
     from typing import Optional, Sequence
 
 TAYLOR_GENERATOR_CAP = 20
-SCARF_PAIR_CAP = 1 << 21  # the Scarf builder's size-2 pair tests, r(r - 1)/2: r <= 2,048
+SCARF_PAIR_CAP = 1 << 21  # size-2 pairs, r(r - 1)/2, so r <= 2,048; d = 3 tests at most 3r of them
 ORACLE_GENERATOR_CAP = 16
 
 _KINDS = ("taylor", "scarf", "scarf_deformed")
@@ -303,6 +306,43 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex._built(ideal, "taylor", runs)
 
 
+def _planar_pairs(gens: Sequence[Exponent]) -> list[tuple[int, int]]:
+    """Candidate edges ``(i, j)``, 0-based with i < j, of a three-variable antichain:
+    at most 3r pairs, among them every pair whose lcm no third generator divides.
+
+    Each coordinate is read as the key value * r + index, so keys order by
+    (value, index) and are distinct.  A generator whose keys lie at or below
+    a pair's largest keys lies at or below the pair's lcm too, so the pairs
+    that no third generator divides under keys include every edge.  The
+    sweep takes the generators in ascending x key and keeps the (y, z)
+    staircase of those passed: the ones no other passed generator lies
+    below in y and z, in ascending y and so descending z.  For an edge
+    {i, j} with i passed before j, i is on the staircase, else the passed
+    generator below it would divide the pair's lcm.  Either j lies below i
+    in y and z, and i leaves the staircase for j, which happens at most r
+    times; or i lies left of j in y and then above it in z (j would divide
+    i otherwise), and any staircase point between them in y lies below
+    (y_j, z_i), so i is j's left neighbour; or, symmetrically, i is the
+    first staircase point right of j that j does not lie below.
+    """
+    r = len(gens)
+    pairs: list[tuple[int, int]] = []
+    ys: list[int] = []  # the staircase's y keys, ascending
+    zs: list[int] = []  # its negated z keys, also ascending
+    for x in sorted([g[0] * r + i for i, g in enumerate(gens)]):
+        j = x % r
+        _, y, z = gens[j]
+        y, z = y * r + j, -z * r - j
+        p = bisect_left(ys, y)
+        q = bisect_left(zs, z, p)  # ys[p:q] lie above j in y and z
+        for key in ys[p - 1 if p else 0:q + 1]:
+            i = key % r
+            pairs.append((i, j) if i < j else (j, i))
+        ys[p:q] = (y,)
+        zs[p:q] = (z,)
+    return pairs
+
+
 def _scarf_walk(
     ideal: MonomialIdeal, walked: MonomialIdeal, depth: Optional[int] = None, members: bool = False
 ) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
@@ -313,8 +353,8 @@ def _scarf_walk(
     nonempty runs of sizes 1, 2, ..., each lexicographic.  The walk stops
     descending at size ``depth`` (default: every size).  A deformed walk
     thus carries the original ideal's labels, and a walk without
-    ``members`` keeps no member tuple, only the codes that the evaluators
-    count.
+    ``members`` builds no member tuple past the singletons, only the codes
+    that the evaluators count.
 
     ``walked`` must be generic: no two generators share a nonzero exponent in
     any coordinate (rank-deformed vectors always qualify).  A subset of
@@ -350,12 +390,19 @@ def _scarf_walk(
     Uniqueness passes down to subsets, so a face of size s + 1 is the union
     of two faces of size s that share their first s - 1 members, and every
     union that passes (a) and (b) has all its other subsets in the complex
-    already.  A face's children are its accepted unions with its later
-    siblings; the walk goes depth first with an explicit stack, so only the
-    sibling groups along one path are held, and the stack's height is the
-    size of the faces in its top group.  A group is one list of
-    ``(code, mask, down, owner, face)`` records.  It meets each size's faces
-    in lexicographic order, so the member runs chain into
+    already.  The size-2 layer is settled first, as one adjacency mask per
+    generator.  Two antichain members each own a coordinate, so (b) alone
+    decides a pair.  Every pair is tested, except for d = 3, where only
+    :func:`_planar_pairs`' at most 3r candidates are.  A deeper union's two
+    newest members form one of its subsets, so a union whose two newest
+    members are not adjacent is dropped before its tests.  A face's
+    children are its accepted unions with its later siblings, or for a
+    singleton with its later neighbours; the walk goes depth first with an
+    explicit stack, so only the sibling groups along one path are held, and
+    the stack's height is the size of the faces in its top group.  A group
+    is one list of ``(code, mask, down, owner, face)`` records, ``face``
+    the member tuple only with ``members``.  It meets each size's faces in
+    lexicographic order, so the member runs chain into
     :class:`LabeledComplex`'s canonical order, and the code runs follow them
     face for face.  That is the precondition of :meth:`LabeledComplex._built`,
     which takes both as they are.
@@ -376,11 +423,19 @@ def _scarf_walk(
             if g[k]:
                 owner[i] |= 1 << (i + shift)
     shifts = [width * (n >> s) for s in range(1, n.bit_length())]
+    far = [0] * r  # bit j of far[i], i < j, when generators i + 1 and j + 1 form a face
+    for i, j in _planar_pairs(gens) if d == 3 else combinations(range(r), 2):
+        fold = down[i] | down[j]
+        for s in shifts:
+            fold &= fold >> s
+        if fold == 1 << i | 1 << j:
+            far[i] |= 1 << j
     faces, codes = [[] for _ in range(d)], [[] for _ in range(d)]  # per size: (a) bounds it by d
     # Each group is one list of records in descending order, so pop() takes
     # its first face and the records left in the list are that face's later siblings.
     gen = zip(ideal._packed[0], down, owner)
-    stack = [[(c, 1 << i, dn, ow, (i + 1,)) for i, (c, dn, ow) in enumerate(gen)][::-1]]
+    single = [(c, 1 << i, dn, ow, (i + 1,)) for i, (c, dn, ow) in enumerate(gen)]
+    stack = [single[::-1]]
     while stack:
         group = stack[-1]
         if not group:
@@ -393,8 +448,16 @@ def _scarf_walk(
             faces[size - 1].append(face)
         if size == depth:
             continue
+        near = far[mask.bit_length() - 1]  # the last member's later neighbours
+        if size == 1:
+            group, rest = [], near
+            while rest:  # highest first, as a group runs
+                group.append(single[rest.bit_length() - 1])
+                rest &= ~group[-1][1]
         grown = []
         for code_b, mask_b, down_b, owner_b, other in group:
+            if not mask_b & near:
+                continue
             union = mask | mask_b
             joined = down_a | down_b
             fold = joined
@@ -409,7 +472,7 @@ def _scarf_walk(
                 fold |= fold >> s
             if fold & full != union:
                 continue
-            grown.append((code | code_b, union, joined, owned, face + other[-1:]))
+            grown.append((code | code_b, union, joined, owned, members and face + other[-1:]))
         if grown:
             stack.append(grown)
     # closure: the nonempty runs come first
@@ -417,8 +480,10 @@ def _scarf_walk(
 
 
 def _check_scarf_pairs(ideal: MonomialIdeal) -> None:
-    """Raise :class:`ComplexSizeError` when the builder's r(r - 1)/2 pair tests
-    exceed ``SCARF_PAIR_CAP``; the face count, O(r^(d // 2)), is not bounded."""
+    """Raise :class:`ComplexSizeError` when the r(r - 1)/2 size-2 pairs exceed
+    ``SCARF_PAIR_CAP``.  The walker tests them all unless d = 3, where it tests
+    at most 3r, so there the count is an overcount; the face count,
+    O(r^(d // 2)), is not bounded."""
     r = len(ideal.generators)
     if (pairs := r * (r - 1) // 2) > SCARF_PAIR_CAP:
         raise ComplexSizeError(f"Scarf complex on {r} generators needs {pairs} pair tests; cap is {SCARF_PAIR_CAP}")

@@ -2,7 +2,8 @@ import itertools
 import random
 import re
 from collections import Counter
-from operator import eq, le
+from operator import le
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +231,11 @@ def _local_scarf_conditions(gens, members):
     """
     vectors = [gens[i - 1] for i in members]
     label = tuple(map(max, *vectors))
-    tops = [tuple(map(eq, v, label)) for v in vectors]
-    attainers = tuple(map(sum, zip(*tops)))
-    if not all(any(t and n == 1 for t, n in zip(top, attainers)) for top in tops):
+    owners = set()  # per coordinate, the one member attaining the label entry, if only one does
+    for column, top in zip(zip(*vectors), label):
+        if column.count(top) == 1:
+            owners.add(column.index(top))
+    if len(owners) != len(vectors):
         return False
     outside = (g for i, g in enumerate(gens, 1) if i not in members)
     return not any(all(map(le, g, label)) for g in outside)
@@ -312,7 +315,7 @@ class TestBuilder:
         assert_passes_the_public_check(cx)
 
     @pytest.mark.parametrize(
-        "d, total, r", [(3, 10, 66), (4, 5, 56)], ids=["d3-r66", "d4-r56"]
+        "d, total, r", [(3, 10, 66), (3, 23, 300), (4, 5, 56)], ids=["d3-r66", "d3-r300", "d4-r56"]
     )
     def test_generic_layer_with_zeros_local_conditions(self, d, total, r):
         # Undeformed, so many generators share a zero entry, which no face member owns.
@@ -349,6 +352,56 @@ class TestBuilder:
         assert len(taylor_complex(PLANAR).faces) == 7
         assert scarf_complex(PLANAR).member_tuples == ((1,), (2,), (3,), (1, 2), (2, 3))
         assert member_sets(deform_and_scarf(MonomialIdeal(4, MULTI_NINE))) == set(MULTI_NINE_FACES)
+
+
+def assert_sweep_proposes_every_edge(gens):
+    """The planar sweep proposes at most 3r pairs, and among them every pair that
+    passes both local conditions, found by brute force over all pairs."""
+    r = len(gens)
+    pairs = complexes._planar_pairs(gens)
+    assert len(pairs) <= 3 * r
+    proposed = {(min(i, j) + 1, max(i, j) + 1) for i, j in pairs}
+    assert all(i != j for i, j in pairs)
+    for pair in itertools.combinations(range(1, r + 1), 2):
+        assert pair in proposed or not _local_scarf_conditions(gens, pair), pair
+
+
+class TestPlanarSweep:
+    """In three variables the walker tests only the pairs a staircase sweep proposes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ideals_with_zeros(min_d=3, max_d=3, max_coord=6))
+    def test_deformed_matches_oracle(self, ideal):
+        deformed = deform(ideal)
+        oracle = scarf_brute_oracle(deformed)
+        assert scarf_complex(deformed).faces == oracle.faces
+        assert deform_and_scarf(ideal).member_tuples == oracle.member_tuples
+        for gens in (ideal.generators, deformed.generators):  # ties too: any antichain
+            assert_sweep_proposes_every_edge(gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generic_ideals_with_zeros(min_d=3, max_d=3))
+    def test_generic_with_repeated_zeros_matches_oracle(self, ideal):
+        assert scarf_complex(ideal).faces == scarf_brute_oracle(ideal).faces
+        assert_sweep_proposes_every_edge(ideal.generators)
+
+    @pytest.mark.parametrize("total", [17, 23], ids=["r171", "r300"])
+    def test_layers_propose_every_edge(self, total):
+        layer = _shuffled_layer(3, total, total, seed=3)
+        assert_sweep_proposes_every_edge(deform(layer).generators)
+        assert_sweep_proposes_every_edge(_generic_keeping_zeros(layer).generators)
+
+    def test_two_thousand_generators_give_a_planar_edge_count(self):
+        from scarfrel.cli import _ideal
+        from scarfrel.specfile import load_spec
+
+        path = Path(__file__).resolve().parent / "specs" / "planar_d3_r2000.json"
+        ideal = _ideal(load_spec(str(path)))
+        r = len(ideal.generators)
+        assert r == 2000 and not is_generic(ideal)
+        assert len(complexes._planar_pairs(deform(ideal).generators)) <= 3 * r
+        singles, edges = complexes._scarf_codes(ideal, r + 1, 2)
+        assert len(singles) == r and len(edges) <= 3 * r - 6  # a planar graph's bound
 
 
 class TestScarfPairCap:
