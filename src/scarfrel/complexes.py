@@ -424,12 +424,13 @@ def _scarf_walk(
                 owner[i] |= 1 << (i + shift)
     shifts = [width * (n >> s) for s in range(1, n.bit_length())]
     far = [0] * r  # bit j of far[i], i < j, when generators i + 1 and j + 1 form a face
+    bit = [1 << i for i in range(r)]
     for i, j in _planar_pairs(gens) if d == 3 else combinations(range(r), 2):
         fold = down[i] | down[j]
         for s in shifts:
             fold &= fold >> s
-        if fold == 1 << i | 1 << j:
-            far[i] |= 1 << j
+        if fold == bit[i] | bit[j]:
+            far[i] |= bit[j]
     faces, codes = [[] for _ in range(d)], [[] for _ in range(d)]  # per size: (a) bounds it by d
     # Each group is one list of records in descending order, so pop() takes
     # its first face and the records left in the list are that face's later siblings.
@@ -446,7 +447,7 @@ def _scarf_walk(
         codes[size - 1].append(code)
         if members:
             faces[size - 1].append(face)
-        if size == depth:
+        if not group or size == depth:  # no later sibling, or no deeper size wanted
             continue
         near = far[mask.bit_length() - 1]  # the last member's later neighbours
         if size == 1:
