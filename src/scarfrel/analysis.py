@@ -21,14 +21,14 @@ share that work.  The codes are the ideal's own packing
 (``MonomialIdeal._packed``), derived once per ideal, and each evaluated
 orthant is held in one slot on the system, keyed by the ideal, so the
 Scarf route and the subset walk of one call pack once and evaluate each
-code once between them.  A complex keeps one code per face, which the
-Scarf walk hands it (other complexes derive them a cardinality run at a
-time), and the fold counts each run's codes; no exponent label is
-derived.  The fold also takes the per-size code lists straight from the
-Scarf walk (``complexes._scarf_walk``), so ``bounds`` sums codes with no
-complex.  The classical Bonferroni baseline is a level walk over the
-generator subsets of size <= k that builds no complex and holds only one
-level of ints at a time.
+code once between them.  A complex keeps one code per face, a list per
+cardinality run, as the Scarf walk hands them over (other complexes
+derive them a run at a time), and the fold counts each run's codes; no
+exponent label is derived.  The fold also takes the per-size code lists
+straight from the Scarf walk (``complexes._scarf_walk``), so ``bounds``
+sums codes with no complex.  The classical Bonferroni baseline is a
+level walk over the generator subsets of size <= k that builds no
+complex and holds only one level of ints at a time.
 The identity alone needs less than every depth.  Its alternating sum,
 collected label by label, is the numerator of the ideal's multigraded
 Hilbert series (its K-polynomial), and that polynomial is the same for
@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, islice, product
 
-from .complexes import LabeledComplex, SignedTerm, hilbert_numerator
+from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, LabeledComplex, SignedTerm
+from .complexes import hilbert_numerator
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, _Value
 from .systems import CoherentSystem, _axis_minima
 
@@ -179,25 +180,20 @@ def _resolved_depth(
     return depth
 
 
-def _units(label: Any, value: Any) -> int:
-    """``float(value)``, as fsum reads it, in exact units of 2**-1074."""
-    p = float(value)
-    if not math.isfinite(p):
-        raise ValueError(f"orthant of label {label!r} is {p!r}, not a finite number")
-    num, den = p.as_integer_ratio()  # den = 2**e with e <= 1074
-    return num << 1075 - den.bit_length()
-
-
 class _Units(dict):
-    """label -> ``float(orthant(label))`` in exact units of 2**-1074, evaluated once."""
+    """label -> ``float(orthant(label))``, as fsum reads it, in exact units of 2**-1074,
+    evaluated once."""
 
     def __init__(self, orthant: Callable[[Any], Any]):
         super().__init__()
         self.orthant = orthant
 
     def __missing__(self, label: Any) -> int:
-        u = self[label] = _units(label, self.orthant(label))
-        return u
+        p = float(self.orthant(label))
+        if not math.isfinite(p):
+            raise ValueError(f"orthant of label {label!r} is {p!r}, not a finite number")
+        num, den = p.as_integer_ratio()  # den = 2**e with e <= 1074
+        return self.setdefault(label, num << 1075 - den.bit_length())
 
 
 def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> _Units:
@@ -239,8 +235,8 @@ def inclusion_exclusion(
     identity work off-grid.  Its values are read through ``float()``, as
     fsum reads them, and a non-finite one raises ValueError naming its label.
     """
-    labels, bounds = [face.label for face in complex_.faces], complex_._bounds
-    counts = [Counter(labels[lo:hi]).items() for lo, hi in zip(bounds, bounds[1:])]
+    labels = (face.label for face in complex_.faces)
+    counts = [Counter(islice(labels, len(run))).items() for run in complex_._runs]
     return _fold_bounds(counts, _Units(orthant))[-1].value
 
 
@@ -261,16 +257,10 @@ def _identity(system: CoherentSystem, ideal: MonomialIdeal, levels: list) -> flo
     return sum(n * units[code] for code, n in net.items() if n) / _UNIT
 
 
-def _code_runs(complex_: LabeledComplex) -> list[list[int]]:
-    """The complex's face codes, one list per cardinality 1, 2, ..."""
-    codes, bounds = complex_._lcm, complex_._bounds
-    return [codes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
     """Exact nonfailure probability via the complex's alternating sum: bit for bit the
     deepest bound, from the net count of each distinct face code."""
-    return _identity(system, complex_.ideal, _code_runs(complex_))
+    return _identity(system, complex_.ideal, complex_._lcm)
 
 
 def _code_bounds(
@@ -289,7 +279,7 @@ def depth_bounds(
     """Truncation bounds at depths 1..depth (default: every depth) from the
     complex's face codes, counted a cardinality run at a time; no face label
     is derived."""
-    return _code_bounds(system, complex_.ideal, _code_runs(complex_), depth)
+    return _code_bounds(system, complex_.ideal, complex_._lcm, depth)
 
 
 def subset_bounds(
@@ -302,9 +292,17 @@ def subset_bounds(
     one integer OR per subset on rank-packed generators, one d-lookup
     orthant and one exact count * value per distinct lcm of a level, and
     one level of ints in memory.  Every subset is still visited, so the
-    cost doubles with each generator.
+    cost doubles with each generator: :class:`ComplexSizeError` is raised,
+    before any level is built, when the subsets exceed the 2^20 - 1 faces
+    of the largest Taylor complex ``TAYLOR_GENERATOR_CAP`` allows.
     """
-    depth = _resolved_depth(system, ideal, depth, len(ideal.generators))
+    r = len(ideal.generators)
+    depth = _resolved_depth(system, ideal, depth, r)
+    subsets = sum(math.comb(r, k) for k in range(1, depth + 1))
+    if subsets > (cap := (1 << TAYLOR_GENERATOR_CAP) - 1):  # the Taylor complex of r = 20
+        raise ComplexSizeError(
+            f"Bonferroni bounds on {r} generators to depth {depth} sum {subsets} subsets; cap is {cap}"
+        )
     counts = _subset_label_counts(ideal._packed[0], depth)
     return _fold_bounds([level.items() for level in counts], _packed_units(system, ideal))
 
@@ -408,7 +406,7 @@ def build_report(system: CoherentSystem, complex_: LabeledComplex) -> Reliabilit
         oracle = brute_force_reliability(system, complex_.ideal)
     return ReliabilityReport(
         identity_value=identity,
-        term_count=len(complex_.faces),
+        term_count=len(complex_.member_tuples),
         terms=hilbert_numerator(complex_)[1:],
         bounds=bounds,
         baseline_term_count=2 ** len(complex_.ideal.generators) - 1,

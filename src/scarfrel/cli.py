@@ -292,10 +292,14 @@ def cmd_reliability(args) -> _Report:
     return payload, text
 
 
-def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
-    """The ``--depth`` entries (default: every depth), each in 1..max_depth."""
+def _parse_depths(raw: Optional[str]) -> Optional[list[int]]:
+    """The ``--depth`` entries as ints, in the order given, or None (every depth) without the flag.
+
+    Parsed before the walk, so a non-integer entry costs no face; the range
+    is checked against the complex after it.
+    """
     if raw is None:
-        return list(range(1, max_depth + 1))
+        return None
     depths = []
     for piece in raw.split(","):
         piece = piece.strip()
@@ -303,8 +307,6 @@ def _parse_depths(raw: Optional[str], max_depth: int) -> list[int]:
             depths.append(int(piece))
         except ValueError:
             raise SpecFileError(f"--depth entries must be integers, got {piece!r}")
-    for depth in depths:
-        _checked(check_depth, depth, max_depth)
     return depths
 
 
@@ -322,12 +324,14 @@ def _row(b, bonf: Optional[float]) -> dict:
 
 def cmd_bounds(args) -> _Report:
     system, ideal, v_used = _pipeline(args.spec, args.v)
-    try:  # the walk stops at the deepest entry when each entry lies in 1..d
-        deepest = max(_parse_depths(args.depth, ideal.dimension))
-    except SpecFileError:  # else it walks every size, so the error names the true maximum
-        deepest = None
-    runs = _scarf_codes(ideal, v_used, deepest)
-    depths = _parse_depths(args.depth, len(runs))
+    depths = _parse_depths(args.depth)
+    # the walk stops at the deepest entry when every entry lies in 1..d, else it
+    # walks every size, so an entry out of range is named against the true maximum
+    fits = depths is not None and all(1 <= depth <= ideal.dimension for depth in depths)
+    runs = _scarf_codes(ideal, v_used, max(depths) if fits else None)
+    for depth in depths or ():
+        _checked(check_depth, depth, len(runs))
+    depths = depths or range(1, len(runs) + 1)
     scarf = _code_bounds(system, ideal, runs, max(depths))
     # depths never exceed r; the subset walk stops at max(depths)
     bonferroni = [None] * len(scarf)

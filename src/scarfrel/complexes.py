@@ -30,11 +30,13 @@ to :class:`LabeledComplex`; the reports that only sum (``bounds`` and
 build no complex.
 
 Canonical order (ascending cardinality, then lexicographic) puts the faces
-in runs of one cardinality.  The package's builders are trusted: they make
-their faces run by run in that order and hand the complex the runs, which
-it takes unchecked, with the Scarf builders' codes.  A member list from a
-caller is sorted and checked face by face at construction, and the
-complex derives its codes itself, as it does for the Taylor builder's
+in runs of one cardinality, and the complex keeps its faces as those runs;
+``member_tuples``, their chain, is the flat key that equality compares.
+The package's builders are trusted: they make their faces run by run in
+that order and hand the complex the runs, which it keeps unchecked, with
+the Scarf builders' code runs.  A member list from a caller is sorted and
+checked face by face at construction and then split into runs once, and
+the complex derives its codes itself, as it does for the Taylor builder's
 runs: a run's lcm codes come from the run before.  The per-face passes,
 lcm codes, labels, facets and the Hilbert numerator's terms, each take
 one run at a time through ``map``, ``zip``, set and ``itertools`` calls
@@ -45,16 +47,17 @@ so a label can never disagree with its face and evaluators that need no
 exponent tuple never build one.  The generator codes and the fields that
 decode them are the ideal's own packing, derived once per ideal, so a
 complex and the evaluators over its ideal share them.  The complex keeps
-one list of face codes, which its labels decode and the evaluators count.
+one list of face codes per run, which its labels decode and the evaluators
+count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, count, cycle, repeat
-from operator import and_, itemgetter, lt, not_, or_, rshift, sub
+from itertools import chain, combinations, compress, count, cycle, groupby, repeat
+from operator import and_, itemgetter, lt, not_, or_, rshift
 
 from .monomial import Exponent, MonomialIdeal, _Value, divides, lcm, nongeneric_witness
 
@@ -109,14 +112,6 @@ _LAST = itemgetter(-1)
 _LABEL = itemgetter(1)
 
 
-def _run_bounds(tuples: Sequence[tuple[int, ...]]) -> list[int]:
-    """Where each cardinality's run of canonically ordered tuples starts, then their end.
-
-    Run s is ``tuples[bounds[s - 1]:bounds[s]]``; closure leaves no size out.
-    """
-    return [0, *(bisect_right(tuples, s, key=len) for s in range(1, len(tuples[-1]) + 1))]
-
-
 def _check_faces(faces: Sequence[tuple[int, ...]], r: int, d: int, max_size: int) -> None:
     """The member rules past each entry's type, one face at a time in canonical order;
     raises at the first fault."""
@@ -159,12 +154,15 @@ class LabeledComplex(_Value):
     every rule by construction and go through :meth:`_built`, which checks
     nothing.
 
-    ``member_tuples`` holds the tuples in canonical order (ascending
-    cardinality, then lexicographic), and equality and hashing compare it.
-    Each face's lcm code is the OR of its generators' codes in the ideal's
-    packing (``MonomialIdeal._packed``).  The Scarf builders hand the codes
-    over with the runs, from the walk that made the faces.  Otherwise they
-    are derived once, a run at a time, on first need: by the constructor's
+    The complex keeps the tuples as one run per cardinality 1, 2, ..., each
+    lexicographic, and its per-run passes read those runs.
+    ``member_tuples``, their chain in canonical order (ascending
+    cardinality, then lexicographic), is the flat key that equality and
+    hashing compare.  Each face's lcm code is the OR of its generators'
+    codes in the ideal's packing (``MonomialIdeal._packed``), kept as one
+    list per run.  The Scarf builders hand the code runs over with the
+    member runs, from the walk that made the faces.  Otherwise they are
+    derived once, a run at a time, on first need: by the constructor's
     kind="scarf" label check, where distinct codes are distinct labels, or
     by ``faces`` or the evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
@@ -195,11 +193,11 @@ class LabeledComplex(_Value):
             if (i,) not in singletons:
                 raise ValueError(f"singleton {{{i}}} is missing")
         vars(self).update(
-            ideal=ideal, kind=kind, member_tuples=tuple(ordered), _bounds=_run_bounds(ordered)
+            ideal=ideal, kind=kind, member_tuples=tuple(ordered),
+            _runs=[list(run) for _, run in groupby(ordered, len)],
         )
-        if kind == "scarf":
-            codes = self._lcm
-            if len(set(codes)) != len(codes):  # codes and labels are in bijection
+        if kind == "scarf":  # codes and labels are in bijection
+            if len(set(chain.from_iterable(self._lcm))) != len(ordered):
                 labels: dict[Exponent, tuple[int, ...]] = {}
                 for face in self.faces:
                     if face.label in labels:
@@ -218,39 +216,38 @@ class LabeledComplex(_Value):
 
         ``runs`` are its nonempty cardinality runs, sizes 1, 2, ... in
         order, each lexicographic, so their chain is the canonical order.
-        ``codes``, when given, are the same runs' lcm codes face for face,
-        which the complex then keeps instead of deriving them.
+        The complex keeps them as they are, and ``member_tuples``, the flat
+        equality key, is their chain.  ``codes``, when given, are the same
+        runs' lcm codes, run for run and face for face, which the complex
+        then keeps as they are instead of deriving them.
         """
         self = object.__new__(cls)
         vars(self).update(
             ideal=ideal,
             kind=kind,
             member_tuples=tuple(chain.from_iterable(runs)),
-            _bounds=[0, *accumulate(map(len, runs))],
+            _runs=runs,
         )
         if codes is not None:
-            vars(self)["_lcm"] = list(chain.from_iterable(codes))
+            vars(self)["_lcm"] = codes
         return self
 
     @cached_property
-    def _lcm(self) -> list[int]:
-        """Each face's lcm code in canonical order, for a complex built without codes.
+    def _lcm(self) -> list[list[int]]:
+        """Each face's lcm code, one list per cardinality run, for a complex built without codes.
 
-        The generator codes are the ideal's packing.  Canonical order puts
-        the faces in runs of one cardinality, and each run takes its codes
-        from the run before: a face's code is its prefix face ``ms[:-1]``'s
-        code (the empty face's is 0) OR its last generator's, one pass of
-        ``map`` calls in C per run.
+        The generator codes are the ideal's packing.  Each run takes its
+        codes from the run before: a face's code is its prefix face
+        ``ms[:-1]``'s code (the empty face's is 0) OR its last generator's,
+        one pass of ``map`` calls in C per run.
         """
-        tuples, bounds = self.member_tuples, self._bounds
         by_index = (None, *self.ideal._packed[0])  # 1-based
-        codes: list[int] = []
+        codes: list[list[int]] = []
         prefix_code = {(): 0}
-        for lo, hi in zip(bounds, bounds[1:]):
-            run = tuples[lo:hi]
+        for run in self._runs:
             prefixes = map(prefix_code.__getitem__, map(_PREFIX, run))
-            codes += map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run)))
-            prefix_code = dict(zip(run, codes[lo:]))
+            codes.append(list(map(or_, prefixes, map(by_index.__getitem__, map(_LAST, run)))))
+            prefix_code = dict(zip(run, codes[-1]))
         return codes
 
     @cached_property
@@ -261,13 +258,13 @@ class LabeledComplex(_Value):
         column at a time through the ideal's packing fields, and the faces
         share that tuple, so no Python statement runs per face.
         """
-        distinct = dict.fromkeys(self._lcm)
+        distinct = dict.fromkeys(chain.from_iterable(self._lcm))
         columns = []  # per coordinate, each distinct code's label entry
         for shift, mask, values in self.ideal._packed[1]:
             runs = map(and_, map(rshift, distinct, repeat(shift)), repeat(mask))
             columns.append(map(values.__getitem__, map(int.bit_length, runs)))
         label_of = dict(zip(distinct, zip(*columns)))
-        labels = map(label_of.__getitem__, self._lcm)
+        labels = map(label_of.__getitem__, chain.from_iterable(self._lcm))
         return tuple(map(tuple.__new__, repeat(Face), zip(self.member_tuples, labels)))
 
     def facets(self) -> tuple[Face, ...]:
@@ -279,15 +276,13 @@ class LabeledComplex(_Value):
         at a time, by ``combinations`` in C; closure makes each of them a
         face, so the set holds at most one entry per face.
         """
-        tuples = self.member_tuples
-        bounds = self._bounds
         covered: set[tuple[int, ...]] = set()
-        for size, lo, hi in zip(count(1), bounds[1:], bounds[2:]):  # the run of size + 1
-            covered.update(chain.from_iterable(map(combinations, tuples[lo:hi], repeat(size))))
-        return tuple(compress(self.faces, map(not_, map(covered.__contains__, tuples))))
+        for size, run in enumerate(self._runs[1:], 1):  # the run of size + 1
+            covered.update(chain.from_iterable(map(combinations, run, repeat(size))))
+        return tuple(compress(self.faces, map(not_, map(covered.__contains__, self.member_tuples))))
 
     def max_cardinality(self) -> int:
-        return len(self.member_tuples[-1])  # canonical order sorts by cardinality
+        return len(self._runs)  # closure leaves no size out
 
 
 def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
@@ -612,8 +607,7 @@ def hilbert_numerator(complex_: LabeledComplex) -> tuple[SignedTerm, ...]:
     signs and cardinalities are runs of ``repeat`` and the terms are made
     from them and the faces' labels in C, with no Python step per face.
     """
-    bounds = complex_._bounds
-    counts = list(map(sub, bounds[1:], bounds))  # faces per cardinality 1, 2, ...
+    counts = list(map(len, complex_._runs))  # faces per cardinality 1, 2, ...
     signs = chain.from_iterable(map(repeat, cycle((-1, 1)), counts))
     sizes = chain.from_iterable(map(repeat, count(1), counts))
     labels = map(_LABEL, complex_.faces)

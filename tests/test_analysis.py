@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ import scarfrel.analysis as analysis
 
 from scarfrel import (
     CoherentSystem,
+    ComplexSizeError,
     Component,
     DepthBound,
     DimensionMismatchError,
@@ -477,7 +479,7 @@ def assert_codes_and_orthants_bit_for_bit(system, cx, order):
     codes = _lcm_codes(cx.ideal.generators)[0]
     orthant = analysis._packed_generators(system, cx.ideal)  # a fresh memo
     face_codes = reference_face_codes(cx, codes)
-    assert cx._lcm == face_codes
+    assert list(itertools.chain.from_iterable(cx._lcm)) == face_codes
     label_of = dict(zip(face_codes, (f.label for f in reference_faces(cx))))
     for code in order(list(label_of)):
         assert orthant(code).hex() == orthant_prob(system, label_of[code]).hex()
@@ -593,6 +595,29 @@ class TestSubsetBounds:
         system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
         with pytest.raises(DimensionMismatchError):
             subset_bounds(system, PLANAR)
+
+    @staticmethod
+    def staircase(r):
+        """Two components of r levels, non-dyadic, and the r-point antichain i + j = r - 1."""
+        probs = tuple(w / (r * (r + 1) // 2) for w in range(1, r + 1))
+        system = CoherentSystem((Component("a", r, probs), Component("b", r, probs)))
+        return system, minimalize([(i, r - 1 - i) for i in range(r)])
+
+    def test_more_subsets_than_the_largest_taylor_complex_are_refused(self, monkeypatch):
+        # r = 21 at full depth sums 2^21 - 1 subsets; the cap is the 2^20 - 1
+        # faces of the Taylor complex of TAYLOR_GENERATOR_CAP = 20 generators
+        system, ideal = self.staircase(21)
+        walks = []
+        monkeypatch.setattr(analysis, "_subset_label_counts", lambda *args: walks.append(args))
+        for depth in (None, 20):
+            with pytest.raises(ComplexSizeError, match=r"subsets; cap is 1048575$"):
+                subset_bounds(system, ideal, depth)
+        assert walks == []
+
+    def test_a_shallow_depth_over_many_generators_equals_tuple_walk(self):
+        # r = 40 at depth 2 sums 820 subsets, far inside the cap
+        system, ideal = self.staircase(40)
+        assert subset_bounds(system, ideal, 2) == tuple_walk_bounds(system, ideal, 2)
 
 
 class TestDepthBound:

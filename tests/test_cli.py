@@ -204,13 +204,33 @@ class TestBoundsCommand:
     )
     def test_a_bad_entry_names_the_complex_true_depth(self, capsys, monkeypatch, depths, bad):
         # The deformed complex of deep_d8_r12 reaches size 7 of d = 8: an entry
-        # outside 1..7 is named against 7, so the walk went to every size.
+        # outside 1..7 is named against 7, so the walk went to every size.  A
+        # non-integer entry is refused before any walk.
         walks = self.walk_depths(monkeypatch)
         code, out, err = run(capsys, "bounds", TestLabelFreeCommands.DEEP, "--depth", depths)
         message = "must be integers, got 'x'" if bad is None else f"1..7 for this complex, got {bad}"
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith(message + "\n")
-        assert walks == [8]
+        assert walks == ([] if bad is None else [8])
+
+    @pytest.mark.parametrize(
+        "depths, code, checked",
+        [("1", 0, [1]), ("3,1", 0, [3, 1]), (" 2 , 2", 0, [2, 2]), ("7", 0, [7]),
+         ("3,0,9", 2, [3, 0]), ("3,8", 2, [3, 8]), (None, 0, [])],
+    )
+    def test_each_entry_is_range_checked_once(self, capsys, monkeypatch, depths, code, checked):
+        # in order up to the first entry out of range; no entry is checked without --depth
+        checks = []
+        check = cli.check_depth
+
+        def spy(depth, max_card):
+            checks.append(depth)
+            check(depth, max_card)
+
+        monkeypatch.setattr(cli, "check_depth", spy)
+        args = () if depths is None else ("--depth", depths)
+        assert run(capsys, "bounds", TestLabelFreeCommands.DEEP, *args)[0] == code
+        assert checks == checked
 
     @pytest.mark.parametrize("depths, deepest", [("1", 1), ("2,1", 2), (" 3, 1", 3), ("7", 7)])
     def test_the_walk_stops_at_the_deepest_entry(self, capsys, monkeypatch, depths, deepest):
@@ -660,6 +680,11 @@ class TestScarfPairCap:
                 timeout=60,
             )
             assert (result.returncode, result.stdout, result.stderr) == (2, "", self.MESSAGE)
+
+    def test_a_non_integer_depth_is_refused_first(self, capsys):
+        # --depth is parsed before the walk, so its message wins over the pair cap's
+        code, out, err = run(capsys, "bounds", self.PROFIT_ABOVE_CAP, "--depth", "x")
+        assert (code, out, err) == (2, "", "error: --depth entries must be integers, got 'x'\n")
 
 
 class TestDeepRepro:

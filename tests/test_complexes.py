@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from collections import Counter
 from operator import le
 from pathlib import Path
 
@@ -189,10 +188,7 @@ def assert_walk_matches_the_complex(ideal):
     faces, codes = complexes._scarf_walk(ideal, walked, members=True)
     assert list(itertools.chain(*faces)) == list(cx.member_tuples)
     checked = LabeledComplex(ideal, cx.member_tuples, "scarf_deformed")  # derives its own codes
-    assert checked._lcm == cx._lcm == list(itertools.chain(*codes))
-    bounds = checked._bounds
-    runs = [checked._lcm[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    assert list(map(Counter, codes)) == list(map(Counter, runs))
+    assert checked._lcm == cx._lcm == codes  # run for run
     v = None if generic else len(ideal.generators) + 1
     for depth in range(1, ideal.dimension + 1):
         assert complexes._scarf_walk(ideal, walked, depth) == ([], codes[:depth])
@@ -266,7 +262,8 @@ def assert_passes_the_public_check(cx):
     checked = LabeledComplex(ideal=cx.ideal, members=cx.member_tuples[::-1], kind=cx.kind)
     assert checked == cx and hash(checked) == hash(cx)
     assert checked.faces == cx.faces
-    assert cx._bounds == checked._bounds == complexes._run_bounds(cx.member_tuples)
+    runs = [list(run) for _, run in itertools.groupby(cx.member_tuples, len)]
+    assert list(map(list, cx._runs)) == list(map(list, checked._runs)) == runs
 
 
 def _assert_local_conditions_complete(gens, faces):
