@@ -8,48 +8,44 @@ keeps the term count near-minimal.  Truncating the alternating sum at a
 cardinality depth yields two-sided bounds: odd depth from above, even
 depth from below.
 
-One fold over per-cardinality label counts yields every value, evaluating
-each distinct label's orthant once (deformed and subset complexes repeat
-labels).  Both routes pack each generator into one int (per coordinate,
+Every value is the correctly rounded value of the spec's own rationals
+(exact summation, as in Shewchuk, DCG 1997).  The system holds each
+component's survival tails as exact ints over its largest power-of-two
+denominator (``CoherentSystem._tails``), so an orthant is an exact int
+over the product of those denominators, level sums and running totals
+are exact, and each depth rounds once, by int / int, which is correctly
+rounded.  Both routes pack each generator into one int (per coordinate,
 the rank of its value as a run of one-bits, at most d * (r - 1) bits in
-all), so an lcm is one integer OR and each distinct code becomes an
-orthant through d table lookups.  The product over the first d // 2
-coordinates is memoized by those coordinates' fields of the code, and the
-rest multiply onto it in order, so an orthant is bit for bit the product
-in coordinate order from 1.0 while codes that share their leading fields
-share that work.  The codes are the ideal's own packing
-(``MonomialIdeal._packed``), derived once per ideal, and each evaluated
-orthant is held in one slot on the system, keyed by the ideal, so the
-Scarf route and the subset walk of one call pack once and evaluate each
-code once between them.  A complex keeps one code per face, a list per
-cardinality run, as the Scarf walk hands them over (other complexes
-derive them a run at a time), and the fold counts each run's codes; no
-exponent label is derived.  The fold also takes the per-size code lists
-straight from the Scarf walk (``complexes._scarf_walk``), so ``bounds``
-sums codes with no complex.  The classical Bonferroni baseline is a
-level walk over the generator subsets of size <= k that builds no
-complex and holds only one level of ints at a time.
-The identity alone needs less than every depth.  Its alternating sum,
-collected label by label, is the numerator of the ideal's multigraded
-Hilbert series (its K-polynomial), and that polynomial is the same for
-every labeled complex that supports a free resolution of the ideal:
-Taylor, Scarf or deformed Scarf (Bayer, Peeva and Sturmfels, Math. Res.
-Lett. 1998; Miller and Sturmfels, *Combinatorial Commutative Algebra*,
-ch. 6).  So a code's net coefficient, the signed count of its faces of
-odd size less those of even size, belongs to the ideal, not to the
-complex: the identity routes (``reliability_identity`` and ``compare``'s
-Scarf and Taylor values) fold those net counts first and evaluate an
-orthant only where one is nonzero, the same codes for every route.  The
-exact integer sum is the deepest bound's own, so the value is bit for bit
-that bound.
+all), so an lcm is one integer OR.  Exact products are associative, so
+a code's orthant is the product over its first d // 2 coordinates,
+memoized by the code's low bits, times the product over the rest,
+memoized by its high bits: one multiply of two cached ints, and each
+level's sum is one pass in C over the level's codes.  The codes are the
+ideal's own packing (``MonomialIdeal._packed``), derived once per ideal,
+and the two memos are held in one slot on the system, keyed by the
+ideal, so the Scarf route and the subset walk of one call share them.
+A complex keeps one code per face, a list per cardinality run, as the
+Scarf walk hands them over (other complexes derive them a run at a
+time); no exponent label is derived.  The fold also takes the per-size
+code lists straight from the Scarf walk (``complexes._scarf_walk``), so
+``bounds`` and ``compare`` sum codes with no complex and no per-code
+table.  The classical Bonferroni baseline is a level walk over the
+generator subsets of size <= k that builds no complex, holds only one
+level of ints at a time and sums each distinct code times its count.
+The identity is the deepest bound.  Its alternating sum, collected label
+by label, is the numerator of the ideal's multigraded Hilbert series
+(its K-polynomial), and that polynomial is the same for every labeled
+complex that supports a free resolution of the ideal: Taylor, Scarf or
+deformed Scarf (Bayer, Peeva and Sturmfels, Math. Res. Lett. 1998;
+Miller and Sturmfels, *Combinatorial Commutative Algebra*, ch. 6).  So
+the exact identity of every route is one rational, and ``compare``'s
+Scarf and Taylor values are one float.
 Only ``inclusion_exclusion``, which takes a caller's label evaluator,
 reads the labels, and it counts them a cardinality run at a time too.
-The fold keeps each orthant as an exact integer count of 2**-1074
-(every float is one), so level sums and running totals are exact and each
-depth rounds once, by int / int, which is correctly rounded: the depth-k
-bound is bit for bit a fresh fsum of the signed terms of cardinality <= k,
-and the identity is the deepest bound.  The oracle and the survival tables
-use compensated fsums, which keeps oracle cross-checks stable at 1e-12.
+Its values are floats, each kept as an exact integer count of 2**-1074
+(every float is one), so its sum is bit for bit a fresh fsum of the
+signed terms.  The oracle and the float survival tables use compensated
+fsums, which keeps oracle cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, islice, product
+from operator import mul
 
 from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, LabeledComplex, SignedTerm
 from .complexes import hilbert_numerator
@@ -113,39 +110,6 @@ def check_depth(depth: int, max_card: int) -> None:
         )
 
 
-def _packed_generators(system: CoherentSystem, ideal: MonomialIdeal) -> Callable[[int], float]:
-    """The orthant of a code in ``ideal``'s packing (``MonomialIdeal._packed``).
-
-    One table lookup per coordinate, multiplied in coordinate order from
-    1.0, so it equals ``orthant_prob`` of the decoded label bit for bit.
-    The product over the first d // 2 coordinates is kept per value of their
-    fields and the others multiply onto it.
-    """
-    fields = [  # (shift, mask, {run: P(X_k >= held value)}) per coordinate
-        (shift, mask, {(1 << i) - 1: tails[v] for i, v in enumerate(values)})
-        for (shift, mask, values), tails in zip(ideal._packed[1], system.survival_table)
-    ]
-
-    half = len(fields) // 2
-    head, tail = fields[:half], fields[half:]
-    low = (1 << tail[0][0]) - 1  # the bits of the head's fields
-    leading: dict[int, float] = {}  # the head's product, by the head's fields
-
-    def orthant(code: int) -> float:
-        try:
-            p = leading[code & low]
-        except KeyError:
-            p = 1.0
-            for shift, mask, table in head:
-                p *= table[code >> shift & mask]
-            leading[code & low] = p
-        for shift, mask, table in tail:
-            p *= table[code >> shift & mask]
-        return p
-
-    return orthant
-
-
 def _subset_label_counts(codes: Sequence[int], depth: int) -> list[Counter]:
     """Per cardinality 1..depth, how many generator subsets have each lcm code.
 
@@ -196,31 +160,79 @@ class _Units(dict):
         return self.setdefault(label, num << 1075 - den.bit_length())
 
 
-def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> _Units:
-    """The exact units of the orthants of ``ideal``'s packed lcm codes.
+class _Product(dict):
+    """key -> the exact product of some coordinates' tails, formed once per key.
+
+    ``fields`` holds (shift, mask, {run: tail}) per coordinate; the key's
+    field ``key >> shift & mask`` is the run of the coordinate's rank.
+    """
+
+    def __init__(self, fields: list):
+        super().__init__()
+        self.fields = fields
+
+    def __missing__(self, key: int) -> int:
+        p = 1
+        for shift, mask, table in self.fields:
+            p *= table[key >> shift & mask]
+        self[key] = p
+        return p
+
+
+class _Orthants:
+    """Exact orthants of codes in ``ideal``'s packing (``MonomialIdeal._packed``),
+    as ints over ``unit``, the product of the components' tail denominators.
+
+    The product over the first d // 2 coordinates is memoized by the code's
+    low bits (``code & low``), the product over the rest by its high bits
+    (``code >> shift``), so an orthant is one multiply of two cached ints.
+    """
+
+    def __init__(self, system: CoherentSystem, ideal: MonomialIdeal):
+        fields, bits = [], 0  # (shift, mask, {run: exact tail}) per coordinate
+        for (shift, mask, values), (e, tails) in zip(ideal._packed[1], system._tails):
+            top = len(tails) - 1  # a held value at or past the top level has tail 0
+            table = {(1 << i) - 1: tails[min(v, top)] for i, v in enumerate(values)}
+            fields.append((shift, mask, table))
+            bits += e
+        half = len(fields) // 2
+        self.shift = shift = fields[half][0]
+        self.low = (1 << shift) - 1
+        self.head = _Product(fields[:half])
+        self.tail = _Product([(s - shift, mask, table) for s, mask, table in fields[half:]])
+        self.unit = 1 << bits
+
+    def level_sum(self, level: Sequence[int] | Counter) -> int:
+        """The exact sum of the orthants of ``level``: a list of codes, one per face,
+        or a Counter of code counts."""
+        codes = level.keys() if isinstance(level, dict) else level
+        heads = map(self.head.__getitem__, map(self.low.__and__, codes))
+        terms = map(mul, heads, map(self.tail.__getitem__, map(self.shift.__rrshift__, codes)))
+        return sum(map(mul, terms, level.values()) if isinstance(level, dict) else terms)
+
+
+def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> _Orthants:
+    """The exact orthants of ``ideal``'s packed lcm codes.
 
     Like ``survival_table`` they live on the system, in one slot that a
     different ideal replaces and that equality, hash and repr skip, so the
-    Scarf and subset routes of one call share one orthant table, and
+    Scarf and subset routes of one call share one pair of memos, and
     nothing outlives the system.
     """
     slot = vars(system).get("_packed_units")
     if slot is None or slot[0] != ideal:
-        slot = vars(system)["_packed_units"] = (ideal, _Units(_packed_generators(system, ideal)))
+        slot = vars(system)["_packed_units"] = (ideal, _Orthants(system, ideal))
     return slot[1]
 
 
-def _fold_bounds(counts: Iterable[LabelCounts], units: _Units) -> tuple[DepthBound, ...]:
-    """Per depth k, the exact signed sum over every (label, count) of cardinality
-    <= k, rounded once; ``units`` evaluates each distinct label's orthant once."""
+def _fold_bounds(sums: Iterable[int], unit: int) -> tuple[DepthBound, ...]:
+    """Per depth k, the signed total of the exact level sums (ints of 1 / ``unit``)
+    of cardinality <= k, rounded once by int / int, which is correctly rounded."""
     total = 0
     bounds = []
-    for k, level in enumerate(counts, start=1):
-        level_sum = 0
-        for label, n in level:
-            level_sum += n * units[label]
+    for k, level_sum in enumerate(sums, start=1):
         total += level_sum if k % 2 else -level_sum
-        bounds.append(DepthBound(k, total / _UNIT))
+        bounds.append(DepthBound(k, total / unit))
     return tuple(bounds)
 
 
@@ -234,50 +246,38 @@ def inclusion_exclusion(
     once per distinct label; passing a continuous evaluator makes the same
     identity work off-grid.  Its values are read through ``float()``, as
     fsum reads them, and a non-finite one raises ValueError naming its label.
+    Each value is kept as an exact count of 2**-1074 (every float is one),
+    so the sum is bit for bit a fresh fsum of the signed terms.
     """
     labels = (face.label for face in complex_.faces)
-    counts = [Counter(islice(labels, len(run))).items() for run in complex_._runs]
-    return _fold_bounds(counts, _Units(orthant))[-1].value
-
-
-def _identity(system: CoherentSystem, ideal: MonomialIdeal, levels: list) -> float:
-    """The identity from ``levels``, per cardinality 1, 2, ... the lcm codes
-    (a list, or a Counter of code counts) of a support's faces in ``ideal``'s
-    packing, such as a complex's runs or the subset walk's levels.
-
-    Bit for bit the deepest bound of the same levels: each code's signed
-    net count is folded first, and only a code whose net count is nonzero
-    has its orthant evaluated.
-    """
-    _resolved_depth(system, ideal, None, len(levels))
-    net: Counter = Counter()
-    for k, level in enumerate(levels):
-        (net.subtract if k % 2 else net.update)(level)
-    units = _packed_units(system, ideal)
-    return sum(n * units[code] for code, n in net.items() if n) / _UNIT
+    units = _Units(orthant)
+    counts = (Counter(islice(labels, len(run))) for run in complex_._runs)
+    sums = (sum(map(mul, map(units.__getitem__, level), level.values())) for level in counts)
+    return _fold_bounds(sums, _UNIT)[-1].value
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
-    """Exact nonfailure probability via the complex's alternating sum: bit for bit the
-    deepest bound, from the net count of each distinct face code."""
-    return _identity(system, complex_.ideal, complex_._lcm)
+    """Exact nonfailure probability via the complex's alternating sum, rounded once:
+    the deepest bound."""
+    return depth_bounds(system, complex_)[-1].value
 
 
 def _code_bounds(
-    system: CoherentSystem, ideal: MonomialIdeal, runs: list[list[int]], depth: Optional[int] = None
+    system: CoherentSystem, ideal: MonomialIdeal, runs: list, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
     """Truncation bounds at depths 1..depth (default: every depth) from per-cardinality
-    lists of face codes in ``ideal``'s packing, each list counted once."""
+    codes in ``ideal``'s packing: a list of face codes, or a Counter of code counts,
+    per size."""
     depth = _resolved_depth(system, ideal, depth, len(runs))
-    counts = [Counter(run).items() for run in runs[:depth]]
-    return _fold_bounds(counts, _packed_units(system, ideal))
+    orthants = _packed_units(system, ideal)
+    return _fold_bounds(map(orthants.level_sum, runs[:depth]), orthants.unit)
 
 
 def depth_bounds(
     system: CoherentSystem, complex_: LabeledComplex, depth: Optional[int] = None
 ) -> tuple[DepthBound, ...]:
     """Truncation bounds at depths 1..depth (default: every depth) from the
-    complex's face codes, counted a cardinality run at a time; no face label
+    complex's face codes, summed a cardinality run at a time; no face label
     is derived."""
     return _code_bounds(system, complex_.ideal, complex_._lcm, depth)
 
@@ -289,12 +289,13 @@ def subset_bounds(
 
     Bit for bit ``depth_bounds(system, taylor_complex(ideal), depth)``, from
     a walk over the C(r, <= depth) subsets it sums, with no complex built:
-    one integer OR per subset on rank-packed generators, one d-lookup
-    orthant and one exact count * value per distinct lcm of a level, and
-    one level of ints in memory.  Every subset is still visited, so the
-    cost doubles with each generator: :class:`ComplexSizeError` is raised,
-    before any level is built, when the subsets exceed the 2^20 - 1 faces
-    of the largest Taylor complex ``TAYLOR_GENERATOR_CAP`` allows.
+    one integer OR per subset on rank-packed generators, one exact orthant
+    (a multiply of two memoized halves) and one count * orthant per distinct
+    lcm of a level, and one level of ints in memory.  Every subset is still
+    visited, so the cost doubles with each generator:
+    :class:`ComplexSizeError` is raised, before any level is built, when the
+    subsets exceed the 2^20 - 1 faces of the largest Taylor complex
+    ``TAYLOR_GENERATOR_CAP`` allows.
     """
     r = len(ideal.generators)
     depth = _resolved_depth(system, ideal, depth, r)
@@ -303,8 +304,7 @@ def subset_bounds(
         raise ComplexSizeError(
             f"Bonferroni bounds on {r} generators to depth {depth} sum {subsets} subsets; cap is {cap}"
         )
-    counts = _subset_label_counts(ideal._packed[0], depth)
-    return _fold_bounds([level.items() for level in counts], _packed_units(system, ideal))
+    return _code_bounds(system, ideal, _subset_label_counts(ideal._packed[0], depth))
 
 
 def tube_bounds(system: CoherentSystem, complex_: LabeledComplex, depth: int) -> DepthBound:

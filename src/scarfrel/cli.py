@@ -55,9 +55,8 @@ import sys
 from itertools import groupby, islice
 from operator import itemgetter
 
-from .analysis import STATE_CAP, _check_oracle_cap, _code_bounds, _identity, _oracle_affordable
-from .analysis import _subset_label_counts, brute_force_reliability, build_report, check_depth
-from .analysis import subset_bounds
+from .analysis import STATE_CAP, _check_oracle_cap, _code_bounds, _oracle_affordable
+from .analysis import brute_force_reliability, build_report, check_depth, subset_bounds
 from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, check_deformation_v
 from .complexes import _scarf_codes, deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
@@ -220,9 +219,9 @@ def _complex(ideal, v_used: Optional[int]):
 def _cross_check(system, ideal, runs) -> dict[str, float]:
     """Identity from the Scarf walk's code lists, over every subset and by the oracle,
     each where its cap allows."""
-    values = {"scarf": _identity(system, ideal, runs)}
-    if (r := len(ideal.generators)) <= TAYLOR_GENERATOR_CAP:
-        values["taylor"] = _identity(system, ideal, _subset_label_counts(ideal._packed[0], r))
+    values = {"scarf": _code_bounds(system, ideal, runs)[-1].value}
+    if len(ideal.generators) <= TAYLOR_GENERATOR_CAP:
+        values["taylor"] = subset_bounds(system, ideal)[-1].value
     if _oracle_affordable(system):
         values["oracle"] = brute_force_reliability(system, ideal)
     return values

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from operator import itemgetter, lt
 
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, _Value, minimalize
@@ -92,6 +92,19 @@ class CoherentSystem(_Value):
     def survival_table(self) -> tuple[_SuffixSums, ...]:
         """[i][j] = P(X_i >= j) = fsum(probs_i[j:]) for j >= 0; derived, not a field."""
         return tuple(_SuffixSums(c.probs) for c in self.components)
+
+    @cached_property
+    def _tails(self) -> tuple[tuple[int, list[int]], ...]:
+        """Per component (e, tails): P(X_i >= j) is exactly tails[j] / 2**e, the
+        suffix sums of its float probabilities over their largest power-of-two
+        denominator, with tails[levels] = 0; derived once, not a field."""
+        exact = []
+        for c in self.components:
+            ratios = [p.as_integer_ratio() for p in c.probs]  # (n, 2**k) per level
+            e = max(den for _, den in ratios).bit_length() - 1
+            nums = reversed([n << e + 1 - den.bit_length() for n, den in ratios])
+            exact.append((e, [*accumulate(nums, initial=0)][::-1]))
+        return tuple(exact)
 
 
 def _dyadic_probs(rng: random.Random, levels: int) -> tuple[float, ...]:

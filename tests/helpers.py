@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from scarfrel import (
     deform,
     is_generic,
     minimalize,
-    orthant_prob,
 )
+import scarfrel.analysis as analysis
 # Re-exported: tests draw systems from the factory `scarfrel compare` uses.
 from scarfrel.systems import random_points_for, random_system
 
@@ -200,34 +201,112 @@ def full_scan_profit_points(spec, levels) -> tuple:
     return tuple(sorted(minimal, key=lambda a: a[::-1]))
 
 
+def exact_tails(system) -> list:
+    """Per component (tails, den): P(X_i >= j) is exactly Fraction(tails[j], den) for
+    j = 0..levels, the suffix sums of its float probabilities over their lcm
+    denominator (tails[levels] = 0)."""
+    exact = []
+    for c in system.components:
+        ratios = [p.as_integer_ratio() for p in c.probs]
+        den = math.lcm(*(d for _, d in ratios))
+        tails = [0]
+        for n, d in reversed(ratios):
+            tails.append(tails[-1] + n * (den // d))
+        exact.append((tails[::-1], den))
+    return exact
+
+
+def exact_orthant(tails, label) -> Fraction:
+    """P(X >= label coordinatewise) exactly, from the components' ``exact_tails``;
+    a level at or past the top has tail 0."""
+    num = math.prod(t[min(a, len(t) - 1)] for (t, _), a in zip(tails, label))
+    return Fraction(num, math.prod(den for _, den in tails))
+
+
+def exact_bounds(system, levels) -> tuple:
+    """Per depth k, the signed sum of the exact orthants of the labels of cardinality
+    <= k as a Fraction, rounded once; ``levels`` lists the labels of cardinality
+    1, 2, ..., a label once per face or subset that carries it."""
+    tails = exact_tails(system)
+    orthants = {}
+    total, bounds = Fraction(0), []
+    for k, labels in enumerate(levels, start=1):
+        for label, n in Counter(labels).items():
+            if label not in orthants:
+                orthants[label] = exact_orthant(tails, label)
+            total += n * orthants[label] if k % 2 else -n * orthants[label]
+        bounds.append(DepthBound(k, float(total)))
+    return tuple(bounds)
+
+
+def exact_face_bounds(system, complex_, depth=None) -> tuple:
+    """Reference truncation bounds at depths 1..depth (default every size) over the
+    complex's faces, with labels from ``reference_faces``, summed exactly."""
+    faces = reference_faces(complex_)
+    depth = max(f.cardinality for f in faces) if depth is None else depth
+    levels = [[] for _ in range(depth)]
+    for f in faces:
+        if f.cardinality <= depth:
+            levels[f.cardinality - 1].append(f.label)
+    return exact_bounds(system, levels)
+
+
 def tuple_walk_bounds(system, ideal, depth=None) -> tuple:
     """Reference Bonferroni bounds at depths 1..depth (default r) from a tuple walk.
 
     Level s + 1 extends each size-s subset, kept as (last member, lcm
-    tuple), by every later generator with a coordinatewise max.  Each
-    distinct label's orthant is evaluated once, every subset adds one
-    signed term, and the depth-k bound is the fsum of the terms of
-    cardinality <= k.
+    tuple), by every later generator with a coordinatewise max.  Every
+    subset adds its label's exact orthant with its sign, and the depth-k
+    bound is the exact sum of cardinality <= k rounded once
+    (:func:`exact_bounds`).
     """
     gens = ideal.generators
     depth = len(gens) if depth is None else depth
-    values, terms, ends = {}, [], []
+    levels = []
     level = list(enumerate(gens))
     for s in range(1, depth + 1):
-        for _, label in level:
-            if label not in values:
-                values[label] = orthant_prob(system, label)
-            terms.append(values[label] if s % 2 else -values[label])
-        ends.append(len(terms))
+        levels.append([label for _, label in level])
         if s < depth:
             level = [
                 (j, tuple(map(max, label, gens[j])))
                 for last, label in level
                 for j in range(last + 1, len(gens))
             ]
-    return tuple(
-        DepthBound(k, math.fsum(terms[:end])) for k, end in enumerate(ends, start=1)
-    )
+    return exact_bounds(system, levels)
+
+
+class MemoSpy:
+    """Records, while installed, each exact orthant table built (with its ideal) and
+    each head or tail product it forms, as (table half, key)."""
+
+    def __init__(self, monkeypatch):
+        self.tables, self.formed = [], []
+        init, missing = analysis._Orthants.__init__, analysis._Product.__missing__
+
+        def built(orthants, system, ideal):
+            init(orthants, system, ideal)
+            self.tables.append((orthants, ideal))
+
+        def formed(half, key):
+            self.formed.append((id(half), key))
+            return missing(half, key)
+
+        monkeypatch.setattr(analysis._Orthants, "__init__", built)
+        monkeypatch.setattr(analysis._Product, "__missing__", formed)
+
+    def assert_one_table_forms_each_half_once(self, ideal, codes):
+        """One table was built, for ``ideal``, and it formed the product of each head
+        key (a code's fields of the first d // 2 coordinates) and each tail key (the
+        rest) of ``codes`` once, and no other."""
+        [(orthants, built_for)] = self.tables
+        assert built_for == ideal
+        shifts = [shift for shift, _, _ in ideal._packed[1]]
+        shift = shifts[len(shifts) // 2]
+        head, tail = id(orthants.head), id(orthants.tail)
+        expected = {(head, code & (1 << shift) - 1) for code in codes}
+        expected |= {(tail, code >> shift) for code in codes}
+        assert len(self.formed) == len(set(self.formed))
+        assert set(self.formed) == expected
 
 
 def reference_faces(complex_) -> tuple:

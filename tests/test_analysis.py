@@ -35,7 +35,7 @@ from scarfrel import (
     taylor_complex,
     tube_bounds,
 )
-from scarfrel.cli import _ideal
+from scarfrel.cli import _cross_check, _ideal, _route
 from scarfrel.complexes import _scarf_codes
 from scarfrel.monomial import _lcm_codes
 from scarfrel.specfile import load_spec
@@ -45,7 +45,11 @@ from helpers import (
     MULTI_EXTRA,
     MULTI_NINE,
     PLANAR_GENS,
+    MemoSpy,
     bench_corpus_specs,
+    exact_face_bounds,
+    exact_orthant,
+    exact_tails,
     full_scan_reliability,
     reference_face_code_counts,
     reference_face_codes,
@@ -184,29 +188,17 @@ class TestLabelCache:
         assert len(calls) < len(cx.faces)
         assert value == reliability_identity(system, cx)
 
-    def test_build_report_evaluates_each_label_once(self, monkeypatch):
+    def test_build_report_forms_each_half_once(self, monkeypatch):
         cx = deform_and_scarf(MonomialIdeal(8, BINARY_NINE), 10)
         system = CoherentSystem(
-            tuple(Component(f"c{i + 1}", 2, (0.25, 0.75)) for i in range(8))
+            tuple(Component(f"c{i + 1}", 2, (0.3, 0.7)) for i in range(8))
         )
-        calls = []
-        packed = analysis._packed_generators
-
-        def counting(sys_, ideal):
-            orthant = packed(sys_, ideal)
-
-            def spy(code):
-                calls.append(code)
-                return orthant(code)
-
-            return spy
-
-        monkeypatch.setattr(analysis, "_packed_generators", counting)
-        build_report(system, cx)
-        gens = cx.ideal.generators
-        assert sorted(calls) == sorted({packed_label(gens, f.label) for f in cx.faces})
-        assert len(calls) < len(cx.faces)
-
+        spy = MemoSpy(monkeypatch)
+        report = build_report(system, cx)
+        assert report.bounds == exact_face_bounds(system, cx)
+        face_codes = reference_face_codes(cx, cx.ideal._packed[0])
+        spy.assert_one_table_forms_each_half_once(cx.ideal, face_codes)
+        assert len(spy.formed) < len(set(face_codes)) < len(cx.faces)
 
 
 class TestSharedOrthantTable:
@@ -247,22 +239,23 @@ class TestSharedOrthantTable:
             assert reliability_identity(used, cx) == tuple_walk_bounds(fresh, ideal)[-1].value
             assert (used, hash(used), repr(used)) == (fresh, hash(fresh), repr(fresh))
 
-    def test_bounds_and_subsets_of_one_call_share_one_packing(self, monkeypatch):
+    def test_bounds_and_subsets_of_one_call_share_one_table(self, monkeypatch):
         system, ideal = multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)
         cx = deform_and_scarf(ideal)
-        packs = []
-        packed = analysis._packed_generators
-        monkeypatch.setattr(
-            analysis, "_packed_generators", lambda *args: packs.append(args) or packed(*args)
+        spy = MemoSpy(monkeypatch)
+        assert depth_bounds(system, cx) == exact_face_bounds(system, cx)
+        assert subset_bounds(system, ideal, 3) == tuple_walk_bounds(system, ideal, 3)
+        assert reliability_identity(system, cx) == exact_face_bounds(system, cx)[-1].value
+        codes = ideal._packed[0]
+        subsets = analysis._subset_label_counts(codes, 3)
+        spy.assert_one_table_forms_each_half_once(
+            ideal, [*reference_face_codes(cx, codes), *itertools.chain.from_iterable(subsets)]
         )
-        depth_bounds(system, cx)
-        subset_bounds(system, ideal, 3)
-        reliability_identity(system, cx)
-        assert len(packs) == 1
         depth_bounds(multi_system(), cx)  # another system: its own slot
         subset_bounds(system, minimalize(MULTI_NINE))  # another ideal: the slot is replaced
         depth_bounds(system, cx)
-        assert len(packs) == 4
+        assert len(spy.tables) == 4
+
 
 def fresh_fsums(levels, values):
     """Per depth k, math.fsum of the expanded signed terms of levels 1..k."""
@@ -298,6 +291,13 @@ def fold_cases(draw):
     return levels, values
 
 
+def unit_sums(levels, evaluate):
+    """Per level, the exact sum of count * value over its (label, count) pairs in
+    units of 2**-1074, each label's value read once through ``analysis._Units``."""
+    units = analysis._Units(evaluate)
+    return [sum(n * units[label] for label, n in level) for level in levels]
+
+
 class TestExactFold:
     @settings(max_examples=300, deadline=None)
     @given(fold_cases())
@@ -306,7 +306,7 @@ class TestExactFold:
     @example(([[(0, 1)], [(0, 1)]], [0.0]))
     def test_each_depth_equals_a_fresh_fsum(self, case):
         levels, values = case
-        bounds = analysis._fold_bounds(levels, analysis._Units(values.__getitem__))
+        bounds = analysis._fold_bounds(unit_sums(levels, values.__getitem__), analysis._UNIT)
         assert [b.value for b in bounds] == fresh_fsums(levels, values)
         assert [b.kind for b in bounds] == [
             "upper" if k % 2 else "lower" for k in range(1, len(levels) + 1)
@@ -329,7 +329,7 @@ class TestExactFold:
     def test_huge_count_folds_without_a_list(self, p):
         # [p] * 2**62 cannot be built; fsum would round the exact 2**62 * p
         for n in (2**62, 2**62 + 1):
-            [bound] = analysis._fold_bounds([[("x", n)]], analysis._Units(lambda label: p))
+            [bound] = analysis._fold_bounds(unit_sums([[("x", n)]], lambda label: p), analysis._UNIT)
             assert bound.value == float(Fraction(p) * n)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -438,25 +438,26 @@ class TestFaceCodeRoute:
     @given(subset_walk_cases())
     @example((multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)))
     @example((planar_system(), PLANAR))
-    def test_every_depth_equals_fresh_fsums_of_label_orthants(self, case):
+    def test_every_depth_equals_the_exact_sum_rounded_once(self, case):
         system, ideal = case
+        system = CoherentSystem(system.components)  # an example's system may hold a table
         builds = [taylor_complex, deform_and_scarf]
         if is_generic(ideal):
             builds.append(scarf_complex)
         gens = ideal.generators
-        for build in builds:
-            cx = build(ideal)
-            assert [f.members for f in cx.faces] == list(cx.member_tuples)
-            for f in cx.faces:
-                assert f.label == lcm(gens[i - 1] for i in f.members)
-            top = cx.max_cardinality()
-            levels = [
-                [(f.label, 1) for f in cx.faces if f.cardinality == s] for s in range(1, top + 1)
-            ]
-            values = {f.label: orthant_prob(system, f.label) for f in cx.faces}
-            expected = [x.hex() for x in fresh_fsums(levels, values)]
-            for k in range(1, top + 1):
-                assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+        face_codes = []
+        with pytest.MonkeyPatch.context() as mp:
+            spy = MemoSpy(mp)
+            for build in builds:
+                cx = build(ideal)
+                assert [f.members for f in cx.faces] == list(cx.member_tuples)
+                for f in cx.faces:
+                    assert f.label == lcm(gens[i - 1] for i in f.members)
+                expected = [b.value.hex() for b in exact_face_bounds(system, cx)]
+                for k in range(1, cx.max_cardinality() + 1):
+                    assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+                face_codes += reference_face_codes(cx, ideal._packed[0])
+        spy.assert_one_table_forms_each_half_once(ideal, face_codes)
 
 
 @st.composite
@@ -474,31 +475,33 @@ def dimension_cases(draw, d):
 
 
 def assert_codes_and_orthants_bit_for_bit(system, cx, order):
-    """The complex's face codes, each orthant met in ``order`` and every depth bound
-    equal their per-face references bit for bit."""
+    """The complex's face codes equal their per-face reference, each orthant met in
+    ``order`` is its label's exact orthant, and every depth bound is the exact sum
+    rounded once; the one table of a fresh system forms each half once."""
+    system = CoherentSystem(system.components)
     codes = _lcm_codes(cx.ideal.generators)[0]
-    orthant = analysis._packed_generators(system, cx.ideal)  # a fresh memo
     face_codes = reference_face_codes(cx, codes)
     assert list(itertools.chain.from_iterable(cx._lcm)) == face_codes
     label_of = dict(zip(face_codes, (f.label for f in reference_faces(cx))))
-    for code in order(list(label_of)):
-        assert orthant(code).hex() == orthant_prob(system, label_of[code]).hex()
-    top = cx.max_cardinality()
-    levels = reference_face_code_counts(cx, codes, top)
-    plain = analysis._Units(lambda code: orthant_prob(system, label_of[code]))
-    expected = [b.value.hex() for b in analysis._fold_bounds([c.items() for c in levels], plain)]
-    label_levels = [[(label_of[code], n) for code, n in level.items()] for level in levels]
-    values = {label: orthant_prob(system, label) for label in label_of.values()}
-    assert expected == [x.hex() for x in fresh_fsums(label_levels, values)]
-    for k in range(1, top + 1):
-        assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+    tails = exact_tails(system)
+    expected = [b.value.hex() for b in exact_face_bounds(system, cx)]
+    with pytest.MonkeyPatch.context() as mp:
+        spy = MemoSpy(mp)
+        orthants = analysis._packed_units(system, cx.ideal)
+        for code in order(list(label_of)):
+            value = Fraction(orthants.level_sum([code]), orthants.unit)
+            assert value == exact_orthant(tails, label_of[code])
+        for k in range(1, cx.max_cardinality() + 1):
+            assert [b.value.hex() for b in depth_bounds(system, cx, k)] == expected[:k]
+    spy.assert_one_table_forms_each_half_once(cx.ideal, face_codes)
 
 
 class TestSharedCodesAndPrefixMemo:
-    """One code list per complex, and orthants that memoize the product over their
-    first d // 2 coordinates, against the per-face loop and ``orthant_prob``."""
+    """One code list per complex, and exact orthants that memoize the products over
+    their first d // 2 coordinates and over the rest, against the per-face loop and
+    the exact reference."""
 
-    # d = 1 memoizes no coordinate, d = 2 one of two, d = 3 and 9 split unevenly.
+    # d = 1 has an empty head, d = 2 one coordinate per half, d = 3 and 9 split unevenly.
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -564,26 +567,21 @@ class TestSubsetBounds:
         assert len(ideal.generators) == 20
         assert subset_bounds(spec.system, ideal) == tuple_walk_bounds(spec.system, ideal)
 
-    def test_many_levels_fill_only_the_reference_survival_entries(self):
+    def test_many_levels_pack_only_the_held_ranks(self):
         # Ranks, not raw levels, are packed, so a million levels cost a few
-        # bits per coordinate, and only held levels reach the survival table.
+        # bits per coordinate, and the float survival table is never filled.
         rng = random.Random(11)
         levels = 10**6
         probs = (1 / levels,) * levels
-
-        def system():
-            return CoherentSystem(
-                (Component("a", levels, probs), Component("b", levels, probs))
-            )
-
+        system = CoherentSystem((Component("a", levels, probs), Component("b", levels, probs)))
         xs = sorted(rng.sample(range(levels), 12))
         ys = sorted(rng.sample(range(levels), 12), reverse=True)
         ideal = minimalize(list(zip(xs, ys)))
         assert len(ideal.generators) == 12
-        walked, reference = system(), system()
-        assert subset_bounds(walked, ideal) == tuple_walk_bounds(reference, ideal)
-        for filled, expected in zip(walked.survival_table, reference.survival_table):
-            assert set(filled) <= set(expected)
+        assert max(ideal._packed[0]).bit_length() <= 2 * 11
+        assert subset_bounds(system, ideal) == tuple_walk_bounds(system, ideal)
+        assert "survival_table" not in vars(system)
+
 
     def test_depth_out_of_range(self):
         system = planar_system()
@@ -791,29 +789,101 @@ class TestBoundsCorpus:
                     assert tube.value >= bonf.value - 1e-12
 
 
+@st.composite
+def exact_cases(draw):
+    """A system of 1..4 components whose rows are dyadic, non-dyadic (w / sum(weights)),
+    hold 5e-324 or 1e-310, or are 0.0/1.0 point masses (denominator 2**0), and an
+    ideal of at most 8 generators, in which one coordinate may hold one value (a
+    field of width 0)."""
+    d = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+    rows = []
+    for n in levels:
+        kind = draw(st.sampled_from(["dyadic", "weights", "subnormal", "mass"]))
+        if kind == "dyadic":
+            inner = draw(st.sets(st.integers(1, 63), min_size=n - 1, max_size=n - 1))
+            cuts = [0, *sorted(inner), 64]
+            row = [(b - a) / 64 for a, b in zip(cuts, cuts[1:])]
+        elif kind == "weights":
+            weights = draw(st.lists(st.integers(1, 97), min_size=n, max_size=n))
+            row = [w / sum(weights) for w in weights]
+        elif kind == "subnormal":  # 1.0 - tiny rounds to 1.0; the row sums to 1 within tolerance
+            tiny = draw(st.sampled_from([5e-324, 1e-310]))
+            row = [tiny] * (n - 1) + [1.0 - tiny]
+        else:
+            row = [0.0] * (n - 1) + [1.0]
+        rows.append(tuple(draw(st.permutations(row))))
+    system = CoherentSystem(tuple(Component(f"c{i}", n, row) for i, (n, row) in enumerate(zip(levels, rows))))
+    points = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in levels)), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d - 1))
+        held = draw(st.integers(0, levels[k] - 1))
+        points = [(*p[:k], held, *p[k + 1:]) for p in points]
+    return system, minimalize(points)
+
+
+def assert_exact_values(system, ideal, taylor_cap=14):
+    """Every packed route's value is the exact sum of exact tails over its faces or
+    subsets, rounded once: ``depth_bounds``, ``_code_bounds``,
+    ``reliability_identity``, ``subset_bounds`` and ``compare``'s values."""
+    v = _route(ideal, None)
+    cx = scarf_complex(ideal) if v is None else deform_and_scarf(ideal, v)
+    scarf = [b.value.hex() for b in exact_face_bounds(system, cx)]
+    assert [b.value.hex() for b in depth_bounds(system, cx)] == scarf
+    runs = _scarf_codes(ideal, v)
+    assert [b.value.hex() for b in analysis._code_bounds(system, ideal, runs)] == scarf
+    assert reliability_identity(system, cx).hex() == scarf[-1]
+    if len(ideal.generators) <= taylor_cap:
+        taylor = taylor_complex(ideal)
+        bonferroni = [b.value.hex() for b in tuple_walk_bounds(system, ideal)]
+        assert [b.value.hex() for b in exact_face_bounds(system, taylor)] == bonferroni
+        assert [b.value.hex() for b in depth_bounds(system, taylor)] == bonferroni
+        assert [b.value.hex() for b in subset_bounds(system, ideal)] == bonferroni
+        values = _cross_check(system, ideal, runs)
+        assert values["scarf"].hex() == values["taylor"].hex() == scarf[-1] == bonferroni[-1]
+
+
+class TestExactValues:
+    """Each value is the correctly rounded value of the spec's own rationals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_cases())
+    @example((CoherentSystem((Component("a", 2, (5e-324, 1.0)),)), minimalize([(1,)])))
+    @example((multi_system(), minimalize(MULTI_NINE + MULTI_EXTRA)))
+    def test_hypothesis_systems(self, case):
+        assert_exact_values(*case)
+
+    def test_bench_corpora(self, tmp_path):
+        for path in bench_corpus_specs(tmp_path):
+            spec = load_spec(str(path))
+            assert_exact_values(spec.system, _ideal(spec))
+
+
 def assert_net_identity_bit_for_bit(system, ideal, taylor_cap=14):
-    """The identity from net coefficients equals the deepest depth bound of the
-    complex and, up to ``taylor_cap`` generators, the deepest subset bound, bit
-    for bit; the Scarf walk and the subset levels have one net map."""
+    """The identity from the Scarf walk's codes equals the deepest depth bound of the
+    complex, the exact sum rounded once and, up to ``taylor_cap`` generators, the
+    deepest subset bound, bit for bit; the Scarf walk and the subset levels have one
+    net map, so their exact sums are one rational."""
     generic = is_generic(ideal)
     v = None if generic else len(ideal.generators) + 1
     cx = scarf_complex(ideal) if generic else deform_and_scarf(ideal, v)
     runs = _scarf_codes(ideal, v)
-    value = analysis._identity(system, ideal, runs).hex()
+    value = analysis._code_bounds(system, ideal, runs)[-1].value.hex()
     assert value == depth_bounds(system, cx)[-1].value.hex()
     assert value == reliability_identity(system, cx).hex()
+    assert value == exact_face_bounds(system, cx)[-1].value.hex()
     r = len(ideal.generators)
     if r <= taylor_cap:
         levels = analysis._subset_label_counts(ideal._packed[0], r)
         assert reference_net_counts(levels) == reference_net_counts(map(Counter, runs))
-        assert analysis._identity(system, ideal, levels).hex() == value
+        assert analysis._code_bounds(system, ideal, levels)[-1].value.hex() == value
         assert subset_bounds(system, ideal)[-1].value.hex() == value
 
 
 class TestNetIdentity:
-    """Identity routes fold each code's signed net count and evaluate only the
-    codes whose net count is nonzero: the Hilbert numerator, which every
-    supporting complex shares label by label."""
+    """Every supporting complex has the same net count per code (the Hilbert
+    numerator, label by label), so the exact identity of each route is one
+    rational and its value one float."""
 
     @settings(max_examples=150, deadline=None)
     @given(subset_walk_cases())
@@ -831,24 +901,17 @@ class TestNetIdentity:
             spec = load_spec(str(path))
             assert_net_identity_bit_for_bit(spec.system, _ideal(spec))
 
-    def test_evaluates_only_nonzero_net_codes(self, monkeypatch):
+    def test_taylor_and_scarf_share_one_table(self, monkeypatch):
         # {1, 3} and {1, 2, 3} of PLANAR share the label (3, 3): its net count is 0
-        system, taylor = planar_system(), taylor_complex(PLANAR)
-        calls = []
-        packed = analysis._packed_generators
-
-        def counting(system, ideal):
-            orthant = packed(system, ideal)
-            return lambda code: calls.append(code) or orthant(code)
-
-        monkeypatch.setattr(analysis, "_packed_generators", counting)
-        assert reliability_identity(system, taylor) == reliability_identity(
-            system, scarf_complex(PLANAR)
-        )
+        system, taylor, scarf = planar_system(), taylor_complex(PLANAR), scarf_complex(PLANAR)
+        spy = MemoSpy(monkeypatch)
+        value = reliability_identity(system, taylor)
+        assert value == reliability_identity(system, scarf) == exact_face_bounds(system, taylor)[-1].value
         codes = PLANAR._packed[0]
-        assert sorted(calls) == sorted({codes[0], codes[1], codes[2], codes[0] | codes[1], codes[1] | codes[2]})
+        subsets = [c | d for c, d in itertools.combinations(codes, 2)] + [codes[0] | codes[1] | codes[2]]
+        spy.assert_one_table_forms_each_half_once(PLANAR, [*codes, *subsets])
 
     def test_dimension_mismatch(self):
         system = CoherentSystem((Component("a", 4, (0.25, 0.25, 0.25, 0.25)),))
         with pytest.raises(DimensionMismatchError):
-            analysis._identity(system, PLANAR, [[0]])
+            analysis._code_bounds(system, PLANAR, [[0]])

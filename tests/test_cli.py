@@ -22,7 +22,7 @@ from scarfrel.complexes import Face, SignedTerm
 from scarfrel.specfile import load_spec
 from scarfrel.systems import random_points_for, random_system
 
-from helpers import reference_face_code_counts, reference_net_counts
+from helpers import MemoSpy, exact_face_bounds, reference_face_codes, tuple_walk_bounds
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BINARY = str(SPECS / "binary_network.json")
@@ -491,53 +491,43 @@ class TestLabelFreeCommands:
 
 
 class TestOneOrthantTablePerCall:
-    """The Scarf route and the subset walk of one call share one packing and
-    evaluate each distinct lcm code's orthant once between them; ``compare``,
-    which needs only the identities, evaluates only the codes whose net
-    coefficient is nonzero."""
+    """The Scarf route and the subset walk of one call share one exact orthant
+    table, which forms the product of each head key and each tail key of the
+    codes they sum once between them; every printed value is the exact sum
+    rounded once."""
 
     @pytest.mark.parametrize(
         "argv", [("bounds",), ("bounds", "--depth", "3,1"), ("compare",)],
         ids=["bounds", "depth3_1", "compare"],
     )
-    def test_each_code_evaluated_once(self, capsys, monkeypatch, argv):
+    def test_each_half_formed_once(self, capsys, monkeypatch, argv):
         spec = TestLabelFreeCommands.DEEP
         system, ideal, v_used = cli._pipeline(spec)
         assert v_used is not None  # deformed: its faces repeat labels
         complex_ = complexes.deform_and_scarf(ideal, v_used)
         codes = ideal._packed[0]
-        if argv == ("compare",):
-            scarf_levels = reference_face_code_counts(complex_, codes, complex_.max_cardinality())
-            subset_levels = analysis._subset_label_counts(codes, len(ideal.generators))
-            expected = reference_net_counts(scarf_levels)
-            assert reference_net_counts(subset_levels) == expected
-            assert len(expected) < len(set().union(*subset_levels))  # some codes cancel
-        else:
-            scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
-            expected = set()
-            for level in reference_face_code_counts(complex_, codes, scarf_depth):
-                expected |= set(level)
-            for level in analysis._subset_label_counts(codes, scarf_depth):
-                expected |= set(level)
+        r = len(ideal.generators)
+        scarf_depth = 3 if "--depth" in argv else complex_.max_cardinality()
+        subset_depth = r if argv == ("compare",) else scarf_depth
+        scarf = exact_face_bounds(system, complex_)
+        bonferroni = tuple_walk_bounds(system, ideal, subset_depth)
+        faces = zip(complex_.member_tuples, reference_face_codes(complex_, codes))
+        summed = [c for members, c in faces if len(members) <= scarf_depth]
+        summed += itertools.chain.from_iterable(analysis._subset_label_counts(codes, subset_depth))
 
-        packs, calls = [], []
-        packed = analysis._packed_generators
-
-        def counting(system, ideal):
-            orthant = packed(system, ideal)
-            packs.append(ideal)
-
-            def spy(code):
-                calls.append(code)
-                return orthant(code)
-
-            return spy
-
-        monkeypatch.setattr(analysis, "_packed_generators", counting)
-        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        spy = MemoSpy(monkeypatch)
+        code, out, err = run(capsys, argv[0], spec, *argv[1:], "--json")
         assert (code, err) == (0, "")
-        assert packs == [ideal]
-        assert sorted(calls) == sorted(expected)
+        spy.assert_one_table_forms_each_half_once(ideal, summed)
+        assert len(spy.formed) < len(set(summed))
+        payload = json.loads(out)
+        if argv == ("compare",):
+            assert payload["identity_scarf"] == scarf[-1].value == bonferroni[-1].value
+            assert payload["identity_taylor"] == bonferroni[-1].value
+        else:
+            for row in payload["rows"]:
+                assert row["scarf"] == scarf[row["depth"] - 1].value
+                assert row["bonferroni"] == bonferroni[row["depth"] - 1].value
 
 
 class TestSummingCommandsBuildNoComplex:
@@ -633,7 +623,7 @@ class TestCachedParser:
 class TestImportFloor:
     # Heavy standard modules the CLI does not need at import.  The interpreter
     # runs with -S, since a site hook (a .pth file) may import some of them itself.
-    HEAVY = {"dataclasses", "inspect", "ast", "typing", "pathlib", "random"}
+    HEAVY = {"dataclasses", "inspect", "ast", "typing", "pathlib", "random", "fractions", "decimal"}
 
     def test_import_loads_no_heavy_module(self):
         code = "import sys, scarfrel.cli; print(' '.join(sorted(sys.modules)))"
@@ -688,33 +678,47 @@ class TestScarfPairCap:
 
 
 class TestDeepRepro:
-    """d = 8, r = 96: the deformed complex has 1,628,633 faces, but the 4,118
-    faces of sizes 1 and 2 are all that ``bounds --depth 2`` walks."""
+    """d = 8, r = 96: the deformed complex has 1,628,633 faces.  The 4,118 faces
+    of sizes 1 and 2 are all that ``bounds --depth 2`` walks, and the full-depth
+    ``bounds`` and ``compare`` hold only the faces' codes."""
 
     SPEC = str(Path(__file__).resolve().parent / "specs" / "deep_d8_r96.json")
 
-    def test_shallow_bounds_under_a_memory_limit(self):
+    def run_capped(self, *argv, megabytes, timeout):
+        """``scarfrel.cli`` on the spec with ``--json`` in a child process whose
+        address space is capped at ``megabytes``; the parsed report."""
         resource = pytest.importorskip("resource")
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        limit = 200 << 20 if hard == resource.RLIM_INFINITY else min(200 << 20, hard)
+        limit = megabytes << 20 if hard == resource.RLIM_INFINITY else min(megabytes << 20, hard)
 
         def cap_memory():  # in the child only
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
         result = subprocess.run(
-            [sys.executable, "-m", "scarfrel.cli", "bounds", self.SPEC, "--depth", "2", "--json"],
+            [sys.executable, "-m", "scarfrel.cli", argv[0], self.SPEC, *argv[1:], "--json"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
             preexec_fn=cap_memory,
-            timeout=10,
+            timeout=timeout,
         )
         assert (result.returncode, result.stderr) == (0, "")
-        payload = json.loads(result.stdout)
+        return json.loads(result.stdout)
+
+    def test_shallow_bounds_under_a_memory_limit(self):
+        payload = self.run_capped("bounds", "--depth", "2", megabytes=200, timeout=10)
         assert payload["deformation_v"] == 97
         [row] = payload["rows"]
         assert (row["depth"], row["kind"], row["bonferroni"], row["tighter"]) == (2, "lower", None, "n/a")
         assert row["scarf"] == -737.1686817284739
+
+    def test_full_depth_under_a_memory_limit(self):
+        # every one of the 1,628,633 faces is summed; only their codes are held
+        rows = self.run_capped("bounds", megabytes=400, timeout=30)["rows"]
+        assert [row["depth"] for row in rows] == list(range(1, 9))
+        assert rows[1]["scarf"] == -737.1686817284739
+        compared = self.run_capped("compare", megabytes=400, timeout=30)
+        assert compared["identity_scarf"] == rows[-1]["scarf"]  # one exact sum, rounded once
 
     def test_the_walk_stops_at_size_2(self):
         system, ideal, v_used = cli._pipeline(self.SPEC)
