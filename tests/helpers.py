@@ -354,15 +354,6 @@ def reference_face_codes(complex_, codes) -> list:
     return [code_of[ms] for ms in complex_.member_tuples]
 
 
-def reference_face_code_counts(complex_, codes, depth) -> list:
-    """Reference per-cardinality code counts for faces of size 1..depth."""
-    levels = [[] for _ in range(depth)]
-    for ms, code in zip(complex_.member_tuples, reference_face_codes(complex_, codes)):
-        if len(ms) <= depth:
-            levels[len(ms) - 1].append(code)
-    return [Counter(level) for level in levels]
-
-
 def reference_net_counts(levels) -> dict:
     """Each code's net coefficient over per-cardinality code counts, size 1 first:
     + for odd sizes, - for even ones; only nonzero nets are kept."""

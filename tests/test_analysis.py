@@ -51,7 +51,6 @@ from helpers import (
     exact_orthant,
     exact_tails,
     full_scan_reliability,
-    reference_face_code_counts,
     reference_face_codes,
     reference_faces,
     reference_net_counts,
