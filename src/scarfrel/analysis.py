@@ -55,8 +55,7 @@ from collections import Counter
 from itertools import chain, islice, product
 from operator import mul
 
-from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, LabeledComplex, SignedTerm
-from .complexes import hilbert_numerator
+from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, LabeledComplex
 from .monomial import DimensionMismatchError, Exponent, MonomialIdeal, _Value
 from .systems import CoherentSystem, _axis_minima
 
@@ -86,18 +85,21 @@ class DepthBound(_Value):
 
 
 class ReliabilityReport(_Value):
-    """Everything the identity route produces for one system."""
+    """The identity route's numbers for one system: its value, its term count
+    against the complete formula's, every depth bound and the oracle value.
 
-    _fields = (
-        "identity_value", "term_count", "terms", "bounds", "baseline_term_count", "oracle_value"
-    )
+    The signed terms themselves are ``hilbert_numerator(complex_)[1:]``,
+    one per face of the complex the report was built from.
+    """
+
+    _fields = ("identity_value", "term_count", "bounds", "baseline_term_count", "oracle_value")
 
     def __init__(
-        self, identity_value: float, term_count: int, terms: tuple[SignedTerm, ...],
-        bounds: tuple[DepthBound, ...], baseline_term_count: int, oracle_value: Optional[float],
+        self, identity_value: float, term_count: int, bounds: tuple[DepthBound, ...],
+        baseline_term_count: int, oracle_value: Optional[float],
     ) -> None:
         vars(self).update(
-            identity_value=identity_value, term_count=term_count, terms=terms, bounds=bounds,
+            identity_value=identity_value, term_count=term_count, bounds=bounds,
             baseline_term_count=baseline_term_count, oracle_value=oracle_value,
         )
 
@@ -393,7 +395,10 @@ def brute_force_reliability(system: CoherentSystem, ideal: MonomialIdeal) -> flo
 
 
 def build_report(system: CoherentSystem, complex_: LabeledComplex) -> ReliabilityReport:
-    """Identity value, signed terms, all depth bounds, and the oracle when affordable."""
+    """Identity value, term counts, all depth bounds, and the oracle when affordable.
+
+    The bounds sum the complex's face codes; no label or term is derived.
+    """
     bounds = depth_bounds(system, complex_)
     identity = bounds[-1].value
     if not -_IDENTITY_TOL <= identity <= 1.0 + _IDENTITY_TOL:
@@ -407,7 +412,6 @@ def build_report(system: CoherentSystem, complex_: LabeledComplex) -> Reliabilit
     return ReliabilityReport(
         identity_value=identity,
         term_count=len(complex_.member_tuples),
-        terms=hilbert_numerator(complex_)[1:],
         bounds=bounds,
         baseline_term_count=2 ** len(complex_.ideal.generators) - 1,
         oracle_value=oracle,

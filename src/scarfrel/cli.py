@@ -28,12 +28,16 @@ its text lines; ``main`` alone writes one of them to stdout, flushes and
 maps the outcome to an exit code, so a ``--json`` call formats no text line.
 All numbers print with 12 significant digits and every report is
 deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
-indent=2, sort_keys=True)``, but fills face, term and int-row lists into
-cached ``%`` templates instead of running that pure-Python encoder.  Items
-of one shape (a complex's faces and terms come a cardinality run at a time)
-share one template, which holds a slot for every int of the item, label
-ints included; it is looked up once per run and filled by ``map`` in C, so
-no Python statement runs per item.
+indent=2, sort_keys=True)``, a complex in the payload printing as the dicts
+of its faces or of its terms, but fills int rows, faces and terms into ``%``
+templates instead of running that pure-Python encoder.  Rows of one length
+share one template.  Faces and terms come from the complex's cardinality
+runs and lcm code runs: each distinct code's label is decoded and filled
+into its slot once, and that one text serves its faces and its terms.  A
+face run fills one template, a slot for the label text and one per member,
+by ``map`` in C; a term run shares one cardinality and sign, so it is one
+``str.join`` of label texts.  No Face or term tuple is built, and no Python
+statement runs per item.
 
 Exit codes: 0 success; 1 runtime failure or detected disagreement
 (``compare``'s ``"ok": false``); 2 invalid spec file or argument, such as
@@ -52,13 +56,12 @@ import json
 import math
 import os
 import sys
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import chain, groupby, islice
 
 from .analysis import STATE_CAP, _check_oracle_cap, _code_bounds, _oracle_affordable
 from .analysis import brute_force_reliability, build_report, check_depth, subset_bounds
 from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, check_deformation_v
-from .complexes import _scarf_codes, deform_and_scarf, scarf_complex
+from .complexes import _labels, _scarf_codes, deform_and_scarf, scarf_complex
 from .monomial import is_generic, minimalize
 from .specfile import SpecFileError, load_spec
 from .systems import (
@@ -92,73 +95,65 @@ def _slot(pad: str, n: int) -> str:
     return f"[{sep[1:]}{sep.join(['%s'] * n)}\n{pad}]" if n else "[]"
 
 
-# The ``%s`` template of an item by kind, from the item's shape: the lengths of
-# its int lists and, for a term, its cardinality and sign, which a run of terms
-# shares.  Faces and terms render as dicts of their fields, with a slot for each
-# int of their label or exponent.
-_FORMS = {
-    "row": lambda n: _slot("    ", n),
-    "face": lambda n_label, n_members: (
-        f'{{\n      "label": {_slot("      ", n_label)},'
-        f'\n      "members": {_slot("      ", n_members)}\n    }}'
-    ),
-    "term": lambda n_exponent, cardinality, sign: (
-        f'{{\n      "cardinality": {cardinality},\n      "exponent": {_slot("      ", n_exponent)},'
-        f'\n      "sign": {sign}\n    }}'
-    ),
-}
+def _rows(rows) -> list[str]:
+    """Each int row filled into the slot of its length.
 
-
-@functools.cache  # a few entries per dimension and face size
-def _template(kind: str, *shape: int) -> str:
-    """The ``%s`` template of a ``kind`` item of this shape."""
-    return _FORMS[kind](*shape)
-
-
-def _filled(kind: str, shapes, args) -> list[str]:
-    """Each item's ``args`` tuple filled into the template of its shape.
-
-    ``groupby`` splits the shapes into runs of equal ones, comparing them in
-    C, and each run looks its template up once and fills it by ``map``.  A
-    complex's faces and terms come a cardinality run at a time, so runs are
-    long; items in any other order still get the template of their shape.
+    ``groupby`` splits the lengths into runs of equal ones, comparing them
+    in C, and each run fills its one template by ``map``.
     """
     texts: list[str] = []
-    args = iter(args)
-    for shape, run in groupby(shapes):
-        texts += map(_template(kind, *shape).__mod__, islice(args, len(list(run))))
+    items = iter(rows)
+    for n, run in groupby(map(len, rows)):
+        texts += map(_slot("    ", n).__mod__, islice(items, len(list(run))))
     return texts
 
 
-_MEMBERS, _LABEL = itemgetter(0), itemgetter(1)  # Face fields
-_SIGN, _EXPONENT, _CARDINALITY = itemgetter(0), itemgetter(1), itemgetter(2)  # SignedTerm fields
+def _label_texts(complex_) -> dict[int, str]:
+    """Each distinct lcm code's label filled into its slot at an item's indent, once.
+
+    Kept on the complex, so its faces and terms share one text per code and
+    the table goes with the call's complex.
+    """
+    texts = vars(complex_).get("_label_texts")
+    if texts is None:
+        labels = _labels(complex_.ideal, chain.from_iterable(complex_._lcm))
+        slot = _slot("      ", complex_.ideal.dimension).__mod__
+        texts = vars(complex_)["_label_texts"] = dict(zip(labels, map(slot, labels.values())))
+    return texts
 
 
-def _rows(rows) -> list[str]:
-    return _filled("row", zip(map(len, rows)), rows)
+def _face_texts(complex_) -> list[str]:
+    """The complex's faces as dicts of their fields, a cardinality run at a time:
+    one template per run, filled with each face's label text and members by ``map``."""
+    text, texts = _label_texts(complex_), []
+    for run, codes in zip(complex_._runs, complex_._lcm):
+        form = f'{{\n      "label": %s,\n      "members": {_slot("      ", len(run[0]))}\n    }}'
+        texts += map(form.__mod__, map(tuple.__add__, zip(map(text.__getitem__, codes)), run))
+    return texts
 
 
-def _faces(faces) -> list[str]:
-    labels, members = list(map(_LABEL, faces)), list(map(_MEMBERS, faces))
-    shapes = zip(map(len, labels), map(len, members))
-    return _filled("face", shapes, map(tuple.__add__, labels, members))
+def _term_texts(complex_) -> list[str]:
+    """The terms of ``hilbert_numerator(complex_)[1:]`` as dicts of their fields: a run's
+    terms share a cardinality and a sign, so each run is one join of label texts."""
+    text, texts = _label_texts(complex_), []
+    for size, codes in enumerate(complex_._lcm, 1):
+        head = f'{{\n      "cardinality": {size},\n      "exponent": '
+        tail = f',\n      "sign": {(-1) ** size}\n    }}'
+        texts.append(head + f"{tail},\n    {head}".join(map(text.__getitem__, codes)) + tail)
+    return texts
 
 
-def _terms(terms) -> list[str]:
-    exponents = list(map(_EXPONENT, terms))
-    shapes = zip(map(len, exponents), map(_CARDINALITY, terms), map(_SIGN, terms))
-    return _filled("term", shapes, exponents)
-
-
-_SHAPES = {"generators": _rows, "facets": _rows, "faces": _faces, "terms": _terms}
+_SHAPES = {"generators": _rows, "facets": _rows, "faces": _face_texts, "terms": _term_texts}
 
 
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
 
-    Lists under a ``_SHAPES`` key (int rows, Face and SignedTerm tuples,
-    every int list a tuple) are filled into templates; every other value
-    goes through ``json.dumps`` on its own, indented one level.
+    Lists under a ``_SHAPES`` key are filled into templates: int rows (every
+    int list a tuple), and under ``faces`` and ``terms`` a complex, rendered
+    as the dicts of its faces and of its Hilbert numerator's terms after the
+    constant.  Every other value goes through ``json.dumps`` on its own,
+    indented one level.
     """
     items = []
     for key in sorted(payload):
@@ -230,14 +225,14 @@ def _cross_check(system, ideal, runs) -> dict[str, float]:
 def cmd_scarf(args) -> _Report:
     _, ideal, v_used = _pipeline(args.spec, args.v)
     complex_ = _complex(ideal, v_used)
-    faces, facets = complex_.faces, [f.members for f in complex_.facets()]
+    face_count, facets = len(complex_.member_tuples), [f.members for f in complex_.facets()]
     payload = {
         "generators": ideal.generators,
         "generic": v_used is None,
         "deformation_v": v_used,
         "kind": complex_.kind,
-        "face_count": len(faces),
-        "faces": faces,
+        "face_count": face_count,
+        "faces": complex_,
         "facets": facets,
     }
 
@@ -246,11 +241,11 @@ def cmd_scarf(args) -> _Report:
         yield from (f"  {i}: {g}" for i, g in enumerate(ideal.generators, start=1))
         yield f"generic: {'yes' if v_used is None else 'no'}"
         yield "deformation: " + ("not applied" if v_used is None else f"applied (v = {v_used})")
-        yield f"faces ({len(faces)}):"
-        yield from (f"  {_members(f.members)}  {f.label}" for f in faces)
+        yield f"faces ({face_count}):"
+        yield from (f"  {_members(f.members)}  {f.label}" for f in complex_.faces)
         yield f"facets ({len(facets)}):"
         yield from (f"  {_members(members)}" for members in facets)
-        yield f"face count: {len(faces)}"
+        yield f"face count: {face_count}"
 
     return payload, text
 
@@ -268,8 +263,8 @@ def cmd_reliability(args) -> _Report:
         "deformation_v": v_used,
         "oracle_value": oracle,
         "discrepancy": discrepancy,
-        "terms": report.terms,
-        "faces": complex_.faces,
+        "terms": complex_,
+        "faces": complex_,
         "bounds": [{"depth": b.depth, "kind": b.kind, "value": b.value} for b in report.bounds],
     }
 
@@ -294,8 +289,10 @@ def cmd_reliability(args) -> _Report:
 def _parse_depths(raw: Optional[str]) -> Optional[list[int]]:
     """The ``--depth`` entries as ints, in the order given, or None (every depth) without the flag.
 
-    Parsed before the walk, so a non-integer entry costs no face; the range
-    is checked against the complex after it.
+    Checked before the walk, so a bad entry costs no face: a non-integer
+    entry is named first, then one below 1.  An entry above d is checked
+    against the complex after the walk, which names the complex's true
+    maximum.
     """
     if raw is None:
         return None
@@ -306,6 +303,9 @@ def _parse_depths(raw: Optional[str]) -> Optional[list[int]]:
             depths.append(int(piece))
         except ValueError:
             raise SpecFileError(f"--depth entries must be integers, got {piece!r}")
+    for depth in depths:
+        if depth < 1:
+            raise SpecFileError(f"depth must be at least 1, got {depth}")
     return depths
 
 
@@ -324,9 +324,9 @@ def _row(b, bonf: Optional[float]) -> dict:
 def cmd_bounds(args) -> _Report:
     system, ideal, v_used = _pipeline(args.spec, args.v)
     depths = _parse_depths(args.depth)
-    # the walk stops at the deepest entry when every entry lies in 1..d, else it
-    # walks every size, so an entry out of range is named against the true maximum
-    fits = depths is not None and all(1 <= depth <= ideal.dimension for depth in depths)
+    # the walk stops at the deepest entry when no entry exceeds d, else it walks
+    # every size, so an entry out of range is named against the true maximum
+    fits = depths is not None and max(depths) <= ideal.dimension
     runs = _scarf_codes(ideal, v_used, max(depths) if fits else None)
     for depth in depths or ():
         _checked(check_depth, depth, len(runs))

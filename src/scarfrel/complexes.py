@@ -42,8 +42,11 @@ lcm codes, labels, facets and the Hilbert numerator's terms, each take
 one run at a time through ``map``, ``zip``, set and ``itertools`` calls
 in C, so none runs a Python statement per face: a run's facets come from
 the ``combinations`` of the run after, and its terms share one sign.
-Labels are derived on first access to ``faces``, decoded from the codes,
-so a label can never disagree with its face and evaluators that need no
+Labels are decoded from the codes by one helper (``_labels``), each
+distinct code once: ``faces`` decodes every code on first access,
+``facets()`` only the facets' codes, and the command line's JSON reports
+render faces and terms from the runs and codes with no ``faces`` at all.
+So a label can never disagree with its face, and routes that need no
 exponent tuple never build one.  The generator codes and the fields that
 decode them are the ideal's own packing, derived once per ideal, so a
 complex and the evaluators over its ideal share them.  The complex keeps
@@ -139,6 +142,27 @@ def _check_faces(faces: Sequence[tuple[int, ...]], r: int, d: int, max_size: int
         seen.add(ms)
 
 
+def _labels(ideal: MonomialIdeal, codes) -> dict[int, Exponent]:
+    """Each distinct code of ``codes``, in the ideal's packing, mapped to its label.
+
+    The codes are decoded a coordinate column at a time through the
+    packing's fields, each in one pass of ``map`` calls in C.
+    """
+    distinct = dict.fromkeys(codes)
+    columns = []  # per coordinate, each distinct code's label entry
+    for shift, mask, values in ideal._packed[1]:
+        runs = map(and_, map(rshift, distinct, repeat(shift)), repeat(mask))
+        columns.append(map(values.__getitem__, map(int.bit_length, runs)))
+    return dict(zip(distinct, zip(*columns)))
+
+
+def _faces(ideal: MonomialIdeal, members, codes) -> tuple[Face, ...]:
+    """One :class:`Face` per member tuple and lcm code, the faces of one code sharing its label."""
+    codes = list(codes)
+    labels = map(_labels(ideal, codes).__getitem__, codes)
+    return tuple(map(tuple.__new__, repeat(Face), zip(members, labels)))
+
+
 class LabeledComplex(_Value):
     """A simplicial complex on generator indices with lcm labels.
 
@@ -167,8 +191,9 @@ class LabeledComplex(_Value):
     by ``faces`` or the evaluators.
     ``faces`` is one :class:`Face` per member tuple in that order, labeled
     with the lcm of its generators, decoded from those codes; it is derived
-    on first access and kept, so evaluators that need no exponent tuple
-    never build one.
+    on first access and kept, so evaluators and renderers that need no
+    exponent tuple never build one, and ``facets()`` decodes only the
+    facets' codes.
     """
 
     _fields = ("ideal", "kind", "member_tuples")
@@ -254,18 +279,11 @@ class LabeledComplex(_Value):
     def faces(self) -> tuple[Face, ...]:
         """One :class:`Face` per member tuple, labeled with its lcm, in canonical order.
 
-        Each distinct lcm code is decoded into its label once, a coordinate
-        column at a time through the ideal's packing fields, and the faces
-        share that tuple, so no Python statement runs per face.
+        Each distinct lcm code is decoded into its label once
+        (:func:`_labels`), and the faces share that tuple, so no Python
+        statement runs per face.
         """
-        distinct = dict.fromkeys(chain.from_iterable(self._lcm))
-        columns = []  # per coordinate, each distinct code's label entry
-        for shift, mask, values in self.ideal._packed[1]:
-            runs = map(and_, map(rshift, distinct, repeat(shift)), repeat(mask))
-            columns.append(map(values.__getitem__, map(int.bit_length, runs)))
-        label_of = dict(zip(distinct, zip(*columns)))
-        labels = map(label_of.__getitem__, chain.from_iterable(self._lcm))
-        return tuple(map(tuple.__new__, repeat(Face), zip(self.member_tuples, labels)))
+        return _faces(self.ideal, self.member_tuples, chain.from_iterable(self._lcm))
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, in canonical order.
@@ -274,12 +292,15 @@ class LabeledComplex(_Value):
         when it is not one of the one-smaller subfaces of another face.
         Those subfaces are gathered into one set, a run of one cardinality
         at a time, by ``combinations`` in C; closure makes each of them a
-        face, so the set holds at most one entry per face.
+        face, so the set holds at most one entry per face.  Only the facets'
+        codes are decoded, so ``faces`` is not derived.
         """
         covered: set[tuple[int, ...]] = set()
         for size, run in enumerate(self._runs[1:], 1):  # the run of size + 1
             covered.update(chain.from_iterable(map(combinations, run, repeat(size))))
-        return tuple(compress(self.faces, map(not_, map(covered.__contains__, self.member_tuples))))
+        kept = list(map(not_, map(covered.__contains__, self.member_tuples)))
+        codes = compress(chain.from_iterable(self._lcm), kept)
+        return _faces(self.ideal, compress(self.member_tuples, kept), codes)
 
     def max_cardinality(self) -> int:
         return len(self._runs)  # closure leaves no size out
@@ -392,12 +413,13 @@ def _scarf_walk(
     newest members form one of its subsets, so a union whose two newest
     members are not adjacent is dropped before its tests.  A face's
     children are its accepted unions with its later siblings, or for a
-    singleton with its later neighbours; the walk goes depth first with an
-    explicit stack, so only the sibling groups along one path are held, and
-    the stack's height is the size of the faces in its top group.  A group
-    is one list of ``(code, mask, down, owner, face)`` records, ``face``
-    the member tuple only with ``members``.  It meets each size's faces in
-    lexicographic order, so the member runs chain into
+    singleton its unions with its later neighbours, which the pair pass
+    accepted, so their records are made untested.  The walk goes depth
+    first with an explicit stack, so only the sibling groups along one path
+    are held, and the stack's height is the size of the faces in its top
+    group.  A group is one list of ``(code, mask, down, owner, face)``
+    records, ``face`` the member tuple only with ``members``.  It meets
+    each size's faces in lexicographic order, so the member runs chain into
     :class:`LabeledComplex`'s canonical order, and the code runs follow them
     face for face.  That is the precondition of :meth:`LabeledComplex._built`,
     which takes both as they are.
@@ -445,30 +467,34 @@ def _scarf_walk(
         if not group or size == depth:  # no later sibling, or no deeper size wanted
             continue
         near = far[mask.bit_length() - 1]  # the last member's later neighbours
-        if size == 1:
-            group, rest = [], near
-            while rest:  # highest first, as a group runs
-                group.append(single[rest.bit_length() - 1])
-                rest &= ~group[-1][1]
         grown = []
-        for code_b, mask_b, down_b, owner_b, other in group:
-            if not mask_b & near:
-                continue
-            union = mask | mask_b
-            joined = down_a | down_b
-            fold = joined
-            for s in shifts:
-                fold &= fold >> s  # each AND keeps the shorter width: field 0 is left
-            if fold != union:
-                continue
-            larger = ((down_a & ~down_b | highs) - lows) & highs
-            owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
-            fold = owned
-            for s in shifts:
-                fold |= fold >> s
-            if fold & full != union:
-                continue
-            grown.append((code | code_b, union, joined, owned, members and face + other[-1:]))
+        if size == 1:  # the pair pass accepted these unions: only their records are made
+            rest = near
+            while rest:  # highest first, as a group runs
+                code_b, mask_b, down_b, owner_b, other = single[rest.bit_length() - 1]
+                rest ^= mask_b
+                larger = ((down_a & ~down_b | highs) - lows) & highs
+                owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
+                grown.append((code | code_b, mask | mask_b, down_a | down_b, owned, members and face + other))
+        else:
+            for code_b, mask_b, down_b, owner_b, other in group:
+                if not mask_b & near:
+                    continue
+                union = mask | mask_b
+                joined = down_a | down_b
+                fold = joined
+                for s in shifts:
+                    fold &= fold >> s  # each AND keeps the shorter width: field 0 is left
+                if fold != union:
+                    continue
+                larger = ((down_a & ~down_b | highs) - lows) & highs
+                owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
+                fold = owned
+                for s in shifts:
+                    fold |= fold >> s
+                if fold & full != union:
+                    continue
+                grown.append((code | code_b, union, joined, owned, members and face + other[-1:]))
         if grown:
             stack.append(grown)
     # closure: the nonempty runs come first

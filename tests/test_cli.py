@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,13 +17,31 @@ import scarfrel.cli as cli
 import scarfrel.complexes as complexes
 import scarfrel.monomial as monomial
 import scarfrel.specfile as specfile
-from scarfrel import LabeledComplex
+from scarfrel import (
+    LabeledComplex,
+    MonomialIdeal,
+    deform,
+    deform_and_scarf,
+    hilbert_numerator,
+    is_generic,
+    minimalize,
+    scarf_complex,
+    taylor_complex,
+)
 from scarfrel.cli import main
-from scarfrel.complexes import Face, SignedTerm
+from scarfrel.complexes import SignedTerm
 from scarfrel.specfile import load_spec
 from scarfrel.systems import random_points_for, random_system
 
-from helpers import MemoSpy, exact_face_bounds, reference_face_codes, tuple_walk_bounds
+from helpers import (
+    MULTI_NINE,
+    PLANAR_GENS,
+    MemoSpy,
+    bench_corpus_specs,
+    exact_face_bounds,
+    reference_face_codes,
+    tuple_walk_bounds,
+)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 BINARY = str(SPECS / "binary_network.json")
@@ -176,9 +195,7 @@ class TestBoundsCommand:
         # depth 0 must fail, not read the deepest row through index -1
         for depths in ("0", "2,0,9"):
             code, out, err = run(capsys, "bounds", POINTS, "--depth", depths)
-            assert code == 2
-            assert out == ""
-            assert "must lie in 1..3 for this complex, got 0" in err
+            assert (code, out, err) == (2, "", "error: depth must be at least 1, got 0\n")
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "bounds", POINTS, "--json")
@@ -204,22 +221,26 @@ class TestBoundsCommand:
     )
     def test_a_bad_entry_names_the_complex_true_depth(self, capsys, monkeypatch, depths, bad):
         # The deformed complex of deep_d8_r12 reaches size 7 of d = 8: an entry
-        # outside 1..7 is named against 7, so the walk went to every size.  A
-        # non-integer entry is refused before any walk.
+        # above 7 is named against 7, so the walk went to every size.  A
+        # non-integer entry or one below 1 is refused before any walk.
         walks = self.walk_depths(monkeypatch)
         code, out, err = run(capsys, "bounds", TestLabelFreeCommands.DEEP, "--depth", depths)
-        message = "must be integers, got 'x'" if bad is None else f"1..7 for this complex, got {bad}"
+        if bad is None:
+            message = "must be integers, got 'x'"
+        else:
+            message = f"must be at least 1, got {bad}" if bad < 1 else f"1..7 for this complex, got {bad}"
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith(message + "\n")
-        assert walks == ([] if bad is None else [8])
+        assert walks == ([8] if bad is not None and bad > 7 else [])
 
     @pytest.mark.parametrize(
         "depths, code, checked",
         [("1", 0, [1]), ("3,1", 0, [3, 1]), (" 2 , 2", 0, [2, 2]), ("7", 0, [7]),
-         ("3,0,9", 2, [3, 0]), ("3,8", 2, [3, 8]), (None, 0, [])],
+         ("3,0,9", 2, []), ("3,8", 2, [3, 8]), (None, 0, [])],
     )
     def test_each_entry_is_range_checked_once(self, capsys, monkeypatch, depths, code, checked):
-        # in order up to the first entry out of range; no entry is checked without --depth
+        # in order up to the first entry out of range; no entry is checked without
+        # --depth, and none when an entry below 1 was refused before the walk
         checks = []
         check = cli.check_depth
 
@@ -684,9 +705,9 @@ class TestDeepRepro:
 
     SPEC = str(Path(__file__).resolve().parent / "specs" / "deep_d8_r96.json")
 
-    def run_capped(self, *argv, megabytes, timeout):
+    def run_child(self, *argv, megabytes, timeout):
         """``scarfrel.cli`` on the spec with ``--json`` in a child process whose
-        address space is capped at ``megabytes``; the parsed report."""
+        address space is capped at ``megabytes``; its result and wall time."""
         resource = pytest.importorskip("resource")
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         limit = megabytes << 20 if hard == resource.RLIM_INFINITY else min(megabytes << 20, hard)
@@ -694,6 +715,7 @@ class TestDeepRepro:
         def cap_memory():  # in the child only
             resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
+        start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "scarfrel.cli", argv[0], self.SPEC, *argv[1:], "--json"],
             capture_output=True,
@@ -702,8 +724,20 @@ class TestDeepRepro:
             preexec_fn=cap_memory,
             timeout=timeout,
         )
+        return result, time.perf_counter() - start
+
+    def run_capped(self, *argv, megabytes, timeout):
+        """The parsed report of a capped child call, which must succeed."""
+        result, _ = self.run_child(*argv, megabytes=megabytes, timeout=timeout)
         assert (result.returncode, result.stderr) == (0, "")
         return json.loads(result.stdout)
+
+    def test_a_depth_below_1_is_refused_before_the_walk(self):
+        # walking all 1.6 M faces to name the complex's maximum took 3.5 s
+        result, seconds = self.run_child("bounds", "--depth", "0", megabytes=400, timeout=10)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: depth must be at least 1, got 0\n"
+        assert seconds < 1
 
     def test_shallow_bounds_under_a_memory_limit(self):
         payload = self.run_capped("bounds", "--depth", "2", megabytes=200, timeout=10)
@@ -987,11 +1021,13 @@ class TestSpecErrors:
 
 
 def reference_json(payload) -> str:
-    """``json.dumps`` of a payload, its Face and SignedTerm tuples as dicts of their fields."""
-    plain = {
-        key: [x._asdict() for x in value] if key in ("faces", "terms") else value
-        for key, value in payload.items()
-    }
+    """``json.dumps`` of a payload, its complex under ``faces`` as the dicts of ``cx.faces``
+    and under ``terms`` as those of ``hilbert_numerator(cx)[1:]``."""
+    plain = dict(payload)
+    if "faces" in plain:
+        plain["faces"] = [face._asdict() for face in plain["faces"].faces]
+    if "terms" in plain:
+        plain["terms"] = [term._asdict() for term in hilbert_numerator(plain["terms"])[1:]]
     return json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
@@ -1011,14 +1047,65 @@ def check_json_calls(capsys, monkeypatch, calls):
     assert payloads == []
 
 
+PLANAR = MonomialIdeal(2, PLANAR_GENS)
+
+# The complexes a report renders, by kind: a generic Scarf complex, a deformed
+# one whose faces repeat labels, a Taylor complex and a caller-built one (its
+# codes derived, its members given out of order); then d = 1 and the
+# zero-vector ideal, whose numerator is 1 - x^0.
+COMPLEXES = {
+    "generic": lambda: scarf_complex(PLANAR),
+    "deformed": lambda: deform_and_scarf(MonomialIdeal(4, MULTI_NINE), 10),
+    "taylor": lambda: taylor_complex(PLANAR),
+    "caller": lambda: LabeledComplex(PLANAR, [(1, 2), (3,), (2, 3), (2,), (1,)], "scarf_deformed"),
+    "d1": lambda: scarf_complex(MonomialIdeal(1, ((4,),))),
+    "zero": lambda: scarf_complex(MonomialIdeal(3, ((0, 0, 0),))),
+}
+
+
+@st.composite
+def rendered_complexes(draw):
+    """A small complex of each kind a report renders, over a random ideal."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+    ideal = minimalize(draw(st.lists(row, min_size=1, max_size=7)))
+    kind = draw(st.sampled_from(["generic", "deformed", "taylor", "caller"]))
+    if kind == "generic":
+        return scarf_complex(ideal if is_generic(ideal) else deform(ideal))
+    if kind == "deformed":
+        return deform_and_scarf(ideal)
+    if kind == "taylor":
+        return taylor_complex(ideal)
+    size = draw(st.integers(1, len(ideal.generators)))  # every subset up to it, shuffled
+    members = [ms for ms in taylor_complex(ideal).member_tuples if len(ms) <= size]
+    return LabeledComplex(ideal, draw(st.permutations(members)), "taylor")
+
+
+def scarf_payload(cx, deformation_v=None):
+    """``cmd_scarf``'s payload over ``cx``."""
+    return {
+        "generators": cx.ideal.generators,
+        "generic": deformation_v is None,
+        "deformation_v": deformation_v,
+        "kind": cx.kind,
+        "face_count": len(cx.member_tuples),
+        "faces": cx,
+        "facets": [face.members for face in cx.facets()],
+    }
+
+
 class TestJsonRenderer:
-    def test_bundled_specs(self, capsys, monkeypatch):
+    def test_bundled_specs(self, capsys, monkeypatch, tmp_path):
         commands = ("scarf", "reliability", "bounds", "oracle", "compare")
         calls = [["compare", "--seed", "3", "--count", "25"]]
         for spec in sorted(SPECS.glob("*.json")):
             calls += [[command, str(spec)] for command in commands]
             calls += [["bounds", str(spec), "--depth", depth] for depth in ("1", "3,1")]
         calls.append(["reliability", BINARY, "--v", "12"])
+        tests_specs = Path(__file__).resolve().parent / "specs"
+        names = ("deep_d8_r12.json", "layer_r20.json", "grid_above_cap.json", "planar_d3_r2000.json")
+        specs = [tests_specs / name for name in names] + bench_corpus_specs(tmp_path, seeds=(1,))
+        calls += [[command, str(spec)] for spec in specs for command in ("scarf", "reliability")]
         check_json_calls(capsys, monkeypatch, calls)
 
     def test_random_self_test_systems(self, capsys, monkeypatch, tmp_path):
@@ -1039,150 +1126,103 @@ class TestJsonRenderer:
         check_json_calls(capsys, monkeypatch, calls)
 
     FLOATS = st.sampled_from([-0.0, 1e-300, 1e16, 5e-324]) | st.floats()
-    INTS = st.lists(st.integers(0, 10**4), max_size=3).map(tuple)
-    FACES = st.lists(st.builds(Face, INTS, INTS), max_size=3)
+    RELIABILITY_FIELDS = st.fixed_dictionaries(
+        {
+            "identity_value": FLOATS,
+            "term_count": st.integers(0, 10**6),
+            "baseline_term_count": st.integers(0, 10**6),
+            "deformation_v": st.none() | st.integers(1, 10**6),
+            "oracle_value": st.none() | FLOATS,
+            "discrepancy": st.none() | FLOATS,
+            "bounds": st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "depth": st.integers(1, 30),
+                        "kind": st.sampled_from(["upper", "lower"]),
+                        "value": FLOATS,
+                    }
+                ),
+                max_size=3,
+            ),
+        }
+    )
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.fixed_dictionaries(
-            {
-                "generators": st.lists(INTS, max_size=3),
-                "generic": st.booleans(),
-                "deformation_v": st.none() | st.integers(1, 10**6),
-                "kind": st.sampled_from(["scarf", "scarf_deformed"]),
-                "face_count": st.integers(0, 10**6),
-                "faces": FACES,
-                "facets": st.lists(INTS, max_size=3),
-            }
-        )
-    )
-    @example(
-        {
-            "generators": [(12, 0, 3)],
-            "generic": True,
-            "deformation_v": None,
-            "kind": "scarf",
-            "face_count": 1,
-            "faces": [Face((1,), (12, 0, 3))],
-            "facets": [(1,)],
-        }
-    )
-    # Runs of one shape that break and resume: cardinalities 1, 2, 1, 3 and
-    # rows of mixed lengths, then empty lists and one-item lists.
-    @example(
-        {
-            "generators": [(1, 0), (0, 2, 1), (3, 1), ()],
-            "generic": False,
-            "deformation_v": 5,
-            "kind": "scarf_deformed",
-            "face_count": 4,
-            "faces": [
-                Face((1,), (1, 0)),
-                Face((1, 2), (1, 2)),
-                Face((2,), (0, 2)),
-                Face((1, 2, 3), (3, 2)),
-                Face((1, 2, 3), (3, 2, 0)),
-                Face((), ()),
-            ],
-            "facets": [(1, 2), (3,), (1, 2), (1, 2, 3), ()],
-        }
-    )
-    @example(
-        {
-            "generators": [],
-            "generic": True,
-            "deformation_v": None,
-            "kind": "scarf",
-            "face_count": 0,
-            "faces": [],
-            "facets": [],
-        }
-    )
-    def test_scarf_shaped_payloads(self, payload):
+    def test_the_named_complexes_cover_every_kind(self):
+        made = {name: make() for name, make in COMPLEXES.items()}
+        assert [made[name].kind for name in ("generic", "deformed", "taylor", "caller")] == [
+            "scarf", "scarf_deformed", "taylor", "scarf_deformed"
+        ]
+        deformed = made["deformed"].faces
+        assert len({face.label for face in deformed}) < len(deformed)  # labels repeat
+        assert "_lcm" not in vars(made["caller"])  # derived on first need, not handed over
+        assert made["d1"].ideal.dimension == 1
+        assert hilbert_numerator(made["zero"]) == (SignedTerm(1, (0, 0, 0), 0), SignedTerm(-1, (0, 0, 0), 1))
+
+    @pytest.mark.parametrize("name", list(COMPLEXES))
+    def test_named_complexes(self, name):
+        cx = COMPLEXES[name]()
+        assert rendered(scarf_payload(cx)) == reference_json(scarf_payload(cx))
+        payload = {"identity_value": 0.5, "term_count": 1, "terms": cx, "faces": cx, "bounds": []}
         assert rendered(payload) == reference_json(payload)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.fixed_dictionaries(
-            {
-                "identity_value": FLOATS,
-                "term_count": st.integers(0, 10**6),
-                "baseline_term_count": st.integers(0, 10**6),
-                "deformation_v": st.none() | st.integers(1, 10**6),
-                "oracle_value": st.none() | FLOATS,
-                "discrepancy": st.none() | FLOATS,
-                "terms": st.lists(
-                    st.builds(SignedTerm, st.sampled_from([-1, 1]), INTS, st.integers(0, 30)),
-                    max_size=3,
-                ),
-                "faces": FACES,
-                "bounds": st.lists(
-                    st.fixed_dictionaries(
-                        {
-                            "depth": st.integers(1, 30),
-                            "kind": st.sampled_from(["upper", "lower"]),
-                            "value": FLOATS,
-                        }
-                    ),
-                    max_size=3,
-                ),
-            }
-        )
-    )
-    # Terms whose exponent lengths, cardinalities and signs change from one
-    # term to the next, faces of cardinalities 1, 2, 1, 3; then one-item and
-    # empty lists.
-    @example(
-        {
-            "identity_value": 0.5,
-            "term_count": 5,
-            "baseline_term_count": 7,
-            "deformation_v": None,
-            "oracle_value": None,
-            "discrepancy": None,
-            "terms": [
-                SignedTerm(-1, (1, 2), 1),
-                SignedTerm(-1, (1, 2, 3), 1),
-                SignedTerm(1, (1, 2, 3), 2),
-                SignedTerm(-1, (4,), 1),
-                SignedTerm(1, (4,), 1),
-                SignedTerm(1, (), 0),
-                SignedTerm(-1, (1, 2), 1),
-            ],
-            "faces": [
-                Face((1,), (1, 2)),
-                Face((1, 2), (1, 3)),
-                Face((2,), (0, 3)),
-                Face((1, 2, 3), (2, 3)),
-            ],
-            "bounds": [],
-        }
-    )
-    @example(
-        {
-            "identity_value": 1.0,
-            "term_count": 1,
-            "baseline_term_count": 1,
-            "deformation_v": 2,
-            "oracle_value": 1.0,
-            "discrepancy": 0.0,
-            "terms": [SignedTerm(-1, (0, 0), 1)],
-            "faces": [Face((1,), (0, 0))],
-            "bounds": [{"depth": 1, "kind": "upper", "value": 1.0}],
-        }
-    )
-    @example(
-        {
-            "identity_value": 0.0,
-            "term_count": 0,
-            "baseline_term_count": 0,
-            "deformation_v": None,
-            "oracle_value": None,
-            "discrepancy": None,
-            "terms": [],
-            "faces": [],
-            "bounds": [],
-        }
-    )
-    def test_reliability_shaped_payloads(self, payload):
+    @given(rendered_complexes(), st.none() | st.integers(1, 10**6))
+    def test_scarf_shaped_payloads(self, cx, deformation_v):
+        payload = scarf_payload(cx, deformation_v)
         assert rendered(payload) == reference_json(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rendered_complexes(), RELIABILITY_FIELDS)
+    def test_reliability_shaped_payloads(self, cx, fields):
+        payload = {**fields, "terms": cx, "faces": cx}
+        assert rendered(payload) == reference_json(payload)
+
+
+class TestLazyPayload:
+    """``scarf --json``, ``reliability --json`` and text ``reliability`` render from the
+    complex's runs: no label is derived through ``faces`` and no term is built."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        """Refuse ``faces`` and ``hilbert_numerator``; record the codes each decode reads:
+        ``facets()``'s under "complexes", the label texts' under "cli"."""
+        def refuse(*args):
+            raise AssertionError("faces or terms built")
+
+        holders = [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "scarfrel" and hasattr(m, "hilbert_numerator")]
+        assert sorted(m.__name__ for m in holders) == ["scarfrel", "scarfrel.complexes"]
+        for module in holders:
+            monkeypatch.setattr(module, "hilbert_numerator", refuse)
+        monkeypatch.setattr(LabeledComplex, "faces", property(refuse))
+        decoded = {"complexes": [], "cli": []}
+        labels = complexes._labels
+        for module, key in ((complexes, "complexes"), (cli, "cli")):
+            def spy(ideal, codes, key=key):
+                codes = list(codes)
+                decoded[key].append(codes)
+                return labels(ideal, codes)
+
+            monkeypatch.setattr(module, "_labels", spy)
+        return decoded
+
+    SPECS = [POINTS, PROFIT, BINARY, TestLabelFreeCommands.DEEP]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["points", "profit", "binary", "deep"])
+    @pytest.mark.parametrize(
+        "argv", [("scarf", "--json"), ("reliability", "--json"), ("reliability",)],
+        ids=["scarf_json", "reliability_json", "reliability_text"],
+    )
+    def test_no_face_or_term_is_built(self, capsys, monkeypatch, spec, argv):
+        system, ideal, v_used = cli._pipeline(spec)
+        cx = cli._complex(ideal, v_used)
+        facets = set(cx.facets())
+        codes = list(itertools.chain.from_iterable(cx._lcm))
+        facet_codes = [c for ms, c in zip(cx.member_tuples, codes) if ms in {f.members for f in facets}]
+        decoded = self.spies(monkeypatch)
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert (code, err) == (0, "") and out
+        # facets() decodes the facets' codes only, and the JSON decodes each
+        # distinct code once for its faces and terms together
+        assert decoded["complexes"] == ([facet_codes] if argv[0] == "scarf" else [])
+        assert decoded["cli"] == ([codes] if "--json" in argv else [])

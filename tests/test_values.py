@@ -83,11 +83,10 @@ CASES = {
     ),
     "ReliabilityReport": (
         ReliabilityReport,
-        ("identity_value", "term_count", "terms", "bounds", "baseline_term_count", "oracle_value"),
-        (0.5, 1, (SignedTerm(-1, (1, 0), 1),), (DepthBound(1, 0.5),), 1, None),
-        ("identity_value", "term_count", "terms", "bounds", "baseline_term_count", "oracle_value"),
+        ("identity_value", "term_count", "bounds", "baseline_term_count", "oracle_value"),
+        (0.5, 1, (DepthBound(1, 0.5),), 1, None),
+        ("identity_value", "term_count", "bounds", "baseline_term_count", "oracle_value"),
         "ReliabilityReport(identity_value=0.5, term_count=1, "
-        "terms=(SignedTerm(sign=-1, exponent=(1, 0), cardinality=1),), "
         "bounds=(DepthBound(depth=1, value=0.5),), baseline_term_count=1, oracle_value=None)",
         (),
     ),
