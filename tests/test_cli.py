@@ -1156,7 +1156,8 @@ class TestJsonRenderer:
         assert len({face.label for face in deformed}) < len(deformed)  # labels repeat
         assert "_lcm" not in vars(made["caller"])  # derived on first need, not handed over
         assert made["d1"].ideal.dimension == 1
-        assert hilbert_numerator(made["zero"]) == (SignedTerm(1, (0, 0, 0), 0), SignedTerm(-1, (0, 0, 0), 1))
+        one, term = hilbert_numerator(made["zero"])  # 1 - x^0
+        assert (one, term) == (SignedTerm(1, (0, 0, 0), 0), SignedTerm(-1, (0, 0, 0), 1))
 
     @pytest.mark.parametrize("name", list(COMPLEXES))
     def test_named_complexes(self, name):
@@ -1206,9 +1207,9 @@ class TestLazyPayload:
             monkeypatch.setattr(module, "_labels", spy)
         return decoded
 
-    SPECS = [POINTS, PROFIT, BINARY, TestLabelFreeCommands.DEEP]
+    SPEC_FILES = [POINTS, PROFIT, BINARY, TestLabelFreeCommands.DEEP]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["points", "profit", "binary", "deep"])
+    @pytest.mark.parametrize("spec", SPEC_FILES, ids=["points", "profit", "binary", "deep"])
     @pytest.mark.parametrize(
         "argv", [("scarf", "--json"), ("reliability", "--json"), ("reliability",)],
         ids=["scarf_json", "reliability_json", "reliability_text"],
@@ -1216,9 +1217,9 @@ class TestLazyPayload:
     def test_no_face_or_term_is_built(self, capsys, monkeypatch, spec, argv):
         system, ideal, v_used = cli._pipeline(spec)
         cx = cli._complex(ideal, v_used)
-        facets = set(cx.facets())
+        facets = {face.members for face in cx.facets()}
         codes = list(itertools.chain.from_iterable(cx._lcm))
-        facet_codes = [c for ms, c in zip(cx.member_tuples, codes) if ms in {f.members for f in facets}]
+        facet_codes = [c for ms, c in zip(cx.member_tuples, codes) if ms in facets]
         decoded = self.spies(monkeypatch)
         code, out, err = run(capsys, argv[0], spec, *argv[1:])
         assert (code, err) == (0, "") and out
