@@ -27,10 +27,11 @@ Every command returns its report as a payload and a callable that yields
 its text lines; ``main`` alone writes one of them to stdout, flushes and
 maps the outcome to an exit code, so a ``--json`` call formats no text line.
 All numbers print with 12 significant digits and every report is
-deterministic byte for byte; ``--json`` prints exactly ``json.dumps(payload,
-indent=2, sort_keys=True)``, a complex in the payload printing as the dicts
-of its faces or of its terms, but fills int rows, faces and terms into ``%``
-templates instead of running that pure-Python encoder.  Rows of one length
+deterministic byte for byte.  ``--json`` prints ``json.dumps(payload,
+indent=2, sort_keys=True)`` of the payload with each complex replaced: under
+``faces`` by the dicts of ``cx.faces``, under ``terms`` by those of
+``hilbert_numerator(cx)[1:]``.  It fills int rows, faces and terms into
+``%`` templates instead of running that pure-Python encoder.  Rows of one length
 share one template.  Faces and terms come from the complex's cardinality
 runs and lcm code runs: each distinct code's label is decoded and filled
 into its slot once, and that one text serves its faces and its terms.  A
@@ -95,8 +96,8 @@ def _slot(pad: str, n: int) -> str:
     return f"[{sep[1:]}{sep.join(['%s'] * n)}\n{pad}]" if n else "[]"
 
 
-def _rows(rows) -> list[str]:
-    """Each int row filled into the slot of its length.
+def _rows(rows, tables=None) -> list[str]:
+    """Each int row filled into the slot of its length; ``tables`` goes unused.
 
     ``groupby`` splits the lengths into runs of equal ones, comparing them
     in C, and each run fills its one template by ``map``.
@@ -108,34 +109,33 @@ def _rows(rows) -> list[str]:
     return texts
 
 
-def _label_texts(complex_) -> dict[int, str]:
-    """Each distinct lcm code's label filled into its slot at an item's indent, once.
+def _label_texts(complex_, tables: dict) -> dict[int, str]:
+    """Each distinct lcm code's label filled into its slot at an item's indent.
 
-    Kept on the complex, so its faces and terms share one text per code and
-    the table goes with the call's complex.
+    Made once per payload and kept in its ``tables`` by complex, so the
+    complex's faces and terms share one text per code.
     """
-    texts = vars(complex_).get("_label_texts")
-    if texts is None:
+    if id(complex_) not in tables:
         labels = _labels(complex_.ideal, chain.from_iterable(complex_._lcm))
         slot = _slot("      ", complex_.ideal.dimension).__mod__
-        texts = vars(complex_)["_label_texts"] = dict(zip(labels, map(slot, labels.values())))
-    return texts
+        tables[id(complex_)] = dict(zip(labels, map(slot, labels.values())))
+    return tables[id(complex_)]
 
 
-def _face_texts(complex_) -> list[str]:
+def _face_texts(complex_, tables: dict) -> list[str]:
     """The complex's faces as dicts of their fields, a cardinality run at a time:
     one template per run, filled with each face's label text and members by ``map``."""
-    text, texts = _label_texts(complex_), []
+    text, texts = _label_texts(complex_, tables), []
     for run, codes in zip(complex_._runs, complex_._lcm):
         form = f'{{\n      "label": %s,\n      "members": {_slot("      ", len(run[0]))}\n    }}'
         texts += map(form.__mod__, map(tuple.__add__, zip(map(text.__getitem__, codes)), run))
     return texts
 
 
-def _term_texts(complex_) -> list[str]:
+def _term_texts(complex_, tables: dict) -> list[str]:
     """The terms of ``hilbert_numerator(complex_)[1:]`` as dicts of their fields: a run's
     terms share a cardinality and a sign, so each run is one join of label texts."""
-    text, texts = _label_texts(complex_), []
+    text, texts = _label_texts(complex_, tables), []
     for size, codes in enumerate(complex_._lcm, 1):
         head = f'{{\n      "cardinality": {size},\n      "exponent": '
         tail = f',\n      "sign": {(-1) ** size}\n    }}'
@@ -147,18 +147,17 @@ _SHAPES = {"generators": _rows, "facets": _rows, "faces": _face_texts, "terms": 
 
 
 def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True)`` with each complex replaced, byte for byte.
 
     Lists under a ``_SHAPES`` key are filled into templates: int rows (every
     int list a tuple), and under ``faces`` and ``terms`` a complex, rendered
-    as the dicts of its faces and of its Hilbert numerator's terms after the
-    constant.  Every other value goes through ``json.dumps`` on its own,
-    indented one level.
+    as the dicts of ``cx.faces`` and of ``hilbert_numerator(cx)[1:]``.  Every
+    other value goes through ``json.dumps`` on its own, indented one level.
     """
-    items = []
+    items, tables = [], {}  # the label texts of the payload's complexes, by id
     for key in sorted(payload):
         if key in _SHAPES:
-            texts = _SHAPES[key](payload[key])
+            texts = _SHAPES[key](payload[key], tables)
             text = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
         else:
             text = json.dumps(payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -289,10 +288,10 @@ def cmd_reliability(args) -> _Report:
 def _parse_depths(raw: Optional[str]) -> Optional[list[int]]:
     """The ``--depth`` entries as ints, in the order given, or None (every depth) without the flag.
 
-    Checked before the walk, so a bad entry costs no face: a non-integer
-    entry is named first, then one below 1.  An entry above d is checked
-    against the complex after the walk, which names the complex's true
-    maximum.
+    Each entry is checked in order before the walk, so a bad entry costs no
+    face: the first that is not an integer or is below 1 is named.  An
+    entry above d is checked against the complex after the walk, which names
+    the complex's true maximum.
     """
     if raw is None:
         return None
@@ -300,12 +299,12 @@ def _parse_depths(raw: Optional[str]) -> Optional[list[int]]:
     for piece in raw.split(","):
         piece = piece.strip()
         try:
-            depths.append(int(piece))
+            depth = int(piece)
         except ValueError:
             raise SpecFileError(f"--depth entries must be integers, got {piece!r}")
-    for depth in depths:
         if depth < 1:
             raise SpecFileError(f"depth must be at least 1, got {depth}")
+        depths.append(depth)
     return depths
 
 

@@ -414,10 +414,10 @@ def _scarf_walk(
     members are not adjacent is dropped before its tests.  A face's
     children are its accepted unions with its later siblings, or for a
     singleton its unions with its later neighbours, which the pair pass
-    accepted, so their records are made untested.  The walk goes depth
-    first with an explicit stack, so only the sibling groups along one path
-    are held, and the stack's height is the size of the faces in its top
-    group.  A group is one list of ``(code, mask, down, owner, face)``
+    accepted, so their records are made without (a) or (b).  The walk goes
+    depth first with an explicit stack, so only the sibling groups along
+    one path are held, and the stack's height is the size of the faces in
+    its top group.  A group is one list of ``(code, mask, down, owner, face)``
     records, ``face`` the member tuple only with ``members``.  It meets
     each size's faces in lexicographic order, so the member runs chain into
     :class:`LabeledComplex`'s canonical order, and the code runs follow them
@@ -467,34 +467,31 @@ def _scarf_walk(
         if not group or size == depth:  # no later sibling, or no deeper size wanted
             continue
         near = far[mask.bit_length() - 1]  # the last member's later neighbours
-        grown = []
-        if size == 1:  # the pair pass accepted these unions: only their records are made
-            rest = near
+        if size == 1:  # the pair pass accepted these unions: (b) decided them and (a) holds
+            group, rest = [], near
             while rest:  # highest first, as a group runs
-                code_b, mask_b, down_b, owner_b, other = single[rest.bit_length() - 1]
-                rest ^= mask_b
-                larger = ((down_a & ~down_b | highs) - lows) & highs
-                owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
-                grown.append((code | code_b, mask | mask_b, down_a | down_b, owned, members and face + other))
-        else:
-            for code_b, mask_b, down_b, owner_b, other in group:
-                if not mask_b & near:
-                    continue
-                union = mask | mask_b
-                joined = down_a | down_b
+                group.append(single[rest.bit_length() - 1])
+                rest &= ~group[-1][1]
+        grown = []
+        for code_b, mask_b, down_b, owner_b, other in group:
+            if not mask_b & near:
+                continue
+            union = mask | mask_b
+            joined = down_a | down_b
+            larger = ((down_a & ~down_b | highs) - lows) & highs
+            owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
+            if size > 1:  # (b), then (a)
                 fold = joined
                 for s in shifts:
                     fold &= fold >> s  # each AND keeps the shorter width: field 0 is left
                 if fold != union:
                     continue
-                larger = ((down_a & ~down_b | highs) - lows) & highs
-                owned = owner_b ^ (owner_a ^ owner_b) & (larger - (larger >> r))
                 fold = owned
                 for s in shifts:
                     fold |= fold >> s
                 if fold & full != union:
                     continue
-                grown.append((code | code_b, union, joined, owned, members and face + other[-1:]))
+            grown.append((code | code_b, union, joined, owned, members and face + other[-1:]))
         if grown:
             stack.append(grown)
     # closure: the nonempty runs come first

@@ -217,12 +217,15 @@ class TestBoundsCommand:
         return depths
 
     @pytest.mark.parametrize(
-        "depths, bad", [("0,3", 0), ("3,8", 8), ("3,9", 9), ("-1", -1), ("7,x", None)]
+        "depths, bad",
+        [("0,3", 0), ("3,8", 8), ("3,9", 9), ("-1", -1), ("7,x", None), ("9,0", 0), ("0,x", 0),
+         ("x,0", None)],
     )
     def test_a_bad_entry_names_the_complex_true_depth(self, capsys, monkeypatch, depths, bad):
         # The deformed complex of deep_d8_r12 reaches size 7 of d = 8: an entry
-        # above 7 is named against 7, so the walk went to every size.  A
-        # non-integer entry or one below 1 is refused before any walk.
+        # above 7 is named against 7, so the walk went to every size.  The
+        # first entry in order that is not an integer or is below 1 is refused
+        # before any walk, even after an entry above 7.
         walks = self.walk_depths(monkeypatch)
         code, out, err = run(capsys, "bounds", TestLabelFreeCommands.DEEP, "--depth", depths)
         if bad is None:
@@ -1081,12 +1084,12 @@ def rendered_complexes(draw):
     return LabeledComplex(ideal, draw(st.permutations(members)), "taylor")
 
 
-def scarf_payload(cx, deformation_v=None):
+def scarf_payload(cx):
     """``cmd_scarf``'s payload over ``cx``."""
     return {
         "generators": cx.ideal.generators,
-        "generic": deformation_v is None,
-        "deformation_v": deformation_v,
+        "generic": True,
+        "deformation_v": None,
         "kind": cx.kind,
         "face_count": len(cx.member_tuples),
         "faces": cx,
@@ -1166,16 +1169,67 @@ class TestJsonRenderer:
         payload = {"identity_value": 0.5, "term_count": 1, "terms": cx, "faces": cx, "bounds": []}
         assert rendered(payload) == reference_json(payload)
 
+    INTS = st.lists(st.integers(0, 10**4), max_size=3).map(tuple)
+    ROWS = st.lists(INTS, max_size=3)
+    SCARF_FIELDS = st.fixed_dictionaries(
+        {
+            "generators": ROWS,
+            "generic": st.booleans(),
+            "deformation_v": st.none() | st.integers(1, 10**6),
+            "kind": st.sampled_from(["scarf", "scarf_deformed"]),
+            "face_count": st.integers(0, 10**6),
+            "facets": ROWS,
+        }
+    )
+
+    # The rows are rendered as given, so they need not match the complex:
+    # rows of mixed lengths that break and resume, with an empty row, then
+    # empty lists and one-item lists.
     @settings(max_examples=150, deadline=None)
-    @given(rendered_complexes(), st.none() | st.integers(1, 10**6))
-    def test_scarf_shaped_payloads(self, cx, deformation_v):
-        payload = scarf_payload(cx, deformation_v)
+    @given(rendered_complexes(), SCARF_FIELDS)
+    @example(
+        COMPLEXES["deformed"](),
+        {
+            "generators": [(1, 0), (0, 2, 1), (3, 1), ()],
+            "generic": False,
+            "deformation_v": 5,
+            "kind": "scarf_deformed",
+            "face_count": 4,
+            "facets": [(1, 2), (3,), (1, 2), (1, 2, 3), ()],
+        },
+    )
+    @example(
+        COMPLEXES["d1"](),
+        {
+            "generators": [],
+            "generic": True,
+            "deformation_v": None,
+            "kind": "scarf",
+            "face_count": 0,
+            "facets": [],
+        },
+    )
+    @example(
+        COMPLEXES["zero"](),
+        {
+            "generators": [(12, 0, 3)],
+            "generic": True,
+            "deformation_v": None,
+            "kind": "scarf",
+            "face_count": 1,
+            "facets": [(1,)],
+        },
+    )
+    def test_scarf_shaped_payloads(self, cx, fields):
+        payload = {**fields, "faces": cx}
         assert rendered(payload) == reference_json(payload)
 
+    # the report holds one complex under both keys; two complexes, each with
+    # its own label texts, render as well
     @settings(max_examples=150, deadline=None)
-    @given(rendered_complexes(), RELIABILITY_FIELDS)
-    def test_reliability_shaped_payloads(self, cx, fields):
-        payload = {**fields, "terms": cx, "faces": cx}
+    @given(rendered_complexes(), st.none() | rendered_complexes(), RELIABILITY_FIELDS)
+    def test_reliability_shaped_payloads(self, cx, other, fields):
+        payload = {**fields, "terms": cx, "faces": cx if other is None else other}
         assert rendered(payload) == reference_json(payload)
 
 
