@@ -41,18 +41,16 @@ Miller and Sturmfels, *Combinatorial Commutative Algebra*, ch. 6).  So
 the exact identity of every route is one rational, and ``compare``'s
 Scarf and Taylor values are one float.
 Only ``inclusion_exclusion``, which takes a caller's label evaluator,
-reads the labels, and it counts them a cardinality run at a time too.
-Its values are floats, each kept as an exact integer count of 2**-1074
-(every float is one), so its sum is bit for bit a fresh fsum of the
-signed terms.  The oracle and the float survival tables use compensated
-fsums, which keeps oracle cross-checks stable at 1e-12.
+reads the labels.  Its values are floats, summed exactly by one fsum and
+rounded once.  The oracle's fsum is compensated too, which keeps oracle
+cross-checks stable at 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, islice, product
+from itertools import chain, product
 from operator import mul
 
 from .complexes import TAYLOR_GENERATOR_CAP, ComplexSizeError, LabeledComplex
@@ -61,13 +59,9 @@ from .systems import CoherentSystem, _axis_minima
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Any, Callable, Iterable, Optional, Sequence
-
-    LabelCounts = Iterable[tuple[Any, int]]  # (label, how many faces or subsets carry it)
+    from typing import Callable, Iterable, Optional, Sequence
 
 STATE_CAP = 10_000_000
-_IDENTITY_TOL = 1e-9
-_UNIT = 1 << 1074  # 2**-1074, the least subnormal, divides every float
 
 
 class DepthBound(_Value):
@@ -146,22 +140,6 @@ def _resolved_depth(
     return depth
 
 
-class _Units(dict):
-    """label -> ``float(orthant(label))``, as fsum reads it, in exact units of 2**-1074,
-    evaluated once."""
-
-    def __init__(self, orthant: Callable[[Any], Any]):
-        super().__init__()
-        self.orthant = orthant
-
-    def __missing__(self, label: Any) -> int:
-        p = float(self.orthant(label))
-        if not math.isfinite(p):
-            raise ValueError(f"orthant of label {label!r} is {p!r}, not a finite number")
-        num, den = p.as_integer_ratio()  # den = 2**e with e <= 1074
-        return self.setdefault(label, num << 1075 - den.bit_length())
-
-
 class _Product(dict):
     """key -> the exact product of some coordinates' tails, formed once per key.
 
@@ -216,10 +194,11 @@ class _Orthants:
 def _packed_units(system: CoherentSystem, ideal: MonomialIdeal) -> _Orthants:
     """The exact orthants of ``ideal``'s packed lcm codes.
 
-    Like ``survival_table`` they live on the system, in one slot that a
-    different ideal replaces and that equality, hash and repr skip, so the
-    Scarf and subset routes of one call share one pair of memos, and
-    nothing outlives the system.
+    They multiply the system's exact tails (``CoherentSystem._tails``) and
+    live beside them on the system, in one slot that a different ideal
+    replaces and that equality, hash and repr skip, so the Scarf and subset
+    routes of one call share one pair of memos, and nothing outlives the
+    system.
     """
     slot = vars(system).get("_packed_units")
     if slot is None or slot[0] != ideal:
@@ -247,15 +226,17 @@ def inclusion_exclusion(
     face label to the probability of the orthant above it and is called
     once per distinct label; passing a continuous evaluator makes the same
     identity work off-grid.  Its values are read through ``float()``, as
-    fsum reads them, and a non-finite one raises ValueError naming its label.
-    Each value is kept as an exact count of 2**-1074 (every float is one),
-    so the sum is bit for bit a fresh fsum of the signed terms.
+    fsum reads them, in the faces' order, and a non-finite one raises
+    ValueError naming its label.  The signed values are summed by one fsum,
+    exact and rounded once; ``0.0 -`` negates it and makes a zero sum +0.0.
     """
-    labels = (face.label for face in complex_.faces)
-    units = _Units(orthant)
-    counts = (Counter(islice(labels, len(run))) for run in complex_._runs)
-    sums = (sum(map(mul, map(units.__getitem__, level), level.values())) for level in counts)
-    return _fold_bounds(sums, _UNIT)[-1].value
+    faces, values = complex_.faces, {}
+    for face in faces:
+        if face.label not in values:
+            p = values[face.label] = float(orthant(face.label))
+            if not math.isfinite(p):
+                raise ValueError(f"orthant of label {face.label!r} is {p!r}, not a finite number")
+    return 0.0 - math.fsum((-1) ** len(face.members) * values[face.label] for face in faces)
 
 
 def reliability_identity(system: CoherentSystem, complex_: LabeledComplex) -> float:
@@ -398,12 +379,17 @@ def build_report(system: CoherentSystem, complex_: LabeledComplex) -> Reliabilit
     """Identity value, term counts, all depth bounds, and the oracle when affordable.
 
     The bounds sum the complex's face codes; no label or term is derived.
+    A supporting complex's exact identity lies in [0, M], M the system's
+    total mass (each component's probabilities may sum to within
+    ``PROB_TOL`` of 1), and rounding is monotone, so the identity is checked
+    against M rounded once: RuntimeError names a complex that is no support.
     """
     bounds = depth_bounds(system, complex_)
     identity = bounds[-1].value
-    if not -_IDENTITY_TOL <= identity <= 1.0 + _IDENTITY_TOL:
+    mass = math.prod(t[0] for _, t in system._tails) / _packed_units(system, complex_.ideal).unit
+    if not 0.0 <= identity <= mass:
         raise RuntimeError(
-            f"identity value {identity!r} is outside [0, 1]; "
+            f"identity value {identity!r} is outside [0, {mass!r}]; "
             f"complex or system data is inconsistent"
         )
     oracle: Optional[float] = None

@@ -323,10 +323,7 @@ def _row(b, bonf: Optional[float]) -> dict:
 def cmd_bounds(args) -> _Report:
     system, ideal, v_used = _pipeline(args.spec, args.v)
     depths = _parse_depths(args.depth)
-    # the walk stops at the deepest entry when no entry exceeds d, else it walks
-    # every size, so an entry out of range is named against the true maximum
-    fits = depths is not None and max(depths) <= ideal.dimension
-    runs = _scarf_codes(ideal, v_used, max(depths) if fits else None)
+    runs = _scarf_codes(ideal, v_used, None if depths is None else max(depths))
     for depth in depths or ():
         _checked(check_depth, depth, len(runs))
     depths = depths or range(1, len(runs) + 1)
@@ -443,6 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse takes "-2,1" for an option: join it
+        if argv[i] == "--depth" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i:i + 2] = [f"--depth={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         payload, text = args.func(args)

@@ -62,17 +62,6 @@ class Component(_Value):
             )
 
 
-class _SuffixSums(dict):
-    """Maps level j to P(X >= j) = fsum(probs[j:]), summed once on first use."""
-
-    def __init__(self, probs: tuple[float, ...]):
-        self.probs = probs
-
-    def __missing__(self, level: int) -> float:
-        value = self[level] = math.fsum(self.probs[level:])  # 0.0 at or past the top
-        return value
-
-
 class CoherentSystem(_Value):
     _fields = ("components",)
 
@@ -89,15 +78,12 @@ class CoherentSystem(_Value):
         return tuple(c.levels for c in self.components)
 
     @cached_property
-    def survival_table(self) -> tuple[_SuffixSums, ...]:
-        """[i][j] = P(X_i >= j) = fsum(probs_i[j:]) for j >= 0; derived, not a field."""
-        return tuple(_SuffixSums(c.probs) for c in self.components)
-
-    @cached_property
     def _tails(self) -> tuple[tuple[int, list[int]], ...]:
         """Per component (e, tails): P(X_i >= j) is exactly tails[j] / 2**e, the
         suffix sums of its float probabilities over their largest power-of-two
-        denominator, with tails[levels] = 0; derived once, not a field."""
+        denominator, with tails[levels] = 0; derived once, not a field.  The
+        one table of tail probabilities: ``orthant_prob`` rounds its entries,
+        and the exact orthant sums in ``analysis`` multiply them."""
         exact = []
         for c in self.components:
             ratios = [p.as_integer_ratio() for p in c.probs]  # (n, 2**k) per level
@@ -140,17 +126,18 @@ def random_points_for(
 
 
 def orthant_prob(system: CoherentSystem, alpha: Sequence[int]) -> float:
-    """P(X >= alpha coordinatewise) under component independence."""
+    """P(X >= alpha coordinatewise) under component independence: the product,
+    in coordinate order from 1.0, of each level's tail rounded once by int / int."""
     a = tuple(alpha)
     if len(a) != system.dimension:
         raise DimensionMismatchError(
             f"corner {a} has length {len(a)}, expected {system.dimension}"
         )
     result = 1.0
-    for tails, level in zip(system.survival_table, a):
+    for (e, tails), level in zip(system._tails, a):
         if level < 0:  # no early return at a zero tail, so every level is checked
             raise ValueError(f"level must be nonnegative, got {level}")
-        result *= tails[level]
+        result *= tails[min(level, len(tails) - 1)] / (1 << e)  # bit for bit fsum(probs[level:])
     return result
 
 

@@ -320,6 +320,28 @@ def reference_faces(complex_) -> tuple:
     return tuple(faces)
 
 
+def reference_orthant_prob(system, alpha) -> float:
+    """P(X >= alpha) as the product, in coordinate order from 1.0, of one fresh fsum
+    per component of its probabilities from its level on."""
+    result = 1.0
+    for c, level in zip(system.components, alpha):
+        result *= math.fsum(c.probs[level:])
+    return result
+
+
+def reference_inclusion_exclusion(complex_, orthant) -> tuple:
+    """(value, calls): the alternating sum over ``reference_faces`` of each label's
+    ``float(orthant(label))`` as an exact Fraction, rounded once, and the labels
+    evaluated, each once, in order of first appearance."""
+    values, total = {}, Fraction(0)
+    for face in reference_faces(complex_):
+        if face.label not in values:
+            values[face.label] = float(orthant(face.label))
+        term = Fraction(values[face.label])
+        total += term if face.cardinality % 2 else -term
+    return float(total), list(values)
+
+
 def reference_facets(complex_) -> tuple:
     """Reference facets: every face not marked as a one-smaller subface of another face."""
     faces = reference_faces(complex_)

@@ -54,7 +54,9 @@ from helpers import (
     full_scan_reliability,
     reference_face_codes,
     reference_faces,
+    reference_inclusion_exclusion,
     reference_net_counts,
+    reference_orthant_prob,
     random_points_for,
     random_system,
     tuple_walk_bounds,
@@ -92,14 +94,8 @@ class TestReliabilityIdentity:
     def test_planar_hand_sum(self):
         system = planar_system()
         cx = scarf_complex(PLANAR)
-        s0, s1 = system.survival_table
-        expected = (
-            s0[3] * s1[0]
-            + s0[2] * s1[2]
-            + s0[0] * s1[3]
-            - s0[3] * s1[2]
-            - s0[2] * s1[3]
-        )
+        s = [orthant_prob(system, alpha) for alpha in ((3, 0), (2, 2), (0, 3), (3, 2), (2, 3))]
+        expected = s[0] + s[1] + s[2] - s[3] - s[4]
         assert reliability_identity(system, cx) == expected
 
     def test_planar_matches_brute_force(self):
@@ -291,11 +287,13 @@ def fold_cases(draw):
     return levels, values
 
 
+UNIT = 1 << 1074  # 2**-1074, the least subnormal, divides every float
+
+
 def unit_sums(levels, evaluate):
-    """Per level, the exact sum of count * value over its (label, count) pairs in
-    units of 2**-1074, each label's value read once through ``analysis._Units``."""
-    units = analysis._Units(evaluate)
-    return [sum(n * units[label] for label, n in level) for level in levels]
+    """Per level, the exact sum of count * value over its (label, count) pairs,
+    as an int over ``UNIT``."""
+    return [sum(n * int(Fraction(evaluate(label)) * UNIT) for label, n in level) for level in levels]
 
 
 class TestExactFold:
@@ -306,7 +304,7 @@ class TestExactFold:
     @example(([[(0, 1)], [(0, 1)]], [0.0]))
     def test_each_depth_equals_a_fresh_fsum(self, case):
         levels, values = case
-        bounds = analysis._fold_bounds(unit_sums(levels, values.__getitem__), analysis._UNIT)
+        bounds = analysis._fold_bounds(unit_sums(levels, values.__getitem__), UNIT)
         assert [b.value for b in bounds] == fresh_fsums(levels, values)
         assert [b.kind for b in bounds] == [
             "upper" if k % 2 else "lower" for k in range(1, len(levels) + 1)
@@ -329,7 +327,7 @@ class TestExactFold:
     def test_huge_count_folds_without_a_list(self, p):
         # [p] * 2**62 cannot be built; fsum would round the exact 2**62 * p
         for n in (2**62, 2**62 + 1):
-            [bound] = analysis._fold_bounds(unit_sums([[("x", n)]], lambda label: p), analysis._UNIT)
+            [bound] = analysis._fold_bounds(unit_sums([[("x", n)]], lambda label: p), UNIT)
             assert bound.value == float(Fraction(p) * n)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -364,8 +362,7 @@ class TestTubeBounds:
     def test_depth_one_is_union_bound(self):
         system = planar_system()
         cx = scarf_complex(PLANAR)
-        s0, s1 = system.survival_table
-        singles = [s0[g[0]] * s1[g[1]] for g in PLANAR.generators]
+        singles = [orthant_prob(system, g) for g in PLANAR.generators]
         assert tube_bounds(system, cx, 1).value == pytest.approx(
             sum(singles), abs=1e-12
         )
@@ -569,7 +566,7 @@ class TestSubsetBounds:
 
     def test_many_levels_pack_only_the_held_ranks(self):
         # Ranks, not raw levels, are packed, so a million levels cost a few
-        # bits per coordinate, and the float survival table is never filled.
+        # bits per coordinate, and the system caches nothing but the exact tails and orthants.
         rng = random.Random(11)
         levels = 10**6
         probs = (1 / levels,) * levels
@@ -580,7 +577,7 @@ class TestSubsetBounds:
         assert len(ideal.generators) == 12
         assert max(ideal._packed[0]).bit_length() <= 2 * 11
         assert subset_bounds(system, ideal) == tuple_walk_bounds(system, ideal)
-        assert "survival_table" not in vars(system)
+        assert set(vars(system)) == {"components", "_tails", "_packed_units"}
 
 
     def test_depth_out_of_range(self):
@@ -745,8 +742,17 @@ class TestBuildReport:
             (Component("a", 2, (0.25, 0.75)), Component("b", 2, (0.25, 0.75)))
         )
         assert reliability_identity(system, cx) == 1.5
-        with pytest.raises(RuntimeError, match="outside"):
+        with pytest.raises(RuntimeError, match=r"1\.5 is outside \[0, 1\.0\]"):
             build_report(system, cx)
+
+    def test_identity_may_reach_the_system_mass(self):
+        # rows may sum to within PROB_TOL of 1: here 1 + 9e-10 each, so the exact
+        # mass of the whole grid, the zero generator's identity, exceeds 1
+        row = (0.5, 0.5000000009)
+        system = CoherentSystem(tuple(Component(f"c{i}", 2, row) for i in range(8)))
+        mass = float(Fraction(sum(map(Fraction, row))) ** 8)
+        report = build_report(system, scarf_complex(MonomialIdeal(8, ((0,) * 8,))))
+        assert report.identity_value == report.oracle_value == mass > 1.0 + 7e-9
 
 
 class TestBoundsCorpus:
@@ -858,6 +864,48 @@ class TestExactValues:
         for path in bench_corpus_specs(tmp_path):
             spec = load_spec(str(path))
             assert_exact_values(spec.system, _ideal(spec))
+
+
+# what a caller's evaluator may return: signed zeros, subnormals, non-floats
+EVALUATOR_VALUES = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, Fraction(1, 3), Fraction(-2, 7), 3**40, -7, 0]),
+)
+
+
+class TestReferenceSums:
+    """``inclusion_exclusion`` and ``orthant_prob`` equal the independent references
+    in ``helpers`` bit for bit, and the evaluator sees the same calls in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_cases(), st.sampled_from(["scarf", "taylor"]), st.lists(EVALUATOR_VALUES, min_size=1, max_size=8))
+    @example((planar_system(), PLANAR), "taylor", [-0.0])
+    @example((planar_system(), PLANAR), "scarf", [0.0, -0.0, 5e-324])
+    def test_inclusion_exclusion(self, case, route, pool):
+        system, ideal = case
+        v = _route(ideal, None)
+        if route == "taylor" and len(ideal.generators) <= 8:
+            cx = taylor_complex(ideal)
+        else:
+            cx = scarf_complex(ideal) if v is None else deform_and_scarf(ideal, v)
+        evaluators = [
+            lambda label: pool[hash(label) % len(pool)],
+            lambda label: orthant_prob(system, label),
+        ]
+        for evaluate in evaluators:
+            calls = []
+            value = inclusion_exclusion(cx, lambda label: calls.append(label) or evaluate(label))
+            expected, expected_calls = reference_inclusion_exclusion(cx, evaluate)
+            assert value.hex() == expected.hex()
+            assert calls == expected_calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_cases(), st.data())
+    def test_orthant_prob(self, case, data):
+        system, _ = case
+        levels = st.tuples(*(st.integers(0, c.levels + 1) for c in system.components))
+        for alpha in data.draw(st.lists(levels, min_size=1, max_size=10)):
+            assert orthant_prob(system, alpha).hex() == reference_orthant_prob(system, alpha).hex()
 
 
 def assert_net_identity_bit_for_bit(system, ideal, taylor_cap=14):

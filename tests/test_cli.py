@@ -165,6 +165,18 @@ class TestReliabilityCommand:
         assert payload["baseline_term_count"] == 511
         assert len(payload["bounds"]) == 3
 
+    def test_mass_above_one_is_accepted(self, capsys):
+        # each of eight rows sums to 1 + 9e-10, within PROB_TOL, so the grid's total
+        # mass is about 1 + 7.2e-9; the zero generator's identity is that mass
+        mass = str(Path(__file__).resolve().parent / "specs" / "mass_above_one.json")
+        code, out, err = run(capsys, "reliability", mass, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["identity_value"] == payload["oracle_value"] > 1.0
+        assert payload["discrepancy"] == 0.0
+        code, out, _ = run(capsys, "oracle", mass, "--json")
+        assert code == 0 and json.loads(out)["reliability"] == payload["identity_value"]
+
 
 class TestBoundsCommand:
     def test_table(self, capsys):
@@ -196,6 +208,28 @@ class TestBoundsCommand:
         for depths in ("0", "2,0,9"):
             code, out, err = run(capsys, "bounds", POINTS, "--depth", depths)
             assert (code, out, err) == (2, "", "error: depth must be at least 1, got 0\n")
+
+    @pytest.mark.parametrize(
+        "argv", [("--depth", "-2,1"), ("--depth", "-2"), ("--depth=-2,1",), ("--depth", "-2", "--json")]
+    )
+    def test_a_negative_first_entry_reaches_the_depth_check(self, capsys, argv):
+        # argparse reads "-2,1" as an option; main joins it to its --depth
+        given = ["bounds", POINTS, *argv]
+        assert main(given) == 2
+        assert capsys.readouterr() == ("", "error: depth must be at least 1, got -2\n")
+        assert given == ["bounds", POINTS, *argv]  # the caller's list is left alone
+
+    def test_a_negative_entry_from_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["scarfrel", "bounds", POINTS, "--depth", "-2,1"])
+        assert main() == 2
+        assert capsys.readouterr() == ("", "error: depth must be at least 1, got -2\n")
+
+    @pytest.mark.parametrize("argv", [("--depth",), ("--depth", "--json"), ("--depth", "-x")])
+    def test_a_depth_without_a_value_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bounds", POINTS, *argv])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --depth: expected one argument\n")
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "bounds", POINTS, "--json")

@@ -35,6 +35,7 @@ from helpers import (
     assert_ideal_passes_the_public_check,
     full_scan_profit_points,
     random_system,
+    reference_orthant_prob,
 )
 
 QUARTERS = Component("a", 3, (0.25, 0.25, 0.5))
@@ -90,17 +91,22 @@ class TestCoherentSystem:
             CoherentSystem(())
 
 
+def _tail(system, level):
+    """P(X >= level) of a one-component system, read through ``orthant_prob``."""
+    return orthant_prob(system, (level,))
+
+
 class TestSurvival:
     def test_tail_sums(self):
-        tails = CoherentSystem((QUARTERS,)).survival_table[0]
-        assert tails[0] == 1.0
-        assert tails[1] == 0.75
-        assert tails[2] == 0.5
+        system = CoherentSystem((QUARTERS,))
+        assert _tail(system, 0) == 1.0
+        assert _tail(system, 1) == 0.75
+        assert _tail(system, 2) == 0.5
 
     def test_beyond_top_level_is_zero(self):
-        tails = CoherentSystem((QUARTERS,)).survival_table[0]
-        assert tails[3] == 0.0
-        assert tails[99] == 0.0
+        system = CoherentSystem((QUARTERS,))
+        assert _tail(system, 3) == 0.0
+        assert _tail(system, 99) == 0.0
 
     def test_negative_level_rejected(self):
         system = CoherentSystem((QUARTERS,))
@@ -109,7 +115,7 @@ class TestSurvival:
 
     def test_bad_component_index(self):
         system = CoherentSystem((QUARTERS,))
-        assert len(system.survival_table) == 1
+        assert len(system._tails) == 1
         with pytest.raises(ValueError):
             orthant_prob(system, (0, 0))
 
@@ -117,8 +123,9 @@ class TestSurvival:
         rng = random.Random(7)
         for _ in range(50):
             system = random_system(rng)
-            for c, table in zip(system.components, system.survival_table):
-                tails = [table[j] for j in range(c.levels + 1)]
+            for c in system.components:
+                one = CoherentSystem((c,))
+                tails = [_tail(one, j) for j in range(c.levels + 1)]
                 assert tails == sorted(tails, reverse=True)
                 assert tails[0] == pytest.approx(1.0, abs=1e-9)
                 assert tails[-1] == 0.0
@@ -169,24 +176,15 @@ def _dyadic_and_other_systems(rng):
     return systems
 
 
-def _suffix_fsum_orthant(system, alpha):
-    """The orthant formula without a table: one fresh fsum per coordinate."""
-    result = 1.0
-    for c, level in zip(system.components, alpha):
-        result *= math.fsum(c.probs[level:])
-        if result == 0.0:
-            return 0.0
-    return result
-
-
 class TestSurvivalTable:
     def test_survival_equals_suffix_fsum_bit_for_bit(self):
         for system in _dyadic_and_other_systems(random.Random(5)):
-            for i, (c, table) in enumerate(zip(system.components, system.survival_table)):
+            for i, c in enumerate(system.components):
+                one = CoherentSystem((c,))
                 for level in range(c.levels + 3):
                     expected = math.fsum(c.probs[level:])
-                    assert table[level].hex() == expected.hex()
-                assert table[c.levels].hex() == (0.0).hex()
+                    assert _tail(one, level).hex() == expected.hex()
+                assert _tail(one, c.levels).hex() == (0.0).hex()
                 alpha = [0] * system.dimension
                 alpha[i] = -1
                 with pytest.raises(ValueError, match="nonnegative"):
@@ -196,7 +194,7 @@ class TestSurvivalTable:
         for system in _dyadic_and_other_systems(random.Random(6)):
             ranges = [range(c.levels + 1) for c in system.components]
             for alpha in itertools.product(*ranges):
-                expected = _suffix_fsum_orthant(system, alpha)
+                expected = reference_orthant_prob(system, alpha)
                 assert orthant_prob(system, alpha).hex() == expected.hex()
             with pytest.raises(ValueError, match="nonnegative"):
                 orthant_prob(system, (-1,) + (0,) * (system.dimension - 1))
@@ -205,10 +203,10 @@ class TestSurvivalTable:
         fresh = random_system(random.Random(8))
         system = random_system(random.Random(8))
         before = (repr(system), hash(system))
-        table = system.survival_table
-        orthant_prob(system, (1,) + (0,) * (system.dimension - 1))
-        assert system.survival_table is table  # derived once
-        assert table[0] == {1: math.fsum(system.components[0].probs[1:])}
+        table = system._tails
+        p = orthant_prob(system, (1,) + (0,) * (system.dimension - 1))
+        assert system._tails is table  # derived once
+        assert p == math.fsum(system.components[0].probs[1:])
         assert (repr(system), hash(system)) == before
         assert system == fresh and hash(system) == hash(fresh)
         assert repr(system) == repr(fresh)

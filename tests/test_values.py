@@ -56,7 +56,7 @@ CASES = {
     ),
     "CoherentSystem": (
         CoherentSystem, ("components",), (COMPONENTS,),
-        ("components",), SYSTEM_REPR, ("survival_table",),
+        ("components",), SYSTEM_REPR, ("_tails",),
     ),
     "ProfitSpec": (
         ProfitSpec, ("linear", "interactions", "cutoff"), ((1, 0.5), ((0, 1, 2),), 3),
